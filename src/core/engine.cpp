@@ -76,7 +76,7 @@ Engine::Engine(fabric::Fabric* fabric, NodeId self, const sampling::Estimator* e
   if (config_.qos.enabled) {
     qos_ = std::make_unique<qos::QosArbiter>(config_.qos, rdv_threshold_);
   }
-  stats_.payload_bytes_per_rail.assign(fabric_->rail_count(), 0);
+  reset_stats();
   if (config_.reliability.enabled) {
     rel_links_.resize(fabric_->node_count());
     rel_loss_streak_.assign(fabric_->rail_count(), 0);
@@ -104,17 +104,42 @@ Engine::Engine(fabric::Fabric* fabric, NodeId self, const sampling::Estimator* e
 void Engine::set_strategy(std::unique_ptr<Strategy> strategy) {
   RAILS_CHECK(strategy != nullptr);
   strategy_ = std::move(strategy);
-  metrics_.set_strategy_name(strategy_->name());
+  resolve_counters();  // the strategy.<name>.* rows follow the strategy
   invalidate_decisions();  // cached plans belong to the old strategy
 }
 
 void Engine::set_metrics(telemetry::MetricsRegistry* registry) {
   metrics_.attach(registry, fabric_->rail_count());
-  if (strategy_ != nullptr) metrics_.set_strategy_name(strategy_->name());
+  resolve_counters();
   if (qos_ != nullptr) qos_->attach_metrics(registry);
   if (health_ != nullptr) {
     health_->attach(registry, qos_class_names(), fabric_->rail_count());
   }
+}
+
+std::string counter_name(std::string_view pattern, std::string_view strategy, RailId rail) {
+  std::string name(pattern);
+  if (const auto at = name.find("<name>"); at != std::string::npos) {
+    if (strategy.empty()) return {};
+    name.replace(at, 6, strategy);
+  }
+  if (const auto at = name.find("<r>"); at != std::string::npos) {
+    name.replace(at, 3, std::to_string(rail));
+  }
+  return name;
+}
+
+void Engine::resolve_counters() {
+  const std::string strategy = strategy_ != nullptr ? strategy_->name() : std::string();
+  const std::size_t scalar = std::size(kEngineCounters);
+  const std::size_t rails = nics_.size();
+  const auto name_of = [&](std::size_t slot) {
+    if (slot < scalar) return counter_name(kEngineCounters[slot].name, strategy);
+    slot -= scalar;
+    return counter_name(kRailCounters[slot / rails].name, strategy,
+                        static_cast<RailId>(slot % rails));
+  };
+  counters_.attach(metrics_.registry(), scalar + std::size(kRailCounters) * rails, name_of);
 }
 
 std::vector<std::string> Engine::qos_class_names() const {
@@ -248,13 +273,13 @@ void Engine::observe_completion(RailId rail, SimDuration plan, SimDuration model
   // orphan every memoized decision.
   if (out.scale_corrected || out.state_changed) invalidate_decisions();
   if (out.scale_corrected) {
-    ++stats_.recal_corrections;
-    metrics_.on_recal_correction(rail, recal_->scale(rail));
+    count(EngineCounter::recal_corrections);
+    metrics_.on_profile_scale(rail, recal_->scale(rail));
     flight(trace::FlightKind::kScaleCorrection, rail, 0,
            static_cast<std::int64_t>(recal_->scale(rail) * 1000.0));
   }
   if (out.demoted) {
-    ++stats_.trust_demotions;
+    count(EngineCounter::trust_demotions);
     flight(trace::FlightKind::kTrustDemotion, rail, 0,
            static_cast<std::int64_t>(out.state));
     char detail[128];
@@ -263,12 +288,11 @@ void Engine::observe_completion(RailId rail, SimDuration plan, SimDuration model
     flight_trigger("trust-demotion", detail);
   }
   if (out.promoted) {
-    ++stats_.trust_promotions;
+    count(EngineCounter::trust_promotions);
     flight(trace::FlightKind::kTrustPromotion, rail, 0,
            static_cast<std::int64_t>(out.state));
   }
-  if (out.state_changed)
-    metrics_.on_trust_change(rail, static_cast<int>(out.state), out.demoted);
+  if (out.state_changed) metrics_.on_trust_gauge(rail, static_cast<int>(out.state));
   metrics_.on_drift_sample(rail, recal_->drift_score(rail));
   if (out.resample_requested) schedule_resample(rail);
 }
@@ -299,8 +323,8 @@ void Engine::run_resample(RailId rail) {
       *nics_[rail], now, config_.recalibration.resample_sampler);
   recal_->complete_resample(rail, std::move(fresh), now);
   invalidate_decisions();  // the rail's cost profile just changed
-  ++stats_.recal_resamples;
-  metrics_.on_resample(rail, recal_->scale(rail));
+  count(EngineCounter::recal_resamples);
+  metrics_.on_profile_scale(rail, recal_->scale(rail));
   metrics_.on_trust_gauge(rail, static_cast<int>(recal_->trust(rail)));
   flight(trace::FlightKind::kResample, rail, 0,
          static_cast<std::int64_t>(recal_->scale(rail) * 1000.0));
@@ -360,7 +384,9 @@ void Engine::trace_event(trace::EventKind kind, std::uint64_t msg_id, Tag tag,
 
 void Engine::reset_stats() {
   stats_ = EngineStats{};
-  stats_.payload_bytes_per_rail.assign(fabric_->rail_count(), 0);
+  for (const auto& row : kRailCounters) {
+    (stats_.*row.field).assign(fabric_->rail_count(), 0);
+  }
 }
 
 StrategyContext Engine::make_context() {
@@ -469,18 +495,17 @@ SendHandle Engine::submit_send(NodeId dst, Tag tag, const void* data, std::size_
     }
   }
 
-  ++stats_.sends;
+  count(EngineCounter::sends);
   trace_event(trace::EventKind::kSubmit, send->id, tag, 0, 0, len, send->submit_time,
               0, send->qos_class);
-  metrics_.on_submit(len > rdv_threshold_);
   arm_health();  // (re)start the health tick while traffic is in flight
 
   if (len > rdv_threshold_) {
     send->rendezvous = true;
-    ++stats_.rdv_msgs;
+    count(EngineCounter::rdv_msgs);
     start_rendezvous(send);
   } else {
-    ++stats_.eager_msgs;
+    count(EngineCounter::eager_msgs);
     if (qos_ != nullptr) {
       qos_->enqueue(send->qos_class, send, send->submit_time);
     } else {
@@ -534,10 +559,9 @@ RecvHandle Engine::irecv(NodeId src, Tag tag, void* data, std::size_t capacity) 
   recv->data = static_cast<std::uint8_t*>(data);
   recv->capacity = capacity;
   recv->post_time = fabric_->now();
-  ++stats_.recvs;
+  count(EngineCounter::recvs);
   trace_event(trace::EventKind::kRecvPosted, recv->id, tag, 0, 0, capacity,
               recv->post_time);
-  metrics_.on_recv_posted();
 
   // Unexpected eager data first (FIFO by message id within the source).
   for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
@@ -606,7 +630,7 @@ void Engine::progress() {
     return;
   }
   RAILS_CHECK_MSG(strategy_ != nullptr, "traffic submitted before a strategy was installed");
-  metrics_.on_progress();
+  count(EngineCounter::progress_calls);
 
   // Interrogate the strategy once per destination group, preserving the
   // first-appearance order of destinations and the submission order within
@@ -653,7 +677,7 @@ void Engine::progress() {
 
 void Engine::plan_group(std::span<const SendRequest* const> group) {
   const StrategyContext ctx = make_context();
-  metrics_.on_plan_eager();
+  count(EngineCounter::plan_eager);
 
   // Decision cache (docs/PERF.md): when the strategy declares this
   // interrogation pure — a function of the usable/idle rail sets, the idle
@@ -861,9 +885,22 @@ void Engine::note_qos_completion(const SendRequest& send) {
 void Engine::schedule_retry() {
   // Re-interrogate when the earliest NIC frees up ("the packet scheduler is
   // only activated when a NIC becomes idle in order to feed it").
+  arm_progress(next_rail_idle());
+}
+
+SimTime Engine::next_rail_idle() const {
+  // Quarantined rails are hidden from the strategy while any rail is usable,
+  // so their idle time wakes nobody: an idle quarantined rail would re-arm
+  // the scheduler every nanosecond until its re-probe, which re-arms the
+  // scheduler itself when the quarantine lifts.
   SimTime when = kSimTimeNever;
-  for (const auto* nic : nics_) when = std::min(when, nic->busy_until());
-  arm_progress(std::max(when, fabric_->now() + 1));
+  for (RailId r = 0; r < nics_.size(); ++r) {
+    if (rail_usable(r)) when = std::min(when, nics_[r]->busy_until());
+  }
+  if (when == kSimTimeNever) {  // all quarantined: the strategy sees every rail
+    for (const auto* nic : nics_) when = std::min(when, nic->busy_until());
+  }
+  return std::max(when, fabric_->now() + 1);
 }
 
 void Engine::arm_progress(SimTime when) {
@@ -907,7 +944,8 @@ fabric::SimNic::PostTimes Engine::post_segment(RailId rail, fabric::Segment seg,
   if (!control_lane) {
     cores.occupy(core, times.host_start, times.host_end - times.host_start);
   }
-  stats_.payload_bytes_per_rail[rail] += payload;
+  count(RailCounter::payload_bytes_per_rail, rail, payload);
+  count(RailCounter::segments_per_rail, rail, 1);
   if (sequenced) {
     // deliver_at is the NIC model's single-hop arrival; on routed fabrics
     // the segment still has (hops - 1) links to cross before the receiver
@@ -955,7 +993,7 @@ void Engine::post_emission(const EagerEmission& emission) {
     core = *emission.offload_core;
     const bool idle = fabric_->cores(self_).idle(core, fabric_->now());
     delay = idle ? config_.offload.signal_cost : config_.offload.preempt_cost;
-    ++stats_.offloaded_chunks;
+    count(EngineCounter::offloaded_chunks);
   }
 
   // Predict before posting: the post itself advances the NIC's busy-until.
@@ -969,7 +1007,7 @@ void Engine::post_emission(const EagerEmission& emission) {
   }
 
   const auto times = post_segment(emission.rail, std::move(seg), core, delay);
-  metrics_.on_eager_emit(emission.rail, framed_bytes, emission.offload_core.has_value());
+  metrics_.on_eager_emit(framed_bytes);
   if (observing()) {
     observe_completion(emission.rail, predicted_end - decision_now,
                        times.nic_end - decision_now);
@@ -985,7 +1023,7 @@ void Engine::post_emission(const EagerEmission& emission) {
                 piece.send->qos_class);
   }
 
-  ++stats_.eager_segments;
+  count(EngineCounter::eager_segments);
   if (emission.pieces.size() > 1) stats_.aggregated_packets += emission.pieces.size();
 
   // Account posted bytes and complete sends whose last piece this was.
@@ -1106,15 +1144,7 @@ void Engine::pump_qos_streams() {
 void Engine::arm_qos_pump() {
   if (qos_pump_armed_) return;
   qos_pump_armed_ = true;
-  SimTime when = kSimTimeNever;
-  for (RailId r = 0; r < nics_.size(); ++r) {
-    if (!rail_usable(r)) continue;
-    when = std::min(when, nics_[r]->busy_until());
-  }
-  if (when == kSimTimeNever) {
-    for (const auto* nic : nics_) when = std::min(when, nic->busy_until());
-  }
-  fabric_->events().at(std::max(when, fabric_->now() + 1), [this] {
+  fabric_->events().at(next_rail_idle(), [this] {
     qos_pump_armed_ = false;
     pump_qos_streams();
   });
@@ -1140,9 +1170,9 @@ void Engine::post_stream_chunk(SendRequest& send, RailId rail, std::uint64_t off
   trace_event(trace::EventKind::kChunkPosted, send.id, send.tag, rail,
               config_.scheduler_core, bytes, times.host_start, times.nic_end,
               send.qos_class);
-  ++stats_.rdv_chunks;
+  count(EngineCounter::rdv_chunks);
   ++stats_.qos_stream_chunks;
-  metrics_.on_chunk_posted(rail, bytes);
+  metrics_.on_chunk_posted(bytes);
   if (send.bytes_posted == 0) {
     metrics_.on_queueing(times.host_start - send.submit_time);
   }
@@ -1157,7 +1187,7 @@ void Engine::stream_chunks(SendRequest& send) {
   // "when a rendezvous request has just been received" — the strategy is
   // interrogated with the live NIC states to lay out the DMA chunks.
   const StrategyContext ctx = make_context();
-  metrics_.on_plan_rendezvous();
+  count(EngineCounter::plan_rendezvous);
   strategy::SplitResult split;
   {
     RAILS_PERF_SCOPE(perf::Layer::kStrategy);
@@ -1202,8 +1232,8 @@ void Engine::stream_chunks(SendRequest& send) {
     trace_event(trace::EventKind::kChunkPosted, send.id, send.tag, chunk.rail,
                 config_.scheduler_core, chunk.bytes, times.host_start, times.nic_end,
                 send.qos_class);
-    ++stats_.rdv_chunks;
-    metrics_.on_chunk_posted(chunk.rail, chunk.bytes);
+    count(EngineCounter::rdv_chunks);
+    metrics_.on_chunk_posted(chunk.bytes);
     if (first_chunk) {
       metrics_.on_queueing(times.host_start - send.submit_time);
       first_chunk = false;
@@ -1237,7 +1267,7 @@ void Engine::handle_fin(const fabric::Segment& seg) {
   send.complete_time = fabric_->now();
   trace_event(trace::EventKind::kSendComplete, send.id, send.tag, 0, 0, send.len,
               send.complete_time, 0, send.qos_class);
-  metrics_.on_rdv_complete();
+  count(EngineCounter::rdv_roundtrips);
   metrics_.on_send_complete(send.complete_time - send.submit_time);
   note_qos_completion(send);
   rdv_sends_.erase(it);
@@ -1440,8 +1470,7 @@ void Engine::handle_data(const fabric::Segment& seg) {
     // Duplicate after completion: a spurious-timeout retransmit finished the
     // message and the straggling original arrived late. Reception is
     // idempotent — drop it.
-    ++stats_.duplicate_chunks;
-    metrics_.on_duplicate_chunk();
+    count(EngineCounter::duplicate_chunks);
     return;
   }
   RecvHandle recv = it->second.recv;
@@ -1452,8 +1481,7 @@ void Engine::handle_data(const fabric::Segment& seg) {
   const std::size_t fresh =
       add_interval(it->second.covered, seg.offset, seg.offset + seg.payload.size());
   if (fresh < seg.payload.size()) {
-    ++stats_.duplicate_chunks;
-    metrics_.on_duplicate_chunk();
+    count(EngineCounter::duplicate_chunks);
   }
   recv->bytes_received += fresh;
   if (recv->bytes_received == recv->expected) {
@@ -1495,8 +1523,7 @@ void Engine::on_tx_complete(const fabric::Segment& seg) {
 }
 
 void Engine::on_tx_error(fabric::Segment&& seg) {
-  ++stats_.tx_errors;
-  metrics_.on_tx_error();
+  count(EngineCounter::tx_errors);
   flight(trace::FlightKind::kTxError, seg.rail, seg.msg_id,
          static_cast<std::int64_t>(seg.payload.size()), seg.attempt);
   if (config_.reliability.enabled && seg.seq != 0) {
@@ -1523,8 +1550,7 @@ void Engine::on_tx_error(fabric::Segment&& seg) {
   // Eager and control segments are self-contained: re-post the whole
   // segment on the best usable rail.
   if (seg.attempt + 1u >= config_.failover.max_attempts) {
-    ++stats_.failover_exhausted;
-    metrics_.on_exhausted();
+    count(EngineCounter::failover_exhausted);
     if (seg.kind == fabric::SegKind::kRts) {
       // The handshake can never finish; fail the send instead of hanging.
       if (auto it = rdv_sends_.find(seg.msg_id); it != rdv_sends_.end()) {
@@ -1536,8 +1562,7 @@ void Engine::on_tx_error(fabric::Segment&& seg) {
   }
   const RailId rail = repost_rail(seg);
   ++seg.attempt;
-  ++stats_.retries;
-  metrics_.on_retry();
+  count(EngineCounter::retries);
   post_segment(rail, std::move(seg), config_.scheduler_core);
 }
 
@@ -1602,8 +1627,7 @@ void Engine::on_chunk_timeout(std::uint64_t msg_id, std::uint64_t offset, std::s
   if (lc == live_chunks_.end()) return;
   auto entry = lc->second.find(offset);
   if (entry == lc->second.end() || entry->second != attempt) return;  // retired/superseded
-  ++stats_.chunk_timeouts;
-  metrics_.on_chunk_timeout();
+  count(EngineCounter::chunk_timeouts);
   flight(trace::FlightKind::kChunkTimeout, rail, msg_id,
          static_cast<std::int64_t>(bytes), attempt);
   quarantine_rail(rail);
@@ -1619,8 +1643,7 @@ void Engine::failover_chunk(SendRequest& send, std::uint64_t offset, std::size_t
   lc->second.erase(entry);
   if (bytes == 0) return;
 
-  ++stats_.failovers;
-  metrics_.on_failover();
+  count(EngineCounter::failovers);
   invalidate_decisions();  // failover re-splits perturb the steady state
   trace_event(trace::EventKind::kFailover, send.id, send.tag, failed_rail,
               config_.scheduler_core, bytes, fabric_->now());
@@ -1635,8 +1658,7 @@ void Engine::failover_chunk(SendRequest& send, std::uint64_t offset, std::size_t
   }
 
   if (attempt + 1u >= config_.failover.max_attempts) {
-    ++stats_.failover_exhausted;
-    metrics_.on_exhausted();
+    count(EngineCounter::failover_exhausted);
     send.state = SendState::kFailed;
     live_chunks_.erase(send.id);
     rdv_sends_.erase(send.id);
@@ -1698,10 +1720,9 @@ void Engine::post_data_chunk(SendRequest& send, RailId rail, std::uint64_t offse
   const auto times = post_segment(rail, std::move(data), config_.scheduler_core);
   trace_event(trace::EventKind::kChunkPosted, send.id, send.tag, rail,
               config_.scheduler_core, bytes, times.host_start, times.nic_end);
-  ++stats_.rdv_chunks;
-  ++stats_.retries;
-  metrics_.on_retry();
-  metrics_.on_chunk_posted(rail, bytes);
+  count(EngineCounter::rdv_chunks);
+  count(EngineCounter::retries);
+  metrics_.on_chunk_posted(bytes);
   ++send.chunk_count;
   // Retransmissions do not advance bytes_posted: it tracks distinct message
   // bytes handed to the NICs, and these bytes were already counted.
@@ -1721,8 +1742,8 @@ void Engine::quarantine_rail(RailId rail) {
   h.quarantined = true;
   h.until = now + h.window;
   invalidate_decisions();  // the usable-rail set just shrank
-  ++stats_.quarantines;
-  metrics_.on_quarantine(rail);
+  count(EngineCounter::quarantines);
+  metrics_.on_rail_health(rail, false);
   flight(trace::FlightKind::kQuarantine, rail, 0,
          static_cast<std::int64_t>(to_usec(h.window)));
   {
@@ -1748,12 +1769,12 @@ void Engine::reprobe_rail(RailId rail) {
     schedule_reprobe(rail);
     return;
   }
-  ++stats_.reprobes;
+  count(EngineCounter::reprobes);
   const bool up = nics_[rail]->link_up(now);
-  metrics_.on_reprobe(rail, up);
   flight(trace::FlightKind::kReprobe, rail, 0, up ? 1 : 0);
   if (up) {
-    ++stats_.reprobe_successes;
+    count(EngineCounter::reprobe_successes);
+    metrics_.on_rail_health(rail, true);
     h.quarantined = false;
     h.window = 0;  // healthy again: reset the backoff
     invalidate_decisions();  // the usable-rail set just grew
@@ -1872,8 +1893,7 @@ void Engine::rel_on_timeout(NodeId dst, std::uint64_t seq, unsigned expected_ret
 
 void Engine::rel_presume_lost(RelTxEntry& entry, bool count_streak) {
   if (count_streak) {
-    ++stats_.rel_drops_inferred;
-    metrics_.on_rel_drop_inferred();
+    count(EngineCounter::rel_drops_inferred);
     // Repeated inferred losses concentrated on one rail are a sick link, not
     // independent wire noise: hand it to the PR 2 quarantine/re-probe path.
     if (config_.reliability.loss_streak_quarantine > 0 &&
@@ -1891,8 +1911,7 @@ void Engine::rel_presume_lost(RelTxEntry& entry, bool count_streak) {
 }
 
 void Engine::rel_retransmit(RelTxEntry& entry) {
-  ++stats_.rel_retransmits;
-  metrics_.on_rel_retransmit();
+  count(EngineCounter::rel_retransmits);
   flight(trace::FlightKind::kRetransmit, entry.rail, entry.msg_id,
          static_cast<std::int64_t>(entry.seq), entry.retransmits);
   // Rebuild the segment from the parked copy — byte-identical to the
@@ -1921,8 +1940,7 @@ void Engine::rel_retransmit(RelTxEntry& entry) {
 }
 
 void Engine::rel_exhaust(RelTxEntry& entry) {
-  ++stats_.rel_retry_exhausted;
-  metrics_.on_rel_exhausted();
+  count(EngineCounter::rel_retry_exhausted);
   flight(trace::FlightKind::kRetryExhausted, entry.rail, entry.msg_id,
          static_cast<std::int64_t>(entry.seq), entry.retransmits);
   {
@@ -1965,8 +1983,7 @@ void Engine::rel_retire(NodeId dst, std::uint64_t seq) {
 bool Engine::rel_rx_accept(const fabric::Segment& seg) {
   // (1) Integrity: recompute the CRC over what actually arrived.
   if (config_.reliability.checksum && reliable_crc(seg) != seg.crc) {
-    ++stats_.rel_corruptions;
-    metrics_.on_rel_corruption();
+    count(EngineCounter::rel_corruptions);
     flight(trace::FlightKind::kCorruptDetected, seg.rail, seg.msg_id,
            static_cast<std::int64_t>(seg.seq));
     // Corruption is detectable loss: tell the sender now instead of letting
@@ -1990,8 +2007,7 @@ bool Engine::rel_rx_accept(const fabric::Segment& seg) {
     return ((link.rx_bits[(b >> 6) & (link.rx_bits.size() - 1)] >> (b & 63)) & 1) != 0;
   };
   if (seq <= link.rx_cumulative || seen(seq)) {
-    ++stats_.rel_dup_suppressed;
-    metrics_.on_rel_dup_suppressed();
+    count(EngineCounter::rel_dup_suppressed);
     flight(trace::FlightKind::kDupSuppressed, seg.rail, seg.msg_id,
            static_cast<std::int64_t>(seq));
     rel_arm_ack(seg.src);
@@ -2043,8 +2059,7 @@ void Engine::rel_flush_ack(NodeId src) {
   const StrategyContext ctx = make_context();
   const RailId rail = strategy_ != nullptr ? strategy_->control_rail(ctx) : 0;
   post_segment(rail, std::move(ack), config_.scheduler_core);
-  ++stats_.rel_acks;
-  metrics_.on_rel_ack();
+  count(EngineCounter::rel_acks);
 }
 
 void Engine::rel_send_nack(NodeId src, std::uint64_t seq) {
@@ -2055,8 +2070,7 @@ void Engine::rel_send_nack(NodeId src, std::uint64_t seq) {
   const StrategyContext ctx = make_context();
   const RailId rail = strategy_ != nullptr ? strategy_->control_rail(ctx) : 0;
   post_segment(rail, std::move(nack), config_.scheduler_core);
-  ++stats_.rel_nacks;
-  metrics_.on_rel_nack();
+  count(EngineCounter::rel_nacks);
 }
 
 void Engine::rel_handle_ack(const fabric::Segment& seg) {

@@ -16,8 +16,11 @@
 #pragma once
 
 #include <array>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/message.hpp"
@@ -25,6 +28,7 @@
 #include "core/wire_format.hpp"
 #include "fabric/fabric.hpp"
 #include "qos/arbiter.hpp"
+#include "telemetry/counter_mirror.hpp"
 #include "telemetry/engine_metrics.hpp"
 #include "telemetry/prediction.hpp"
 #include "trace/flight_recorder.hpp"
@@ -32,46 +36,68 @@
 
 namespace rails::core {
 
+/// The engine's counter table (docs/OBSERVABILITY.md, "Engine"). One row
+/// per counter, X(EngineStats field, registry name): the row declares the
+/// field, its EngineCounter id and the registry counter Engine::set_metrics
+/// resolves for it, and Engine::count() bumps both. `<name>` stands for the
+/// installed strategy's name.
+#define RAILS_ENGINE_COUNTERS(X)                                               \
+  X(sends, "engine.sends")                                                     \
+  X(recvs, "engine.recvs")                                                     \
+  X(eager_msgs, "engine.eager_msgs")                                           \
+  X(rdv_msgs, "engine.rdv_msgs")                                               \
+  X(progress_calls, "engine.progress_calls")   /* scheduler activations */    \
+  X(plan_eager, "strategy.<name>.plan_eager")  /* per destination group */    \
+  X(plan_rendezvous, "strategy.<name>.plan_rendezvous")                        \
+  X(eager_segments, "engine.eager_segments")   /* eager segments posted */    \
+  X(offloaded_chunks, "engine.offload_signals") /* emitted by a remote core */ \
+  X(rdv_chunks, "engine.rdv_chunks")           /* DMA chunks, retries too */  \
+  X(rdv_roundtrips, "engine.rdv_roundtrips")   /* RTS/CTS/FIN completed */    \
+  /* fault tolerance (docs/FAULTS.md) */                                       \
+  X(tx_errors, "engine.tx_errors")             /* segments a NIC dropped */   \
+  X(chunk_timeouts, "engine.chunk_timeouts")   /* past prediction + slack */  \
+  X(failovers, "engine.failovers")             /* ranges re-split */          \
+  X(retries, "engine.failover_retries")        /* segments re-posted */       \
+  X(failover_exhausted, "engine.failover_exhausted")                           \
+  X(quarantines, "engine.quarantines")                                         \
+  X(reprobes, "engine.reprobes")                                               \
+  X(reprobe_successes, "engine.reprobe_successes")                             \
+  X(duplicate_chunks, "engine.duplicate_chunks") /* receiver-side dups */     \
+  /* end-to-end reliability (docs/FAULTS.md) */                                \
+  X(rel_corruptions, "engine.reliability.corruptions")                         \
+  X(rel_drops_inferred, "engine.reliability.drops_inferred")                   \
+  X(rel_retransmits, "engine.reliability.retransmits")                         \
+  X(rel_dup_suppressed, "engine.reliability.dup_suppressed")                   \
+  X(rel_retry_exhausted, "engine.reliability.retry_exhausted")                 \
+  X(rel_acks, "engine.reliability.acks")                                       \
+  X(rel_nacks, "engine.reliability.nacks")                                     \
+  /* recalibration (docs/CALIBRATION.md) */                                    \
+  X(recal_corrections, "engine.recal.corrections")                             \
+  X(recal_resamples, "engine.recal.resamples")                                 \
+  X(trust_demotions, "engine.recal.demotions")                                 \
+  X(trust_promotions, "engine.recal.promotions")
+
+/// Per-rail rows, X(EngineStats vector field, registry name); `<r>` is the
+/// rail index. Both are bumped where every segment is posted, so they
+/// count control segments and retransmissions too.
+#define RAILS_ENGINE_RAIL_COUNTERS(X)                                          \
+  X(payload_bytes_per_rail, "engine.rail<r>.payload_bytes")                    \
+  X(segments_per_rail, "engine.rail<r>.segments")
+
 struct EngineStats {
-  std::uint64_t sends = 0;
-  std::uint64_t recvs = 0;
-  std::uint64_t eager_msgs = 0;
-  std::uint64_t rdv_msgs = 0;
-  std::uint64_t eager_segments = 0;      ///< eager segments posted
+#define RAILS_STATS_FIELD(field, name) std::uint64_t field = 0;
+  RAILS_ENGINE_COUNTERS(RAILS_STATS_FIELD)
+#undef RAILS_STATS_FIELD
+#define RAILS_STATS_FIELD(field, name) std::vector<std::uint64_t> field;
+  RAILS_ENGINE_RAIL_COUNTERS(RAILS_STATS_FIELD)
+#undef RAILS_STATS_FIELD
+
+  // Counters with no registry twin.
   std::uint64_t aggregated_packets = 0;  ///< sub-packets that shared a segment
   std::uint64_t split_eager_msgs = 0;    ///< eager messages split across rails
-  std::uint64_t offloaded_chunks = 0;    ///< eager chunks submitted remotely
-  std::uint64_t rdv_chunks = 0;          ///< DMA chunks posted
-  std::vector<std::uint64_t> payload_bytes_per_rail;
-
-  // -- fault tolerance (docs/FAULTS.md) --------------------------------
-  std::uint64_t tx_errors = 0;          ///< segments reported dropped by a NIC
-  std::uint64_t chunk_timeouts = 0;     ///< chunks past predicted completion + slack
-  std::uint64_t failovers = 0;          ///< byte ranges re-split onto survivors
-  std::uint64_t retries = 0;            ///< segments re-posted (any kind)
-  std::uint64_t failover_exhausted = 0; ///< ranges that ran out of attempts
-  std::uint64_t quarantines = 0;        ///< rails entering quarantine
-  std::uint64_t reprobes = 0;           ///< quarantine re-probe attempts
-  std::uint64_t reprobe_successes = 0;  ///< re-probes that lifted a quarantine
-  std::uint64_t duplicate_chunks = 0;   ///< receiver-side duplicate DATA chunks
-  std::uint64_t stale_control = 0;      ///< duplicate/unknown control segs ignored
-
-  // -- end-to-end reliability (docs/FAULTS.md) -------------------------
+  std::uint64_t stale_control = 0;       ///< duplicate/unknown control segs ignored
   std::uint64_t rel_segments = 0;        ///< sequenced segments posted
-  std::uint64_t rel_corruptions = 0;     ///< wire-checksum mismatches detected
-  std::uint64_t rel_drops_inferred = 0;  ///< ACK timeouts presuming silent loss
-  std::uint64_t rel_retransmits = 0;     ///< segments retransmitted end-to-end
-  std::uint64_t rel_dup_suppressed = 0;  ///< sequence-window duplicate drops
-  std::uint64_t rel_retry_exhausted = 0; ///< seqs that ran out of retry budget
-  std::uint64_t rel_acks = 0;            ///< ACK control segments sent
-  std::uint64_t rel_nacks = 0;           ///< NACK control segments sent
   std::uint64_t rel_parse_rejects = 0;   ///< malformed eager frames dropped
-
-  // -- recalibration (docs/CALIBRATION.md) -----------------------------
-  std::uint64_t recal_corrections = 0;  ///< profile scale corrections applied
-  std::uint64_t recal_resamples = 0;    ///< background re-sampling sweeps run
-  std::uint64_t trust_demotions = 0;    ///< trust-state demotions observed
-  std::uint64_t trust_promotions = 0;   ///< trust-state promotions observed
 
   // -- traffic-class QoS (docs/QOS.md) ---------------------------------
   std::uint64_t qos_grants = 0;               ///< sends released by the arbiter
@@ -85,6 +111,31 @@ struct EngineStats {
   std::uint64_t strategy_cache_hits = 0;    ///< eager plans replayed from cache
   std::uint64_t strategy_cache_misses = 0;  ///< cacheable plans computed fresh
 };
+
+/// Row ids of the counter tables, in table order.
+enum class EngineCounter : std::size_t {
+#define RAILS_COUNTER_ID(field, name) field,
+  RAILS_ENGINE_COUNTERS(RAILS_COUNTER_ID)
+};
+enum class RailCounter : std::size_t { RAILS_ENGINE_RAIL_COUNTERS(RAILS_COUNTER_ID) };
+#undef RAILS_COUNTER_ID
+
+template <class Field>
+struct CounterRow {
+  Field EngineStats::*field;
+  const char* name;  ///< registry name, placeholders unexpanded
+};
+#define RAILS_COUNTER_ROW(field, name) {&EngineStats::field, name},
+inline constexpr CounterRow<std::uint64_t> kEngineCounters[] = {
+    RAILS_ENGINE_COUNTERS(RAILS_COUNTER_ROW)};
+inline constexpr CounterRow<std::vector<std::uint64_t>> kRailCounters[] = {
+    RAILS_ENGINE_RAIL_COUNTERS(RAILS_COUNTER_ROW)};
+#undef RAILS_COUNTER_ROW
+
+/// A row's registry name with `<name>` replaced by `strategy` and `<r>` by
+/// `rail`. Empty when the row names a strategy and `strategy` is empty.
+std::string counter_name(std::string_view pattern, std::string_view strategy,
+                         RailId rail = 0);
 
 class Engine {
  public:
@@ -171,8 +222,9 @@ class Engine {
 
   /// Attaches a metrics registry (nullptr detaches). Handles are resolved
   /// once here; afterwards the hot path touches only relaxed atomics, and a
-  /// detached engine pays one null-check per site (same contract as
-  /// set_tracer). The registry must outlive the engine or be detached.
+  /// detached engine pays one check per site (same contract as set_tracer).
+  /// The registry must outlive the engine or be detached. Its counters count
+  /// from attach; stats() counts from construction or reset_stats().
   void set_metrics(telemetry::MetricsRegistry* registry);
 
   /// Attaches a predicted-vs-actual completion tracker (nullptr detaches).
@@ -266,6 +318,8 @@ class Engine {
   /// decision cache first (docs/PERF.md). Posts the resulting emissions.
   void plan_group(std::span<const SendRequest* const> group);
   void schedule_retry();
+  /// Earliest time a rail the strategy can use goes idle (at least now + 1).
+  SimTime next_rail_idle() const;
   void arm_progress(SimTime when);
   void post_emission(const EagerEmission& emission);
   void start_rendezvous(const SendHandle& send);
@@ -472,7 +526,24 @@ class Engine {
   std::map<MsgKey, UnexpectedEager> unexpected_;   ///< early eager fragments
   std::vector<UnexpectedRts> unexpected_rts_;      ///< early RTS, FIFO
 
+  /// The one bump per counted event: the EngineStats field of the row, then
+  /// the registry counter resolved from the same row (when attached).
+  void count(EngineCounter c, std::uint64_t n = 1) {
+    const auto row = static_cast<std::size_t>(c);
+    stats_.*kEngineCounters[row].field += n;
+    counters_.add(row, n);
+  }
+  void count(RailCounter c, RailId rail, std::uint64_t n) {
+    const auto row = static_cast<std::size_t>(c);
+    (stats_.*kRailCounters[row].field)[rail] += n;
+    counters_.add(std::size(kEngineCounters) + row * nics_.size() + rail, n);
+  }
+  /// Resolves counters_ against the attached registry: one slot per scalar
+  /// row, then one per (per-rail row, rail).
+  void resolve_counters();
+
   EngineStats stats_;
+  telemetry::CounterMirror counters_;
   trace::Tracer* tracer_ = nullptr;
   trace::FlightRecorder* flight_ = nullptr;
 

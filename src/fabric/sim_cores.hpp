@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/topology.hpp"
 #include "common/types.hpp"
+#include "topo/machine.hpp"
 
 namespace rails::fabric {
 

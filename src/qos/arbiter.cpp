@@ -70,9 +70,7 @@ bool QosArbiter::has_capacity(ClassId cls) const {
 void QosArbiter::note_rejected_full(ClassId cls) {
   RAILS_PERF_LOCK(mu_, perf::Layer::kArbiter);
   RAILS_CHECK(cls < states_.size());
-  ClassState& cs = states_[cls];
-  ++cs.counters.rejected_full;
-  if (cs.m_rejected_full != nullptr) cs.m_rejected_full->inc();
+  count(cls, QosCounter::rejected_full);
 }
 
 void QosArbiter::enqueue(ClassId cls, core::SendHandle send, SimTime now) {
@@ -102,15 +100,10 @@ void QosArbiter::pop_grant(ClassId cls, bool aged,
   ClassState& cs = states_[cls];
   Waiting w = std::move(cs.queue.front());
   cs.queue.pop_front();
-  ++cs.counters.granted;
-  cs.counters.granted_bytes += w.send->len;
-  if (aged) ++cs.counters.aged_grants;
-  if (cs.m_granted != nullptr) {
-    cs.m_granted->inc();
-    cs.m_granted_bytes->inc(w.send->len);
-    if (aged) cs.m_aged->inc();
-    cs.m_depth->set(static_cast<std::int64_t>(cs.queue.size()));
-  }
+  count(cls, QosCounter::granted);
+  count(cls, QosCounter::granted_bytes, w.send->len);
+  if (aged) count(cls, QosCounter::aged_grants);
+  if (cs.m_depth != nullptr) cs.m_depth->set(static_cast<std::int64_t>(cs.queue.size()));
   granted.push_back(std::move(w.send));
 }
 
@@ -211,13 +204,7 @@ void QosArbiter::note_completion(ClassId cls, bool had_deadline, bool deadline_h
   RAILS_CHECK(cls < states_.size());
   ClassState& cs = states_[cls];
   if (had_deadline) {
-    if (deadline_hit) {
-      ++cs.counters.deadline_hits;
-      if (cs.m_deadline_hits != nullptr) cs.m_deadline_hits->inc();
-    } else {
-      ++cs.counters.deadline_misses;
-      if (cs.m_deadline_misses != nullptr) cs.m_deadline_misses->inc();
-    }
+    count(cls, deadline_hit ? QosCounter::deadline_hits : QosCounter::deadline_misses);
   }
   if (cs.m_latency != nullptr && latency >= 0) {
     cs.m_latency->observe(static_cast<std::uint64_t>(latency));
@@ -227,19 +214,13 @@ void QosArbiter::note_completion(ClassId cls, bool had_deadline, bool deadline_h
 void QosArbiter::note_admission_reject(ClassId cls) {
   RAILS_PERF_LOCK(mu_, perf::Layer::kArbiter);
   RAILS_CHECK(cls < states_.size());
-  ++states_[cls].counters.admission_rejects;
-  if (states_[cls].m_admission_rejects != nullptr) {
-    states_[cls].m_admission_rejects->inc();
-  }
+  count(cls, QosCounter::admission_rejects);
 }
 
 void QosArbiter::note_admission_downgrade(ClassId cls) {
   RAILS_PERF_LOCK(mu_, perf::Layer::kArbiter);
   RAILS_CHECK(cls < states_.size());
-  ++states_[cls].counters.admission_downgrades;
-  if (states_[cls].m_admission_downgrades != nullptr) {
-    states_[cls].m_admission_downgrades->inc();
-  }
+  count(cls, QosCounter::admission_downgrades);
 }
 
 ClassCounters QosArbiter::counters(ClassId cls) const {
@@ -250,32 +231,15 @@ ClassCounters QosArbiter::counters(ClassId cls) const {
 
 void QosArbiter::attach_metrics(telemetry::MetricsRegistry* registry) {
   RAILS_PERF_LOCK(mu_, perf::Layer::kArbiter);
+  const std::size_t rows = std::size(kQosCounters);
+  counters_.attach(registry, states_.size() * rows, [&](std::size_t slot) {
+    return "qos." + specs_[slot / rows].name + "." + kQosCounters[slot % rows].name;
+  });
   for (ClassId cls = 0; cls < states_.size(); ++cls) {
     ClassState& cs = states_[cls];
-    if (registry == nullptr) {
-      cs.m_depth = nullptr;
-      cs.m_granted = nullptr;
-      cs.m_granted_bytes = nullptr;
-      cs.m_rejected_full = nullptr;
-      cs.m_aged = nullptr;
-      cs.m_deadline_hits = nullptr;
-      cs.m_deadline_misses = nullptr;
-      cs.m_admission_rejects = nullptr;
-      cs.m_admission_downgrades = nullptr;
-      cs.m_latency = nullptr;
-      continue;
-    }
     const std::string prefix = "qos." + specs_[cls].name + ".";
-    cs.m_depth = registry->gauge(prefix + "queue_depth");
-    cs.m_granted = registry->counter(prefix + "granted");
-    cs.m_granted_bytes = registry->counter(prefix + "granted_bytes");
-    cs.m_rejected_full = registry->counter(prefix + "rejected_full");
-    cs.m_aged = registry->counter(prefix + "aged_grants");
-    cs.m_deadline_hits = registry->counter(prefix + "deadline_hits");
-    cs.m_deadline_misses = registry->counter(prefix + "deadline_misses");
-    cs.m_admission_rejects = registry->counter(prefix + "admission_rejects");
-    cs.m_admission_downgrades = registry->counter(prefix + "admission_downgrades");
-    cs.m_latency = registry->histogram(prefix + "latency_ns");
+    cs.m_depth = registry != nullptr ? registry->gauge(prefix + "queue_depth") : nullptr;
+    cs.m_latency = registry != nullptr ? registry->histogram(prefix + "latency_ns") : nullptr;
   }
 }
 

@@ -34,27 +34,54 @@
 #include <deque>
 #include <functional>
 #include <iosfwd>
+#include <iterator>
 #include <mutex>
 #include <vector>
 
 #include "core/message.hpp"
 #include "qos/traffic_class.hpp"
+#include "telemetry/counter_mirror.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace rails::qos {
 
+/// The arbiter's per-class counter table (docs/OBSERVABILITY.md). One row
+/// per counter, X(ClassCounters field): the row declares the field, its
+/// QosCounter id and the registry counter "qos.<class>.<field>" that
+/// attach_metrics resolves for it, and QosArbiter::count() bumps both.
+#define RAILS_QOS_CLASS_COUNTERS(X)                                            \
+  X(rejected_full)        /* try_isend refusals (queue at capacity) */         \
+  X(granted)              /* sends handed to the strategy layer */             \
+  X(granted_bytes)                                                             \
+  X(aged_grants)          /* grants escalated by starvation aging */           \
+  X(deadline_hits)                                                             \
+  X(deadline_misses)                                                           \
+  X(admission_rejects)                                                         \
+  X(admission_downgrades)
+
 /// Per-class accounting, snapshot via QosArbiter::counters().
 struct ClassCounters {
-  std::uint64_t enqueued = 0;        ///< sends admitted into the queue
-  std::uint64_t rejected_full = 0;   ///< try_isend refusals (queue at capacity)
-  std::uint64_t granted = 0;         ///< sends handed to the strategy layer
-  std::uint64_t granted_bytes = 0;
-  std::uint64_t aged_grants = 0;     ///< grants escalated by starvation aging
-  std::uint64_t deadline_hits = 0;
-  std::uint64_t deadline_misses = 0;
-  std::uint64_t admission_rejects = 0;
-  std::uint64_t admission_downgrades = 0;
-  std::uint64_t depth_hwm = 0;       ///< queue-depth high-water mark
+  std::uint64_t enqueued = 0;  ///< sends admitted into the queue
+#define RAILS_QOS_FIELD(field) std::uint64_t field = 0;
+  RAILS_QOS_CLASS_COUNTERS(RAILS_QOS_FIELD)
+#undef RAILS_QOS_FIELD
+  std::uint64_t depth_hwm = 0;  ///< queue-depth high-water mark
+};
+
+enum class QosCounter : std::size_t {
+#define RAILS_QOS_ID(field) field,
+  RAILS_QOS_CLASS_COUNTERS(RAILS_QOS_ID)
+#undef RAILS_QOS_ID
+};
+
+struct QosCounterRow {
+  std::uint64_t ClassCounters::*field;
+  const char* name;  ///< registry name after "qos.<class>."
+};
+inline constexpr QosCounterRow kQosCounters[] = {
+#define RAILS_QOS_ROW(field) {&ClassCounters::field, #field},
+    RAILS_QOS_CLASS_COUNTERS(RAILS_QOS_ROW)
+#undef RAILS_QOS_ROW
 };
 
 class QosArbiter {
@@ -122,16 +149,16 @@ class QosArbiter {
     bool paused = false;
     ClassCounters counters;
     telemetry::Gauge* m_depth = nullptr;
-    telemetry::Counter* m_granted = nullptr;
-    telemetry::Counter* m_granted_bytes = nullptr;
-    telemetry::Counter* m_rejected_full = nullptr;
-    telemetry::Counter* m_aged = nullptr;
-    telemetry::Counter* m_deadline_hits = nullptr;
-    telemetry::Counter* m_deadline_misses = nullptr;
-    telemetry::Counter* m_admission_rejects = nullptr;
-    telemetry::Counter* m_admission_downgrades = nullptr;
     telemetry::Histogram* m_latency = nullptr;
   };
+
+  /// The one bump per counted class event: the ClassCounters field of the
+  /// row, then its registry mirror (when attached). Caller holds mu_.
+  void count(ClassId cls, QosCounter c, std::uint64_t n = 1) {
+    const auto row = static_cast<std::size_t>(c);
+    states_[cls].counters.*kQosCounters[row].field += n;
+    counters_.add(cls * std::size(kQosCounters) + row, n);
+  }
 
   /// Byte cost of one grant (zero-length sends still cost one unit).
   static std::size_t cost(const core::SendHandle& send);
@@ -145,6 +172,7 @@ class QosArbiter {
   std::size_t cutoff_;
   mutable std::mutex mu_;
   std::vector<ClassState> states_;
+  telemetry::CounterMirror counters_;  ///< slot = class * rows + row
   BackpressureFn backpressure_;
   /// grant()-round staging, recycled between rounds (capacity kept).
   std::vector<core::SendHandle> granted_scratch_;

@@ -1,4 +1,4 @@
-#include "common/topology.hpp"
+#include "topo/machine.hpp"
 
 #include <algorithm>
 

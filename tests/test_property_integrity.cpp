@@ -15,6 +15,11 @@ struct Scenario {
   int seed;
 };
 
+// Without this, gtest prints a Scenario as its raw bytes, including the
+// randomised address of `strategy`, so the test names ctest discovers
+// differed from build to build. The strategy is already in the test name.
+void PrintTo(const Scenario& s, std::ostream* os) { *os << "seed " << s.seed; }
+
 class RandomTraffic : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(RandomTraffic, AllMessagesArriveIntact) {

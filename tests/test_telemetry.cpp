@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <new>
 #include <sstream>
 #include <thread>
@@ -10,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/world.hpp"
+#include "telemetry/counter_mirror.hpp"
 #include "telemetry/engine_metrics.hpp"
 #include "telemetry/prediction.hpp"
 #include "test_util.hpp"
@@ -18,7 +21,7 @@
 //
 // The whole binary routes operator new through this counter so the
 // zero-cost-when-detached contract can be asserted directly: a detached
-// EngineMetrics hook must not allocate.
+// counter bump or EngineMetrics hook must not allocate.
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -379,67 +382,106 @@ TEST(PredictionTracker, MergeReplaysRecentWindowChronologically) {
   EXPECT_NEAR(a.recent_accuracy(0).mean_rel_error, 0.25, 1e-9);
 }
 
-// -- EngineMetrics sink ------------------------------------------------------
+// -- engine counter table and metric sink ------------------------------------
+
+/// Bumps every row of the engine's counter table the way Engine::count does:
+/// the EngineStats field, then the mirror slot resolved from the same row.
+void bump_every_row(core::EngineStats& stats, const CounterMirror& mirror) {
+  for (std::size_t row = 0; row < std::size(core::kEngineCounters); ++row) {
+    stats.*core::kEngineCounters[row].field += 1;
+    mirror.add(row);
+  }
+}
 
 TEST(EngineMetrics, DetachedHooksDoNotAllocate) {
+  core::EngineStats stats;
+  CounterMirror mirror;
   EngineMetrics sink;
-  ASSERT_FALSE(sink.attached());
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
-    sink.on_submit(i % 2 == 0);
-    sink.on_recv_posted();
-    sink.on_progress();
-    sink.on_plan_eager();
-    sink.on_plan_rendezvous();
-    sink.on_eager_emit(0, 4096, true);
-    sink.on_chunk_posted(1, 65536);
-    sink.on_rdv_complete();
+    bump_every_row(stats, mirror);
+    sink.on_eager_emit(4096);
+    sink.on_chunk_posted(65536);
     sink.on_send_complete(1234);
     sink.on_queueing(56);
     sink.on_recv_complete(789);
+    sink.on_rail_health(0, false);
   }
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before)
       << "detached telemetry hooks must be allocation-free";
+  EXPECT_EQ(stats.sends, 1000u);
+  EXPECT_EQ(stats.trust_promotions, 1000u);
 }
 
 TEST(EngineMetrics, AttachedHooksHitNamedMetrics) {
+  // Every row resolves to its documented name: the strategy rows under the
+  // strategy's name, the per-rail rows once per rail.
+  core::World world(core::paper_testbed("hetero-split"));
+  const std::size_t rails = world.fabric().rail_count();
   MetricsRegistry reg;
+  world.engine(0).set_metrics(&reg);
+  for (const auto& row : core::kEngineCounters) {
+    const std::string name = core::counter_name(row.name, "hetero-split");
+    EXPECT_EQ(name.find('<'), std::string::npos) << row.name;
+    EXPECT_NE(reg.find_counter(name), nullptr) << name;
+  }
+  EXPECT_NE(reg.find_counter("strategy.hetero-split.plan_eager"), nullptr);
+  EXPECT_NE(reg.find_counter("engine.failover_retries"), nullptr);
+  for (const auto& row : core::kRailCounters) {
+    for (RailId r = 0; r < rails; ++r) {
+      EXPECT_NE(reg.find_counter(core::counter_name(row.name, "", r)), nullptr)
+          << row.name << " rail " << r;
+    }
+  }
+  EXPECT_NE(reg.find_counter("engine.rail1.payload_bytes"), nullptr);
+  EXPECT_EQ(reg.counter_count(),
+            std::size(core::kEngineCounters) + std::size(core::kRailCounters) * rails);
+  EXPECT_EQ(core::counter_name("strategy.<name>.plan_eager", ""), "");
+
+  // After attach, the bumps and hooks themselves are allocation-free too:
+  // every handle was resolved up front.
+  core::EngineStats stats;
+  CounterMirror mirror;
+  mirror.attach(&reg, std::size(core::kEngineCounters), [](std::size_t row) {
+    return core::counter_name(core::kEngineCounters[row].name, "hetero-split");
+  });
   EngineMetrics sink;
-  sink.attach(&reg, 2);
-  sink.set_strategy_name("hetero-split");
-  ASSERT_TRUE(sink.attached());
-
-  sink.on_submit(false);
-  sink.on_submit(true);
-  sink.on_eager_emit(0, 512, false);
-  sink.on_eager_emit(1, 512, true);
-  sink.on_chunk_posted(0, 4096);
-  sink.on_plan_eager();
-  sink.on_plan_rendezvous();
-  sink.on_send_complete(1000);
-
-  EXPECT_EQ(reg.find_counter("engine.sends")->value(), 2u);
-  EXPECT_EQ(reg.find_counter("engine.eager_msgs")->value(), 1u);
-  EXPECT_EQ(reg.find_counter("engine.rdv_msgs")->value(), 1u);
-  EXPECT_EQ(reg.find_counter("engine.eager_segments")->value(), 2u);
-  EXPECT_EQ(reg.find_counter("engine.offload_signals")->value(), 1u);
-  EXPECT_EQ(reg.find_counter("engine.rdv_chunks")->value(), 1u);
-  EXPECT_EQ(reg.find_counter("engine.rail0.payload_bytes")->value(), 512u + 4096u);
-  EXPECT_EQ(reg.find_counter("engine.rail1.payload_bytes")->value(), 512u);
-  EXPECT_EQ(reg.find_counter("strategy.hetero-split.plan_eager")->value(), 1u);
-  EXPECT_EQ(reg.find_counter("strategy.hetero-split.plan_rendezvous")->value(), 1u);
-  EXPECT_EQ(reg.find_histogram("engine.send_latency_ns")->count(), 1u);
-
-  // After attach, the hooks themselves are allocation-free too: every
-  // handle was resolved up front.
+  sink.attach(&reg, rails);
+  const std::uint64_t sends = reg.find_counter("engine.sends")->value();
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  sink.on_submit(false);
-  sink.on_eager_emit(0, 64, false);
+  bump_every_row(stats, mirror);
+  sink.on_eager_emit(64);
   sink.on_send_complete(10);
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
+  EXPECT_EQ(reg.find_counter("engine.sends")->value(), sends + 1);
+  EXPECT_EQ(reg.find_histogram("engine.send_latency_ns")->count(), 1u);
 
-  sink.attach(nullptr, 0);
-  EXPECT_FALSE(sink.attached());
+  // Detached again: bumps reach the struct only.
+  mirror.attach(nullptr, std::size(core::kEngineCounters), [](std::size_t) {
+    return std::string("unused");
+  });
+  bump_every_row(stats, mirror);
+  EXPECT_EQ(reg.find_counter("engine.sends")->value(), sends + 1);
+  EXPECT_EQ(stats.sends, 2u);
+  world.engine(0).set_metrics(nullptr);
+}
+
+TEST(EngineMetrics, EveryCounterRowIsInTheCatalogue) {
+  // docs/OBSERVABILITY.md lists each row under its registry name, in the
+  // same `<name>` / `<r>` / `<class>` notation the tables use.
+  std::ifstream in(RAILS_REPO_DOCS_DIR "/OBSERVABILITY.md");
+  ASSERT_TRUE(in.good());
+  std::stringstream doc;
+  doc << in.rdbuf();
+  const std::string text = doc.str();
+  const auto documented = [&text](const std::string& name) {
+    return text.find("`" + name + "`") != std::string::npos;
+  };
+  for (const auto& row : core::kEngineCounters) EXPECT_TRUE(documented(row.name)) << row.name;
+  for (const auto& row : core::kRailCounters) EXPECT_TRUE(documented(row.name)) << row.name;
+  for (const auto& row : qos::kQosCounters) {
+    EXPECT_TRUE(documented(std::string("qos.<class>.") + row.name)) << row.name;
+  }
 }
 
 // -- engine integration ------------------------------------------------------
