@@ -14,6 +14,8 @@
 
 namespace rails::core {
 
+using trace::EventKind;
+
 namespace {
 
 /// CRC32C over the protocol-stable segment fields plus the payload. `rail`
@@ -225,8 +227,8 @@ void Engine::health_tick() {
   const auto& ticks = health_->sample(now);
   if (slo_ != nullptr) {
     for (const telemetry::AlertEvent& ev : slo_->observe(now, ticks)) {
-      flight(trace::FlightKind::kSloAlert, 0, 0, ev.firing ? 1 : 0,
-             static_cast<std::int64_t>(ev.fast_value * 1000));
+      emit({.time = now, .kind = EventKind::kSloAlert, .a = ev.firing ? 1 : 0,
+            .b = static_cast<std::int64_t>(ev.fast_value * 1000)});
       if (ev.firing) flight_trigger("slo-burn", ev.detail);
     }
   }
@@ -234,21 +236,6 @@ void Engine::health_tick() {
   // final deltas after the engine drains, then the event chain ends so
   // run_all()/run_until() can terminate.
   if (health_work_pending()) arm_health();
-}
-
-void Engine::flight(trace::FlightKind kind, RailId rail, std::uint64_t msg_id,
-                    std::int64_t a, std::int64_t b) {
-  if (flight_ == nullptr) return;
-  trace::FlightRecord r;
-  r.time = fabric_->now();
-  r.kind = kind;
-  r.node = self_;
-  r.rail = rail;
-  r.msg_id = msg_id;
-  r.a = a;
-  r.b = b;
-  flight_->record(r);
-  metrics_.on_flight_evictions(flight_->evictions());
 }
 
 void Engine::flight_trigger(const char* reason, const std::string& detail) {
@@ -267,30 +254,28 @@ void Engine::observe_completion(RailId rail, SimDuration plan, SimDuration model
                                 SimDuration actual) {
   if (predictions_ != nullptr) predictions_->record(rail, plan, actual);
   if (recal_ == nullptr) return;
-  const auto out = recal_->observe(rail, model, actual, fabric_->now());
+  const SimTime now = fabric_->now();
+  const auto out = recal_->observe(rail, model, actual, now);
   // A scale correction or trust transition changes estimator outputs (and
   // thus what the planner would decide) without touching the cache key —
   // orphan every memoized decision.
   if (out.scale_corrected || out.state_changed) invalidate_decisions();
   if (out.scale_corrected) {
-    count(EngineCounter::recal_corrections);
     metrics_.on_profile_scale(rail, recal_->scale(rail));
-    flight(trace::FlightKind::kScaleCorrection, rail, 0,
-           static_cast<std::int64_t>(recal_->scale(rail) * 1000.0));
+    emit({.time = now, .kind = EventKind::kScaleCorrection, .rail = rail,
+          .a = static_cast<std::int64_t>(recal_->scale(rail) * 1000.0)});
   }
   if (out.demoted) {
-    count(EngineCounter::trust_demotions);
-    flight(trace::FlightKind::kTrustDemotion, rail, 0,
-           static_cast<std::int64_t>(out.state));
+    emit({.time = now, .kind = EventKind::kTrustDemotion, .rail = rail,
+          .a = static_cast<std::int64_t>(out.state)});
     char detail[128];
     std::snprintf(detail, sizeof(detail), "rail %u trust demoted to %s", rail,
                   sampling::to_string(out.state));
     flight_trigger("trust-demotion", detail);
   }
   if (out.promoted) {
-    count(EngineCounter::trust_promotions);
-    flight(trace::FlightKind::kTrustPromotion, rail, 0,
-           static_cast<std::int64_t>(out.state));
+    emit({.time = now, .kind = EventKind::kTrustPromotion, .rail = rail,
+          .a = static_cast<std::int64_t>(out.state)});
   }
   if (out.state_changed) metrics_.on_trust_gauge(rail, static_cast<int>(out.state));
   metrics_.on_drift_sample(rail, recal_->drift_score(rail));
@@ -323,11 +308,10 @@ void Engine::run_resample(RailId rail) {
       *nics_[rail], now, config_.recalibration.resample_sampler);
   recal_->complete_resample(rail, std::move(fresh), now);
   invalidate_decisions();  // the rail's cost profile just changed
-  count(EngineCounter::recal_resamples);
   metrics_.on_profile_scale(rail, recal_->scale(rail));
   metrics_.on_trust_gauge(rail, static_cast<int>(recal_->trust(rail)));
-  flight(trace::FlightKind::kResample, rail, 0,
-         static_cast<std::int64_t>(recal_->scale(rail) * 1000.0));
+  emit({.time = now, .kind = EventKind::kResample, .rail = rail,
+        .a = static_cast<std::int64_t>(recal_->scale(rail) * 1000.0)});
 }
 
 Strategy& Engine::strategy() {
@@ -335,51 +319,16 @@ Strategy& Engine::strategy() {
   return *strategy_;
 }
 
-void Engine::trace_event(trace::EventKind kind, std::uint64_t msg_id, Tag tag,
-                         RailId rail, CoreId core, std::size_t bytes, SimTime time,
-                         SimTime nic_end, std::uint32_t cls) {
-  // Data-plane events are mirrored into the always-on flight recorder so a
-  // postmortem window exists even when no Tracer is attached.
-  if (flight_ != nullptr) {
-    bool mirror = true;
-    trace::FlightKind fk = trace::FlightKind::kSubmit;
-    switch (kind) {
-      case trace::EventKind::kSubmit: fk = trace::FlightKind::kSubmit; break;
-      case trace::EventKind::kEagerEmit: fk = trace::FlightKind::kEagerEmit; break;
-      case trace::EventKind::kChunkPosted: fk = trace::FlightKind::kChunkPosted; break;
-      case trace::EventKind::kSendComplete: fk = trace::FlightKind::kSendComplete; break;
-      case trace::EventKind::kRecvComplete: fk = trace::FlightKind::kRecvComplete; break;
-      case trace::EventKind::kOffloadSignal: fk = trace::FlightKind::kOffloadSignal; break;
-      case trace::EventKind::kFailover: fk = trace::FlightKind::kFailover; break;
-      default: mirror = false; break;
-    }
-    if (mirror) {
-      trace::FlightRecord r;
-      r.time = time;
-      r.kind = fk;
-      r.node = self_;
-      r.rail = rail;
-      r.msg_id = msg_id;
-      r.a = static_cast<std::int64_t>(bytes);
-      r.b = nic_end;
-      flight_->record(r);
-      metrics_.on_flight_evictions(flight_->evictions());
-    }
+void Engine::record_event(trace::Event e) {
+  e.node = self_;
+  if (tracer_ != nullptr && trace::recorded_by(e.kind, trace::Sinks::kTracer)) {
+    tracer_->record(e);
+    metrics_.on_trace_dropped(tracer_->dropped());
   }
-  if (tracer_ == nullptr) return;
-  trace::TraceEvent event;
-  event.time = time;
-  event.node = self_;
-  event.kind = kind;
-  event.msg_id = msg_id;
-  event.tag = tag;
-  event.rail = rail;
-  event.core = core;
-  event.bytes = bytes;
-  event.nic_end = nic_end;
-  event.cls = cls;
-  tracer_->record(event);
-  metrics_.on_trace_dropped(tracer_->dropped());
+  if (flight_ != nullptr && trace::recorded_by(e.kind, trace::Sinks::kFlight)) {
+    flight_->record(e);
+    metrics_.on_flight_evictions(flight_->evictions());
+  }
 }
 
 void Engine::reset_stats() {
@@ -495,9 +444,8 @@ SendHandle Engine::submit_send(NodeId dst, Tag tag, const void* data, std::size_
     }
   }
 
-  count(EngineCounter::sends);
-  trace_event(trace::EventKind::kSubmit, send->id, tag, 0, 0, len, send->submit_time,
-              0, send->qos_class);
+  emit({.time = send->submit_time, .kind = EventKind::kSubmit, .msg_id = send->id,
+        .tag = tag, .a = static_cast<std::int64_t>(len), .cls = send->qos_class});
   arm_health();  // (re)start the health tick while traffic is in flight
 
   if (len > rdv_threshold_) {
@@ -559,9 +507,8 @@ RecvHandle Engine::irecv(NodeId src, Tag tag, void* data, std::size_t capacity) 
   recv->data = static_cast<std::uint8_t*>(data);
   recv->capacity = capacity;
   recv->post_time = fabric_->now();
-  count(EngineCounter::recvs);
-  trace_event(trace::EventKind::kRecvPosted, recv->id, tag, 0, 0, capacity,
-              recv->post_time);
+  emit({.time = recv->post_time, .kind = EventKind::kRecvPosted, .msg_id = recv->id,
+        .tag = tag, .a = static_cast<std::int64_t>(capacity)});
 
   // Unexpected eager data first (FIFO by message id within the source).
   for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
@@ -744,7 +691,7 @@ void Engine::plan_group(std::span<const SendRequest* const> group) {
                      return true;
                    }();
   if (hit) {
-    ++stats_.strategy_cache_hits;
+    count(EngineCounter::strategy_cache_hits);
     for (const CachedEmission& ce : entry.emissions) {
       emission_scratch_.rail = ce.rail;
       if (ce.offloaded) {
@@ -763,7 +710,7 @@ void Engine::plan_group(std::span<const SendRequest* const> group) {
     return;
   }
 
-  ++stats_.strategy_cache_misses;
+  count(EngineCounter::strategy_cache_misses);
   EagerSchedule schedule = strategy_->plan_eager(ctx, group);
 
   // Store the plan as group-relative indices before posting (posting
@@ -993,7 +940,6 @@ void Engine::post_emission(const EagerEmission& emission) {
     core = *emission.offload_core;
     const bool idle = fabric_->cores(self_).idle(core, fabric_->now());
     delay = idle ? config_.offload.signal_cost : config_.offload.preempt_cost;
-    count(EngineCounter::offloaded_chunks);
   }
 
   // Predict before posting: the post itself advances the NIC's busy-until.
@@ -1013,18 +959,22 @@ void Engine::post_emission(const EagerEmission& emission) {
                        times.nic_end - decision_now);
   }
   if (emission.offload_core) {
-    trace_event(trace::EventKind::kOffloadSignal, emission.pieces.front().send->id,
-                seg_tag, emission.rail, core, 0, fabric_->now(), 0,
-                emission.pieces.front().send->qos_class);
+    emit({.time = fabric_->now(), .kind = EventKind::kOffloadSignal,
+          .msg_id = emission.pieces.front().send->id, .tag = seg_tag,
+          .rail = emission.rail, .core = core,
+          .cls = emission.pieces.front().send->qos_class});
   }
   for (const EagerPiece& piece : emission.pieces) {
-    trace_event(trace::EventKind::kEagerEmit, piece.send->id, piece.send->tag,
-                emission.rail, core, piece.len, times.host_start, times.nic_end,
-                piece.send->qos_class);
+    emit({.time = times.host_start, .kind = EventKind::kEagerEmit, .msg_id = piece.send->id,
+          .tag = piece.send->tag, .rail = emission.rail, .core = core,
+          .a = static_cast<std::int64_t>(piece.len), .b = times.nic_end,
+          .cls = piece.send->qos_class});
   }
 
   count(EngineCounter::eager_segments);
-  if (emission.pieces.size() > 1) stats_.aggregated_packets += emission.pieces.size();
+  if (emission.pieces.size() > 1) {
+    count(EngineCounter::aggregated_packets, emission.pieces.size());
+  }
 
   // Account posted bytes and complete sends whose last piece this was.
   for (const EagerPiece& piece : emission.pieces) {
@@ -1038,9 +988,10 @@ void Engine::post_emission(const EagerEmission& emission) {
     if (send->bytes_posted == send->len) {
       send->state = SendState::kDone;
       send->complete_time = times.host_end;
-      if (send->chunk_count > 1) ++stats_.split_eager_msgs;
-      trace_event(trace::EventKind::kSendComplete, send->id, send->tag, emission.rail,
-                  0, send->len, send->complete_time, 0, send->qos_class);
+      if (send->chunk_count > 1) count(EngineCounter::split_eager_msgs);
+      emit({.time = send->complete_time, .kind = EventKind::kSendComplete,
+            .msg_id = send->id, .tag = send->tag, .rail = emission.rail,
+            .a = static_cast<std::int64_t>(send->len), .cls = send->qos_class});
       metrics_.on_send_complete(send->complete_time - send->submit_time);
       note_qos_completion(*send);
     }
@@ -1058,8 +1009,9 @@ void Engine::start_rendezvous(const SendHandle& send) {
   rts.tag = send->tag;
   rts.total_len = send->len;
   post_segment(rail, std::move(rts), config_.scheduler_core);
-  trace_event(trace::EventKind::kRtsSent, send->id, send->tag, rail, 0, send->len,
-              fabric_->now(), 0, send->qos_class);
+  emit({.time = fabric_->now(), .kind = EventKind::kRtsSent, .msg_id = send->id,
+        .tag = send->tag, .rail = rail, .a = static_cast<std::int64_t>(send->len),
+        .cls = send->qos_class});
   send->state = SendState::kRtsSent;
   rdv_sends_[send->id] = send;
 }
@@ -1070,12 +1022,12 @@ void Engine::handle_cts(const fabric::Segment& seg) {
     // A duplicated or straggling CTS for a send that already completed or
     // failed (wire dup with reliability off, failover re-accept). Receives
     // are idempotent; the control plane must be too.
-    ++stats_.stale_control;
+    count(EngineCounter::stale_control);
     return;
   }
   SendRequest& send = *it->second;
   if (send.state != SendState::kRtsSent) {
-    ++stats_.stale_control;  // second CTS after streaming already began
+    count(EngineCounter::stale_control);  // second CTS after streaming already began
     return;
   }
   send.state = SendState::kStreaming;
@@ -1167,10 +1119,9 @@ void Engine::post_stream_chunk(SendRequest& send, RailId rail, std::uint64_t off
   data.payload = fabric::acquire_payload();
   data.payload.assign(send.data + offset, send.data + offset + bytes);
   const auto times = post_segment(rail, std::move(data), config_.scheduler_core);
-  trace_event(trace::EventKind::kChunkPosted, send.id, send.tag, rail,
-              config_.scheduler_core, bytes, times.host_start, times.nic_end,
-              send.qos_class);
-  count(EngineCounter::rdv_chunks);
+  emit({.time = times.host_start, .kind = EventKind::kChunkPosted, .msg_id = send.id,
+        .tag = send.tag, .rail = rail, .core = config_.scheduler_core,
+        .a = static_cast<std::int64_t>(bytes), .b = times.nic_end, .cls = send.qos_class});
   ++stats_.qos_stream_chunks;
   metrics_.on_chunk_posted(bytes);
   if (send.bytes_posted == 0) {
@@ -1229,10 +1180,10 @@ void Engine::stream_chunks(SendRequest& send) {
     data.payload = fabric::acquire_payload();
     data.payload.assign(send.data + chunk.offset, send.data + chunk.offset + chunk.bytes);
     const auto times = post_segment(chunk.rail, std::move(data), config_.scheduler_core);
-    trace_event(trace::EventKind::kChunkPosted, send.id, send.tag, chunk.rail,
-                config_.scheduler_core, chunk.bytes, times.host_start, times.nic_end,
-                send.qos_class);
-    count(EngineCounter::rdv_chunks);
+    emit({.time = times.host_start, .kind = EventKind::kChunkPosted, .msg_id = send.id,
+          .tag = send.tag, .rail = chunk.rail, .core = config_.scheduler_core,
+          .a = static_cast<std::int64_t>(chunk.bytes), .b = times.nic_end,
+          .cls = send.qos_class});
     metrics_.on_chunk_posted(chunk.bytes);
     if (first_chunk) {
       metrics_.on_queueing(times.host_start - send.submit_time);
@@ -1253,20 +1204,20 @@ void Engine::handle_fin(const fabric::Segment& seg) {
     // A duplicated FIN: the first copy completed the send and erased it.
     // Before the reliability PR this crashed the node (PR 2's dedup audit
     // only covered DATA); now it is counted and ignored.
-    ++stats_.stale_control;
+    count(EngineCounter::stale_control);
     return;
   }
   SendRequest& send = *it->second;
   if (send.state != SendState::kStreaming) {
-    ++stats_.stale_control;
+    count(EngineCounter::stale_control);
     return;
   }
   live_chunks_.erase(seg.msg_id);  // any armed timeouts are stale now
   qos_streams_.erase(seg.msg_id);  // a failover retransmit may finish early
   send.state = SendState::kDone;
   send.complete_time = fabric_->now();
-  trace_event(trace::EventKind::kSendComplete, send.id, send.tag, 0, 0, send.len,
-              send.complete_time, 0, send.qos_class);
+  emit({.time = send.complete_time, .kind = EventKind::kSendComplete, .msg_id = send.id,
+        .tag = send.tag, .a = static_cast<std::int64_t>(send.len), .cls = send.qos_class});
   count(EngineCounter::rdv_roundtrips);
   metrics_.on_send_complete(send.complete_time - send.submit_time);
   note_qos_completion(send);
@@ -1336,14 +1287,26 @@ void Engine::handle_eager(const fabric::Segment& seg) {
   // payload bit can land inside a sub-packet header, and a single wire
   // fault must not take down the node.
   if (!try_parse_subpackets(seg.payload, subpacket_scratch_)) {
-    ++stats_.rel_parse_rejects;
-    flight(trace::FlightKind::kCorruptDetected, seg.rail, seg.msg_id, -1);
+    parse_reject(seg, seg.msg_id);
     return;
   }
-  for (const SubPacket& sp : subpacket_scratch_) deliver_fragment(sp, seg.src);
+  for (const SubPacket& sp : subpacket_scratch_) deliver_fragment(sp, seg);
 }
 
-void Engine::deliver_fragment(const SubPacket& sp, NodeId src) {
+void Engine::parse_reject(const fabric::Segment& seg, std::uint64_t msg_id) {
+  emit({.time = fabric_->now(), .kind = EventKind::kParseReject, .msg_id = msg_id,
+        .rail = seg.rail, .a = seg.src});
+}
+
+void Engine::deliver_fragment(const SubPacket& sp, const fabric::Segment& seg) {
+  // Every engine of a world shares the rendezvous threshold, so an eager
+  // fragment of a larger message is a corrupted header (checksum off).
+  // Binding it would trip the posted-capacity check or allocate its claim.
+  if (sp.msg_total > rdv_threshold_) {
+    parse_reject(seg, sp.msg_id);
+    return;
+  }
+  const NodeId src = seg.src;
   const MsgKey key{src, sp.msg_id};
 
   // Fragment of an already-bound receive?
@@ -1355,7 +1318,7 @@ void Engine::deliver_fragment(const SubPacket& sp, NodeId src) {
       // Only reachable via payload corruption with the checksum off: a
       // flipped bit inside the sub-packet header moved the fragment out of
       // bounds. Dropping beats scribbling past the receive buffer.
-      ++stats_.rel_parse_rejects;
+      parse_reject(seg, sp.msg_id);
       return;
     }
     if (sp.len > 0) std::memcpy(recv->data + sp.offset, sp.bytes, sp.len);
@@ -1392,7 +1355,7 @@ void Engine::deliver_fragment(const SubPacket& sp, NodeId src) {
     u.buffer.assign(sp.msg_total, 0);
   }
   if (sp.offset + sp.len > u.total) {
-    ++stats_.rel_parse_rejects;  // corrupted header, checksum off (see above)
+    parse_reject(seg, sp.msg_id);  // corrupted header, checksum off (see above)
     return;
   }
   if (sp.len > 0) std::memcpy(u.buffer.data() + sp.offset, sp.bytes, sp.len);
@@ -1404,12 +1367,12 @@ void Engine::handle_rts(const fabric::Segment& seg) {
   // handshake is already in flight or already queued — matching it again
   // would bind a second receive to the same message.
   if (inbound_rdv_.count({seg.src, seg.msg_id}) != 0) {
-    ++stats_.stale_control;
+    count(EngineCounter::stale_control);
     return;
   }
   for (const UnexpectedRts& u : unexpected_rts_) {
     if (u.src == seg.src && u.msg_id == seg.msg_id) {
-      ++stats_.stale_control;
+      count(EngineCounter::stale_control);
       return;
     }
   }
@@ -1433,7 +1396,8 @@ void Engine::accept_rendezvous(NodeId src, std::uint64_t msg_id) {
   cts.dst = src;
   cts.msg_id = msg_id;
   post_segment(rail, std::move(cts), config_.scheduler_core);
-  trace_event(trace::EventKind::kCtsSent, msg_id, 0, rail, 0, 0, fabric_->now());
+  emit({.time = fabric_->now(), .kind = EventKind::kCtsSent, .msg_id = msg_id,
+        .rail = rail});
 }
 
 namespace {
@@ -1504,8 +1468,8 @@ void Engine::complete_recv(const RecvHandle& recv) {
   RAILS_PERF_SCOPE(perf::Layer::kCompletion);
   recv->state = RecvState::kDone;
   recv->complete_time = fabric_->now();
-  trace_event(trace::EventKind::kRecvComplete, recv->id, recv->tag, 0, 0,
-              recv->bytes_received, recv->complete_time);
+  emit({.time = recv->complete_time, .kind = EventKind::kRecvComplete, .msg_id = recv->id,
+        .tag = recv->tag, .a = static_cast<std::int64_t>(recv->bytes_received)});
   metrics_.on_recv_complete(recv->complete_time - recv->post_time);
 }
 
@@ -1523,9 +1487,9 @@ void Engine::on_tx_complete(const fabric::Segment& seg) {
 }
 
 void Engine::on_tx_error(fabric::Segment&& seg) {
-  count(EngineCounter::tx_errors);
-  flight(trace::FlightKind::kTxError, seg.rail, seg.msg_id,
-         static_cast<std::int64_t>(seg.payload.size()), seg.attempt);
+  emit({.time = fabric_->now(), .kind = EventKind::kTxError, .msg_id = seg.msg_id,
+        .rail = seg.rail, .a = static_cast<std::int64_t>(seg.payload.size()),
+        .b = seg.attempt});
   if (config_.reliability.enabled && seg.seq != 0) {
     // The reliability layer owns recovery for sequenced segments: the parked
     // copy is retransmitted immediately (budget-checked) instead of routing
@@ -1627,9 +1591,8 @@ void Engine::on_chunk_timeout(std::uint64_t msg_id, std::uint64_t offset, std::s
   if (lc == live_chunks_.end()) return;
   auto entry = lc->second.find(offset);
   if (entry == lc->second.end() || entry->second != attempt) return;  // retired/superseded
-  count(EngineCounter::chunk_timeouts);
-  flight(trace::FlightKind::kChunkTimeout, rail, msg_id,
-         static_cast<std::int64_t>(bytes), attempt);
+  emit({.time = fabric_->now(), .kind = EventKind::kChunkTimeout, .msg_id = msg_id,
+        .rail = rail, .a = static_cast<std::int64_t>(bytes), .b = attempt});
   quarantine_rail(rail);
   failover_chunk(*it->second, offset, bytes, rail, attempt);
 }
@@ -1643,10 +1606,10 @@ void Engine::failover_chunk(SendRequest& send, std::uint64_t offset, std::size_t
   lc->second.erase(entry);
   if (bytes == 0) return;
 
-  count(EngineCounter::failovers);
   invalidate_decisions();  // failover re-splits perturb the steady state
-  trace_event(trace::EventKind::kFailover, send.id, send.tag, failed_rail,
-              config_.scheduler_core, bytes, fabric_->now());
+  emit({.time = fabric_->now(), .kind = EventKind::kFailover, .msg_id = send.id,
+        .tag = send.tag, .rail = failed_rail, .core = config_.scheduler_core,
+        .a = static_cast<std::int64_t>(bytes)});
   {
     char detail[160];
     std::snprintf(detail, sizeof(detail),
@@ -1718,9 +1681,9 @@ void Engine::post_data_chunk(SendRequest& send, RailId rail, std::uint64_t offse
   data.payload = fabric::acquire_payload();
   data.payload.assign(send.data + offset, send.data + offset + bytes);
   const auto times = post_segment(rail, std::move(data), config_.scheduler_core);
-  trace_event(trace::EventKind::kChunkPosted, send.id, send.tag, rail,
-              config_.scheduler_core, bytes, times.host_start, times.nic_end);
-  count(EngineCounter::rdv_chunks);
+  emit({.time = times.host_start, .kind = EventKind::kChunkPosted, .msg_id = send.id,
+        .tag = send.tag, .rail = rail, .core = config_.scheduler_core,
+        .a = static_cast<std::int64_t>(bytes), .b = times.nic_end});
   count(EngineCounter::retries);
   metrics_.on_chunk_posted(bytes);
   ++send.chunk_count;
@@ -1742,10 +1705,9 @@ void Engine::quarantine_rail(RailId rail) {
   h.quarantined = true;
   h.until = now + h.window;
   invalidate_decisions();  // the usable-rail set just shrank
-  count(EngineCounter::quarantines);
   metrics_.on_rail_health(rail, false);
-  flight(trace::FlightKind::kQuarantine, rail, 0,
-         static_cast<std::int64_t>(to_usec(h.window)));
+  emit({.time = now, .kind = EventKind::kQuarantine, .rail = rail,
+        .a = static_cast<std::int64_t>(to_usec(h.window))});
   {
     char detail[128];
     std::snprintf(detail, sizeof(detail),
@@ -1769,9 +1731,8 @@ void Engine::reprobe_rail(RailId rail) {
     schedule_reprobe(rail);
     return;
   }
-  count(EngineCounter::reprobes);
   const bool up = nics_[rail]->link_up(now);
-  flight(trace::FlightKind::kReprobe, rail, 0, up ? 1 : 0);
+  emit({.time = now, .kind = EventKind::kReprobe, .rail = rail, .a = up ? 1 : 0});
   if (up) {
     count(EngineCounter::reprobe_successes);
     metrics_.on_rail_health(rail, true);
@@ -1856,7 +1817,7 @@ void Engine::rel_stash(fabric::Segment& seg, RailId rail) {
   e.base_timeout = 0;
   e.payload.assign(seg.payload.begin(), seg.payload.end());
   ++rel_live_entries_;
-  ++stats_.rel_segments;
+  count(EngineCounter::rel_segments);
 }
 
 void Engine::rel_arm(NodeId dst, std::uint64_t seq, SimDuration predicted_flight) {
@@ -1911,9 +1872,9 @@ void Engine::rel_presume_lost(RelTxEntry& entry, bool count_streak) {
 }
 
 void Engine::rel_retransmit(RelTxEntry& entry) {
-  count(EngineCounter::rel_retransmits);
-  flight(trace::FlightKind::kRetransmit, entry.rail, entry.msg_id,
-         static_cast<std::int64_t>(entry.seq), entry.retransmits);
+  emit({.time = fabric_->now(), .kind = EventKind::kRetransmit, .msg_id = entry.msg_id,
+        .rail = entry.rail, .a = static_cast<std::int64_t>(entry.seq),
+        .b = entry.retransmits});
   // Rebuild the segment from the parked copy — byte-identical to the
   // original (same seq, same CRC), so whichever copy lands first passes
   // verification and the other dies in the receiver's dedup window.
@@ -1940,9 +1901,9 @@ void Engine::rel_retransmit(RelTxEntry& entry) {
 }
 
 void Engine::rel_exhaust(RelTxEntry& entry) {
-  count(EngineCounter::rel_retry_exhausted);
-  flight(trace::FlightKind::kRetryExhausted, entry.rail, entry.msg_id,
-         static_cast<std::int64_t>(entry.seq), entry.retransmits);
+  emit({.time = fabric_->now(), .kind = EventKind::kRetryExhausted,
+        .msg_id = entry.msg_id, .rail = entry.rail,
+        .a = static_cast<std::int64_t>(entry.seq), .b = entry.retransmits});
   {
     char detail[160];
     std::snprintf(detail, sizeof(detail),
@@ -1983,9 +1944,8 @@ void Engine::rel_retire(NodeId dst, std::uint64_t seq) {
 bool Engine::rel_rx_accept(const fabric::Segment& seg) {
   // (1) Integrity: recompute the CRC over what actually arrived.
   if (config_.reliability.checksum && reliable_crc(seg) != seg.crc) {
-    count(EngineCounter::rel_corruptions);
-    flight(trace::FlightKind::kCorruptDetected, seg.rail, seg.msg_id,
-           static_cast<std::int64_t>(seg.seq));
+    emit({.time = fabric_->now(), .kind = EventKind::kCorruptDetected,
+          .msg_id = seg.msg_id, .rail = seg.rail, .a = static_cast<std::int64_t>(seg.seq)});
     // Corruption is detectable loss: tell the sender now instead of letting
     // it burn the full ACK timeout.
     rel_send_nack(seg.src, seg.seq);
@@ -2007,9 +1967,8 @@ bool Engine::rel_rx_accept(const fabric::Segment& seg) {
     return ((link.rx_bits[(b >> 6) & (link.rx_bits.size() - 1)] >> (b & 63)) & 1) != 0;
   };
   if (seq <= link.rx_cumulative || seen(seq)) {
-    count(EngineCounter::rel_dup_suppressed);
-    flight(trace::FlightKind::kDupSuppressed, seg.rail, seg.msg_id,
-           static_cast<std::int64_t>(seq));
+    emit({.time = fabric_->now(), .kind = EventKind::kDupSuppressed,
+          .msg_id = seg.msg_id, .rail = seg.rail, .a = static_cast<std::int64_t>(seq)});
     rel_arm_ack(seg.src);
     return false;
   }

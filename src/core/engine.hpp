@@ -50,9 +50,12 @@ namespace rails::core {
   X(plan_eager, "strategy.<name>.plan_eager")  /* per destination group */    \
   X(plan_rendezvous, "strategy.<name>.plan_rendezvous")                        \
   X(eager_segments, "engine.eager_segments")   /* eager segments posted */    \
+  X(aggregated_packets, "engine.aggregated_packets") /* shared a segment */   \
+  X(split_eager_msgs, "engine.split_eager_msgs") /* eager, split over rails */ \
   X(offloaded_chunks, "engine.offload_signals") /* emitted by a remote core */ \
   X(rdv_chunks, "engine.rdv_chunks")           /* DMA chunks, retries too */  \
   X(rdv_roundtrips, "engine.rdv_roundtrips")   /* RTS/CTS/FIN completed */    \
+  X(stale_control, "engine.stale_control")     /* dup/unknown control segs */ \
   /* fault tolerance (docs/FAULTS.md) */                                       \
   X(tx_errors, "engine.tx_errors")             /* segments a NIC dropped */   \
   X(chunk_timeouts, "engine.chunk_timeouts")   /* past prediction + slack */  \
@@ -64,7 +67,9 @@ namespace rails::core {
   X(reprobe_successes, "engine.reprobe_successes")                             \
   X(duplicate_chunks, "engine.duplicate_chunks") /* receiver-side dups */     \
   /* end-to-end reliability (docs/FAULTS.md) */                                \
+  X(rel_segments, "engine.reliability.segments") /* sequenced segs posted */  \
   X(rel_corruptions, "engine.reliability.corruptions")                         \
+  X(rel_parse_rejects, "engine.reliability.parse_rejects") /* frame dropped */ \
   X(rel_drops_inferred, "engine.reliability.drops_inferred")                   \
   X(rel_retransmits, "engine.reliability.retransmits")                         \
   X(rel_dup_suppressed, "engine.reliability.dup_suppressed")                   \
@@ -75,7 +80,10 @@ namespace rails::core {
   X(recal_corrections, "engine.recal.corrections")                             \
   X(recal_resamples, "engine.recal.resamples")                                 \
   X(trust_demotions, "engine.recal.demotions")                                 \
-  X(trust_promotions, "engine.recal.promotions")
+  X(trust_promotions, "engine.recal.promotions")                               \
+  /* hot-path memoization (docs/PERF.md) */                                    \
+  X(strategy_cache_hits, "strategy.<name>.cache_hits") /* plans replayed */   \
+  X(strategy_cache_misses, "strategy.<name>.cache_misses") /* computed */
 
 /// Per-rail rows, X(EngineStats vector field, registry name); `<r>` is the
 /// rail index. Both are bumped where every segment is posted, so they
@@ -92,13 +100,6 @@ struct EngineStats {
   RAILS_ENGINE_RAIL_COUNTERS(RAILS_STATS_FIELD)
 #undef RAILS_STATS_FIELD
 
-  // Counters with no registry twin.
-  std::uint64_t aggregated_packets = 0;  ///< sub-packets that shared a segment
-  std::uint64_t split_eager_msgs = 0;    ///< eager messages split across rails
-  std::uint64_t stale_control = 0;       ///< duplicate/unknown control segs ignored
-  std::uint64_t rel_segments = 0;        ///< sequenced segments posted
-  std::uint64_t rel_parse_rejects = 0;   ///< malformed eager frames dropped
-
   // -- traffic-class QoS (docs/QOS.md) ---------------------------------
   std::uint64_t qos_grants = 0;               ///< sends released by the arbiter
   std::uint64_t qos_stream_chunks = 0;        ///< windowed bulk chunks posted
@@ -106,16 +107,13 @@ struct EngineStats {
   std::uint64_t qos_admission_downgrades = 0; ///< ... downgraded to BACKGROUND
   std::uint64_t qos_deadline_hits = 0;        ///< deadline-tagged sends in time
   std::uint64_t qos_deadline_misses = 0;      ///< ... that completed late
-
-  // -- hot-path memoization (docs/PERF.md) -----------------------------
-  std::uint64_t strategy_cache_hits = 0;    ///< eager plans replayed from cache
-  std::uint64_t strategy_cache_misses = 0;  ///< cacheable plans computed fresh
 };
 
 /// Row ids of the counter tables, in table order.
 enum class EngineCounter : std::size_t {
 #define RAILS_COUNTER_ID(field, name) field,
   RAILS_ENGINE_COUNTERS(RAILS_COUNTER_ID)
+  none,  ///< RAILS_ENGINE_EVENTS rows that bump no counter
 };
 enum class RailCounter : std::size_t { RAILS_ENGINE_RAIL_COUNTERS(RAILS_COUNTER_ID) };
 #undef RAILS_COUNTER_ID
@@ -131,6 +129,14 @@ inline constexpr CounterRow<std::uint64_t> kEngineCounters[] = {
 inline constexpr CounterRow<std::vector<std::uint64_t>> kRailCounters[] = {
     RAILS_ENGINE_RAIL_COUNTERS(RAILS_COUNTER_ROW)};
 #undef RAILS_COUNTER_ROW
+
+/// The counter column of RAILS_ENGINE_EVENTS (trace/events.hpp), indexed by
+/// trace::EventKind.
+inline constexpr EngineCounter kEventCounters[] = {
+#define RAILS_EVENT_COUNTER(kind, str, counter, sinks) EngineCounter::counter,
+    RAILS_ENGINE_EVENTS(RAILS_EVENT_COUNTER)
+#undef RAILS_EVENT_COUNTER
+};
 
 /// A row's registry name with `<name>` replaced by `strategy` and `<r>` by
 /// `rail`. Empty when the row names a strategy and `strategy` is empty.
@@ -208,11 +214,12 @@ class Engine {
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
 
   /// Attaches the always-on flight recorder (nullptr detaches; same
-  /// lifetime contract as set_tracer). Data-plane events and control-plane
-  /// transitions are mirrored into its lock-free ring, and failover /
-  /// quarantine / trust-demotion events trigger postmortem bundles. Also
-  /// installs this engine as the recorder's state writer, so bundles carry
-  /// the per-rail health/trust/scale view and the failover config.
+  /// lifetime contract as set_tracer). Every event whose RAILS_ENGINE_EVENTS
+  /// row names the flight recorder lands in its lock-free ring, and
+  /// failover / quarantine / trust-demotion events trigger postmortem
+  /// bundles. Also installs this engine as the recorder's state writer, so
+  /// bundles carry the per-rail health/trust/scale view and the failover
+  /// config.
   void set_flight_recorder(trace::FlightRecorder* recorder);
 
   /// Writes one JSON object describing the engine's live control-plane
@@ -351,7 +358,10 @@ class Engine {
   fabric::SimNic::PostTimes post_segment(RailId rail, fabric::Segment seg,
                                          CoreId core, SimDuration extra_delay = 0);
 
-  void deliver_fragment(const SubPacket& sp, NodeId src);
+  void deliver_fragment(const SubPacket& sp, const fabric::Segment& seg);
+  /// Drops a malformed eager frame or fragment: emits parse-reject. Only
+  /// reachable with the wire checksum off.
+  void parse_reject(const fabric::Segment& seg, std::uint64_t msg_id);
   void complete_recv(const RecvHandle& recv);
   RecvHandle match_posted(NodeId src, Tag tag);
 
@@ -472,14 +482,17 @@ class Engine {
   void arm_health();
   bool health_work_pending() const;
 
-  void trace_event(trace::EventKind kind, std::uint64_t msg_id, Tag tag, RailId rail,
-                   CoreId core, std::size_t bytes, SimTime time, SimTime nic_end = 0,
-                   std::uint32_t cls = 0);
-
-  /// Appends one control-plane record to the flight recorder (no-op when
-  /// detached) and refreshes the eviction gauge.
-  void flight(trace::FlightKind kind, RailId rail, std::uint64_t msg_id,
-              std::int64_t a = 0, std::int64_t b = 0);
+  /// The one emission of an engine event (RAILS_ENGINE_EVENTS): bumps the
+  /// row's counter, then, only while a sink is attached, records the event
+  /// in the sinks the row names.
+  void emit(const trace::Event& e) {
+    const EngineCounter c = kEventCounters[static_cast<std::size_t>(e.kind)];
+    if (c != EngineCounter::none) count(c);
+    if (tracer_ != nullptr || flight_ != nullptr) record_event(e);
+  }
+  /// Stamps this node on `e`, records it in the attached sinks its row
+  /// names, and refreshes the trace_dropped / flight_evictions gauges.
+  void record_event(trace::Event e);
   /// Requests a postmortem bundle dump (no-op when detached/rate-limited).
   void flight_trigger(const char* reason, const std::string& detail);
 

@@ -208,14 +208,12 @@ std::shared_ptr<SendTicket> OffloadChannel::send(Tag tag, const void* data,
                         m_ring_hwm_->update_max(rings_[rail]->size());
                       }
                       if (flight_ != nullptr) {
-                        trace::FlightRecord rec;
-                        rec.time = flight_now();
-                        rec.kind = trace::FlightKind::kOffloadPush;
-                        rec.rail = static_cast<RailId>(rail);
-                        rec.msg_id = msg_id;
-                        rec.a = static_cast<std::int64_t>(n);
-                        rec.b = worker;
-                        flight_->record(rec);
+                        flight_->record({.time = flight_now(),
+                                         .kind = trace::EventKind::kOffloadPush,
+                                         .msg_id = msg_id,
+                                         .rail = static_cast<RailId>(rail),
+                                         .a = static_cast<std::int64_t>(n),
+                                         .b = worker});
                       }
                       worker_chunks_[worker].fetch_add(1, std::memory_order_relaxed);
                       ticket->remaining_.fetch_sub(1, std::memory_order_acq_rel);

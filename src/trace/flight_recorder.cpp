@@ -18,34 +18,6 @@
 
 namespace rails::trace {
 
-const char* to_string(FlightKind kind) {
-  switch (kind) {
-    case FlightKind::kSubmit: return "submit";
-    case FlightKind::kEagerEmit: return "eager-emit";
-    case FlightKind::kChunkPosted: return "chunk";
-    case FlightKind::kSendComplete: return "send-complete";
-    case FlightKind::kRecvComplete: return "recv-complete";
-    case FlightKind::kOffloadSignal: return "offload-signal";
-    case FlightKind::kOffloadPush: return "offload-push";
-    case FlightKind::kTxError: return "tx-error";
-    case FlightKind::kChunkTimeout: return "chunk-timeout";
-    case FlightKind::kFailover: return "failover";
-    case FlightKind::kQuarantine: return "quarantine";
-    case FlightKind::kReprobe: return "reprobe";
-    case FlightKind::kTrustDemotion: return "trust-demotion";
-    case FlightKind::kTrustPromotion: return "trust-promotion";
-    case FlightKind::kScaleCorrection: return "scale-correction";
-    case FlightKind::kResample: return "resample";
-    case FlightKind::kTrigger: return "trigger";
-    case FlightKind::kCorruptDetected: return "corrupt-detected";
-    case FlightKind::kRetransmit: return "retransmit";
-    case FlightKind::kRetryExhausted: return "retry-exhausted";
-    case FlightKind::kDupSuppressed: return "dup-suppressed";
-    case FlightKind::kSloAlert: return "slo-alert";
-  }
-  return "?";
-}
-
 // Per-slot seqlock over all-atomic fields. seq holds ticket*2+1 while a
 // writer is mid-record and ticket*2+2 once published; a snapshot reader
 // validates seq before and after its field loads and discards the slot on
@@ -90,22 +62,22 @@ FlightRecorder::~FlightRecorder() {
   }
 }
 
-void FlightRecorder::record(const FlightRecord& r) {
+void FlightRecorder::record(const Event& e) {
   const std::uint64_t ticket = head_.fetch_add(1, std::memory_order_acq_rel);
   Slot& s = slots_[ticket & mask_];
   s.seq.store(ticket * 2 + 1, std::memory_order_release);
-  s.time.store(r.time, std::memory_order_relaxed);
-  s.kind.store(static_cast<std::uint8_t>(r.kind), std::memory_order_relaxed);
-  s.node.store(static_cast<std::uint32_t>(r.node), std::memory_order_relaxed);
-  s.rail.store(static_cast<std::uint32_t>(r.rail), std::memory_order_relaxed);
-  s.msg_id.store(r.msg_id, std::memory_order_relaxed);
-  s.a.store(r.a, std::memory_order_relaxed);
-  s.b.store(r.b, std::memory_order_relaxed);
+  s.time.store(e.time, std::memory_order_relaxed);
+  s.kind.store(static_cast<std::uint8_t>(e.kind), std::memory_order_relaxed);
+  s.node.store(static_cast<std::uint32_t>(e.node), std::memory_order_relaxed);
+  s.rail.store(static_cast<std::uint32_t>(e.rail), std::memory_order_relaxed);
+  s.msg_id.store(e.msg_id, std::memory_order_relaxed);
+  s.a.store(e.a, std::memory_order_relaxed);
+  s.b.store(e.b, std::memory_order_relaxed);
   s.seq.store(ticket * 2 + 2, std::memory_order_release);
 
   SimTime prev = last_time_.load(std::memory_order_relaxed);
-  while (r.time > prev &&
-         !last_time_.compare_exchange_weak(prev, r.time,
+  while (e.time > prev &&
+         !last_time_.compare_exchange_weak(prev, e.time,
                                            std::memory_order_relaxed)) {
   }
 }
@@ -122,7 +94,7 @@ std::vector<FlightRecord> FlightRecorder::snapshot() const {
     if (s.seq.load(std::memory_order_acquire) != want) continue;
     FlightRecord r;
     r.time = s.time.load(std::memory_order_relaxed);
-    r.kind = static_cast<FlightKind>(s.kind.load(std::memory_order_relaxed));
+    r.kind = static_cast<EventKind>(s.kind.load(std::memory_order_relaxed));
     r.node = static_cast<NodeId>(s.node.load(std::memory_order_relaxed));
     r.rail = static_cast<RailId>(s.rail.load(std::memory_order_relaxed));
     r.msg_id = s.msg_id.load(std::memory_order_relaxed);
@@ -192,11 +164,8 @@ std::string FlightRecorder::trigger(const char* reason, const std::string& detai
       }
     }
   }
-  FlightRecord r;
-  r.time = now;
-  r.kind = FlightKind::kTrigger;
-  r.a = path.empty() ? 0 : 1;  // 1 = a bundle file was written
-  record(r);
+  record({.time = now, .kind = EventKind::kTrigger,
+          .a = path.empty() ? 0 : 1});  // 1 = a bundle file was written
   return path;
 }
 

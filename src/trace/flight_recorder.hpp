@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "trace/events.hpp"
 
 namespace rails::telemetry {
 class MetricsRegistry;
@@ -36,41 +37,12 @@ class MetricsRegistry;
 
 namespace rails::trace {
 
-/// What happened. Data-plane kinds mirror the Tracer's EventKind; the rest
-/// are control-plane transitions that only the flight recorder sees.
-enum class FlightKind : std::uint8_t {
-  kSubmit,
-  kEagerEmit,
-  kChunkPosted,
-  kSendComplete,
-  kRecvComplete,
-  kOffloadSignal,
-  kOffloadPush,      ///< offload worker copied + pushed a chunk to its ring
-  kTxError,          ///< completion-queue error on a posted segment
-  kChunkTimeout,     ///< chunk exceeded predicted completion + slack
-  kFailover,         ///< byte range re-split onto surviving rails
-  kQuarantine,       ///< rail removed from service
-  kReprobe,          ///< quarantined rail probed (a: 1 = recovered)
-  kTrustDemotion,    ///< recalibration demoted a rail's trust (a: new state)
-  kTrustPromotion,   ///< recalibration promoted a rail's trust (a: new state)
-  kScaleCorrection,  ///< profile scale correction (a: scale x1000)
-  kResample,         ///< background re-sample installed a profile (a: scale x1000)
-  kTrigger,          ///< a postmortem bundle was written
-  kCorruptDetected,  ///< wire checksum mismatch on receive (a: seq)
-  kRetransmit,       ///< sequenced segment retransmitted (a: seq, b: count)
-  kRetryExhausted,   ///< seq ran out of retransmit budget (a: seq, b: count)
-  kDupSuppressed,    ///< sequence window swallowed a duplicate (a: seq)
-  kSloAlert,         ///< SLO alert transition (a: 1 firing / 0 cleared,
-                     ///  b: fast burn/p99 x1000)
-};
-
-const char* to_string(FlightKind kind);
-
-/// One fixed-size flight record. `a` and `b` are kind-specific operands
-/// (bytes, attempt counts, scaled gauges) so the record stays POD.
+/// One fixed-size flight record: the slot format of the ring, holding the
+/// fields of an Event the recorder keeps. `a` and `b` are the kind's
+/// operands (bytes, attempt counts, scaled gauges), so the record stays POD.
 struct FlightRecord {
   SimTime time = 0;
-  FlightKind kind = FlightKind::kSubmit;
+  EventKind kind = EventKind::kSubmit;
   NodeId node = 0;
   RailId rail = 0;
   std::uint64_t msg_id = 0;
@@ -87,8 +59,10 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
   ~FlightRecorder();
 
-  /// Lock-free, wait-free on the fast path; safe from any thread.
-  void record(const FlightRecord& r);
+  /// Lock-free, wait-free on the fast path; safe from any thread. Every
+  /// record, the recorder's own kTrigger included, is filled from an Event
+  /// here.
+  void record(const Event& e);
 
   std::size_t capacity() const { return mask_ + 1; }
   /// Records ever written (monotonic).

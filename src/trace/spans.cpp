@@ -95,12 +95,12 @@ void attribute(MessageSpans& m) {
 
 }  // namespace
 
-SpanAnalysis analyze_spans(std::span<const TraceEvent> events) {
+SpanAnalysis analyze_spans(std::span<const Event> events) {
   SpanAnalysis out;
   std::map<std::pair<NodeId, std::uint64_t>, std::size_t> index;
   std::vector<Builder> builders;
 
-  for (const TraceEvent& e : events) {
+  for (const Event& e : events) {
     if (!send_side(e.kind)) continue;
     const std::pair<NodeId, std::uint64_t> key{e.node, e.msg_id};
     auto it = index.find(key);
@@ -117,7 +117,7 @@ SpanAnalysis analyze_spans(std::span<const TraceEvent> events) {
     switch (e.kind) {
       case EventKind::kSubmit:
         m.submit = e.time;
-        m.bytes = e.bytes;
+        m.bytes = e.bytes();
         m.tag = e.tag;
         m.cls = e.cls;
         break;
@@ -136,8 +136,8 @@ SpanAnalysis analyze_spans(std::span<const TraceEvent> events) {
         if (!m.chunks.empty()) {
           ChunkSpan& last = m.chunks.back();
           if (last.rail == e.rail && last.start == e.time &&
-              last.nic_end == e.nic_end) {
-            last.bytes += e.bytes;
+              last.nic_end == e.nic_end()) {
+            last.bytes += e.bytes();
             break;
           }
         }
@@ -146,8 +146,8 @@ SpanAnalysis analyze_spans(std::span<const TraceEvent> events) {
         c.rail = e.rail;
         c.core = e.core;
         c.start = e.time;
-        c.nic_end = e.nic_end;
-        c.bytes = e.bytes;
+        c.nic_end = e.nic_end();
+        c.bytes = e.bytes();
         c.eager = e.kind == EventKind::kEagerEmit;
         const auto sig = b.pending_signal.find(e.rail);
         if (sig != b.pending_signal.end() && sig->second <= e.time) {
@@ -218,8 +218,8 @@ SpanAnalysis analyze_spans(std::span<const TraceEvent> events) {
 }
 
 SpanAnalysis analyze_spans(const Tracer& tracer) {
-  const std::vector<TraceEvent> events = tracer.snapshot();
-  return analyze_spans(std::span<const TraceEvent>(events.data(), events.size()));
+  const std::vector<Event> events = tracer.snapshot();
+  return analyze_spans(std::span<const Event>(events.data(), events.size()));
 }
 
 void print_duration_histogram(std::ostream& os, const char* title,

@@ -1,4 +1,4 @@
-// Causal span layer over the flat TraceEvent stream.
+// Causal span layer over the flat trace::Event stream.
 //
 // The Tracer records *events*; this module lifts them into per-message span
 // trees and attributes end-to-end latency to layers, because the paper's
@@ -131,7 +131,7 @@ struct SpanAnalysis {
 };
 
 /// Reconstructs spans from a chronological (oldest-first) event window.
-SpanAnalysis analyze_spans(std::span<const TraceEvent> events);
+SpanAnalysis analyze_spans(std::span<const Event> events);
 /// Convenience: snapshots the tracer first.
 SpanAnalysis analyze_spans(const Tracer& tracer);
 

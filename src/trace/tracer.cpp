@@ -8,22 +8,6 @@
 
 namespace rails::trace {
 
-const char* to_string(EventKind kind) {
-  switch (kind) {
-    case EventKind::kSubmit: return "submit";
-    case EventKind::kRecvPosted: return "recv-posted";
-    case EventKind::kEagerEmit: return "eager-emit";
-    case EventKind::kOffloadSignal: return "offload-signal";
-    case EventKind::kRtsSent: return "rts";
-    case EventKind::kCtsSent: return "cts";
-    case EventKind::kChunkPosted: return "chunk";
-    case EventKind::kSendComplete: return "send-complete";
-    case EventKind::kRecvComplete: return "recv-complete";
-    case EventKind::kFailover: return "failover";
-  }
-  return "?";
-}
-
 ChromeTraceSink::ChromeTraceSink(std::ostream& os) : os_(os) {
   os_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
 }
@@ -41,7 +25,7 @@ void ChromeTraceSink::close() {
   os_ << "]}";
 }
 
-void Tracer::record(const TraceEvent& event) {
+void Tracer::record(const Event& event) {
   std::lock_guard<std::mutex> lock(mu_);
   if (max_events_ != 0 && events_.size() == max_events_) {
     events_[ring_pos_] = event;
@@ -69,18 +53,18 @@ void Tracer::clear() {
   dropped_ = 0;
 }
 
-std::vector<TraceEvent> Tracer::snapshot() const {
+std::vector<Event> Tracer::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TraceEvent> out;
+  std::vector<Event> out;
   out.reserve(events_.size());
-  for_each([&](const TraceEvent& e) { out.push_back(e); });
+  for_each([&](const Event& e) { out.push_back(e); });
   return out;
 }
 
-std::vector<TraceEvent> Tracer::of_kind(EventKind kind) const {
+std::vector<Event> Tracer::of_kind(EventKind kind) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TraceEvent> out;
-  for_each([&](const TraceEvent& e) {
+  std::vector<Event> out;
+  for_each([&](const Event& e) {
     if (e.kind == kind) out.push_back(e);
   });
   return out;
@@ -91,13 +75,13 @@ std::optional<MessageTimeline> Tracer::message(NodeId node, std::uint64_t msg_id
   MessageTimeline tl;
   tl.msg_id = msg_id;
   bool seen = false;
-  for_each([&](const TraceEvent& e) {
+  for_each([&](const Event& e) {
     if (e.node != node || e.msg_id != msg_id) return;
     seen = true;
     switch (e.kind) {
       case EventKind::kSubmit:
         tl.submit = e.time;
-        tl.bytes = e.bytes;
+        tl.bytes = e.bytes();
         break;
       case EventKind::kEagerEmit:
       case EventKind::kChunkPosted:
@@ -123,10 +107,10 @@ std::optional<MessageTimeline> Tracer::message(NodeId node, std::uint64_t msg_id
 std::vector<std::uint64_t> Tracer::bytes_per_rail() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::uint64_t> out;
-  for_each([&](const TraceEvent& e) {
+  for_each([&](const Event& e) {
     if (e.kind != EventKind::kEagerEmit && e.kind != EventKind::kChunkPosted) return;
     if (e.rail >= out.size()) out.resize(e.rail + 1, 0);
-    out[e.rail] += e.bytes;
+    out[e.rail] += e.bytes();
   });
   return out;
 }
@@ -134,10 +118,10 @@ std::vector<std::uint64_t> Tracer::bytes_per_rail() const {
 std::vector<SimDuration> Tracer::rail_busy_time() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<SimDuration> out;
-  for_each([&](const TraceEvent& e) {
+  for_each([&](const Event& e) {
     if (e.kind != EventKind::kEagerEmit && e.kind != EventKind::kChunkPosted) return;
     if (e.rail >= out.size()) out.resize(e.rail + 1, 0);
-    out[e.rail] += std::max<SimDuration>(0, e.nic_end - e.time);
+    out[e.rail] += std::max<SimDuration>(0, e.nic_end() - e.time);
   });
   return out;
 }
@@ -145,9 +129,9 @@ std::vector<SimDuration> Tracer::rail_busy_time() const {
 void Tracer::dump_csv(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
   os << "time_ns,node,kind,msg_id,tag,rail,core,bytes,nic_end_ns,class\n";
-  for_each([&](const TraceEvent& e) {
+  for_each([&](const Event& e) {
     os << e.time << ',' << e.node << ',' << to_string(e.kind) << ',' << e.msg_id << ','
-       << e.tag << ',' << e.rail << ',' << e.core << ',' << e.bytes << ',' << e.nic_end
+       << e.tag << ',' << e.rail << ',' << e.core << ',' << e.bytes() << ',' << e.nic_end()
        << ',' << e.cls << '\n';
   });
 }
@@ -169,7 +153,7 @@ void Tracer::dump_chrome_trace_events(ChromeTraceSink& sink) const {
   // (node, rail) pair seen in the trace.
   std::vector<NodeId> nodes;
   std::vector<std::pair<NodeId, RailId>> tracks;
-  for_each([&](const TraceEvent& e) {
+  for_each([&](const Event& e) {
     if (std::find(nodes.begin(), nodes.end(), e.node) == nodes.end()) {
       nodes.push_back(e.node);
     }
@@ -193,24 +177,24 @@ void Tracer::dump_chrome_trace_events(ChromeTraceSink& sink) const {
     sink.emit(buf);
   }
 
-  for_each([&](const TraceEvent& e) {
+  for_each([&](const Event& e) {
     const double ts = static_cast<double>(e.time) / 1e3;
     if (e.kind == EventKind::kEagerEmit || e.kind == EventKind::kChunkPosted) {
       const double dur =
-          static_cast<double>(std::max<SimDuration>(0, e.nic_end - e.time)) / 1e3;
+          static_cast<double>(std::max<SimDuration>(0, e.nic_end() - e.time)) / 1e3;
       std::snprintf(buf, sizeof(buf),
                     "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
                     "\"pid\":%u,\"tid\":%u,\"args\":{\"msg_id\":%llu,\"bytes\":%zu,"
                     "\"core\":%u,\"class\":%u}}",
                     to_string(e.kind), ts, dur, e.node, e.rail,
-                    static_cast<unsigned long long>(e.msg_id), e.bytes, e.core, e.cls);
+                    static_cast<unsigned long long>(e.msg_id), e.bytes(), e.core, e.cls);
     } else {
       std::snprintf(buf, sizeof(buf),
                     "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,"
                     "\"pid\":%u,\"tid\":%u,\"args\":{\"msg_id\":%llu,\"bytes\":%zu,"
                     "\"class\":%u}}",
                     to_string(e.kind), ts, e.node, e.rail,
-                    static_cast<unsigned long long>(e.msg_id), e.bytes, e.cls);
+                    static_cast<unsigned long long>(e.msg_id), e.bytes(), e.cls);
     }
     sink.emit(buf);
   });
@@ -222,10 +206,10 @@ void Tracer::render_gantt(std::ostream& os, unsigned width) const {
   SimTime begin = kSimTimeNever;
   SimTime end = 0;
   std::size_t rails = 0;
-  for_each([&](const TraceEvent& e) {
+  for_each([&](const Event& e) {
     if (e.kind != EventKind::kEagerEmit && e.kind != EventKind::kChunkPosted) return;
     begin = std::min(begin, e.time);
-    end = std::max(end, e.nic_end);
+    end = std::max(end, e.nic_end());
     rails = std::max<std::size_t>(rails, e.rail + 1);
   });
   if (rails == 0 || end <= begin) {
@@ -235,12 +219,12 @@ void Tracer::render_gantt(std::ostream& os, unsigned width) const {
   const double scale = static_cast<double>(width) / static_cast<double>(end - begin);
   for (std::size_t r = 0; r < rails; ++r) {
     std::string lane(width, '.');
-    for_each([&](const TraceEvent& e) {
+    for_each([&](const Event& e) {
       if (e.rail != r) return;
       if (e.kind != EventKind::kEagerEmit && e.kind != EventKind::kChunkPosted) return;
       const auto from = static_cast<std::size_t>(
           static_cast<double>(e.time - begin) * scale);
-      auto to = static_cast<std::size_t>(static_cast<double>(e.nic_end - begin) * scale);
+      auto to = static_cast<std::size_t>(static_cast<double>(e.nic_end() - begin) * scale);
       to = std::min<std::size_t>(std::max(to, from + 1), width);
       const char mark = e.kind == EventKind::kChunkPosted ? '#' : '=';
       for (std::size_t c = from; c < to; ++c) lane[c] = mark;

@@ -2,11 +2,11 @@
 //
 // NewMadeleine ships with trace-based visualisation of its scheduling
 // decisions; this is the equivalent observability layer. When a Tracer is
-// attached to an Engine, every scheduling-relevant event (submission,
-// emission, chunk post, completion) is recorded with its virtual timestamp,
-// rail, core and byte count. Traces are queryable in-process (per-message
-// timelines, per-rail utilisation) and exportable as CSV or as Chrome-trace
-// JSON (chrome://tracing / Perfetto).
+// attached to an Engine, every event whose RAILS_ENGINE_EVENTS row names the
+// tracer (submission, emission, chunk post, completion) is recorded with its
+// virtual timestamp, rail, core and byte count. Traces are queryable
+// in-process (per-message timelines, per-rail utilisation) and exportable as
+// CSV or as Chrome-trace JSON (chrome://tracing / Perfetto).
 //
 // Capacity: an unbounded tracer keeps every event; constructing with
 // Tracer{max_events} bounds memory with a ring buffer — once full, each new
@@ -28,38 +28,9 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "trace/events.hpp"
 
 namespace rails::trace {
-
-enum class EventKind : std::uint8_t {
-  kSubmit,        ///< application called isend
-  kRecvPosted,    ///< application called irecv
-  kEagerEmit,     ///< eager segment handed to a NIC
-  kOffloadSignal, ///< emission routed to a remote core (TO charged)
-  kRtsSent,       ///< rendezvous request out
-  kCtsSent,       ///< rendezvous acknowledged by the receiver
-  kChunkPosted,   ///< one DMA chunk handed to a NIC
-  kSendComplete,  ///< send request finished
-  kRecvComplete,  ///< receive request finished
-  kFailover,      ///< chunk re-split onto surviving rails after an error/timeout
-};
-
-const char* to_string(EventKind kind);
-
-struct TraceEvent {
-  SimTime time = 0;
-  NodeId node = 0;
-  EventKind kind = EventKind::kSubmit;
-  std::uint64_t msg_id = 0;
-  Tag tag = 0;
-  RailId rail = 0;
-  CoreId core = 0;
-  std::size_t bytes = 0;
-  /// For emissions/chunks: when the transfer is predicted to leave the NIC.
-  SimTime nic_end = 0;
-  /// QoS traffic class of the owning send (docs/QOS.md); 0 when QoS is off.
-  std::uint32_t cls = 0;
-};
 
 /// Per-message summary reconstructed from a trace.
 struct MessageTimeline {
@@ -114,7 +85,7 @@ class Tracer {
   /// Bounded tracer: keeps the most recent `max_events` events in a ring.
   explicit Tracer(std::size_t max_events) : max_events_(max_events) {}
 
-  void record(const TraceEvent& event);
+  void record(const Event& event);
 
   bool empty() const { return size() == 0; }
   std::size_t size() const;
@@ -123,11 +94,11 @@ class Tracer {
   /// Events evicted from a bounded tracer since the last clear().
   std::uint64_t dropped() const;
   /// Copy of the retained events, oldest first.
-  std::vector<TraceEvent> snapshot() const;
+  std::vector<Event> snapshot() const;
   void clear();
 
   /// Events of one kind, oldest first.
-  std::vector<TraceEvent> of_kind(EventKind kind) const;
+  std::vector<Event> of_kind(EventKind kind) const;
 
   /// Reconstructs the timeline of one sender-side message.
   std::optional<MessageTimeline> message(NodeId node, std::uint64_t msg_id) const;
@@ -168,7 +139,7 @@ class Tracer {
   }
 
   mutable std::mutex mu_;
-  std::vector<TraceEvent> events_;
+  std::vector<Event> events_;
   std::size_t max_events_ = 0;  ///< 0 = unbounded
   std::size_t ring_pos_ = 0;    ///< next overwrite slot once full
   std::uint64_t dropped_ = 0;

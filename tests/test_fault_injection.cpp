@@ -10,6 +10,8 @@
 #include "core/world.hpp"
 #include "fabric/fault.hpp"
 #include "telemetry/metrics.hpp"
+#include "trace/flight_recorder.hpp"
+#include "trace/tracer.hpp"
 #include "test_util.hpp"
 
 namespace rails::core {
@@ -377,6 +379,120 @@ TEST(FaultInjection, TelemetryCountersMatchEngineStatsUnderReliableDrops) {
     SCOPED_TRACE("node " + std::to_string(n));
     expect_counter_tables_reconcile(world.engine(n), registries[n]);
   }
+}
+
+// -- one event table ----------------------------------------------------------
+
+/// Every RAILS_ENGINE_EVENTS row that names a counter: the records of that
+/// kind, summed over nodes, equal the counter summed over nodes, in each
+/// sink the row names. Both sinks must be attached to every engine before
+/// any traffic and must have kept every record.
+void expect_event_records_reconcile(World& world, const trace::Tracer& tracer,
+                                    const trace::FlightRecorder& recorder) {
+  ASSERT_EQ(tracer.dropped(), 0u);
+  ASSERT_EQ(recorder.evictions(), 0u);
+  constexpr std::size_t kKinds = std::size(trace::kEventNames);
+  std::array<std::uint64_t, kKinds> traced{};
+  std::array<std::uint64_t, kKinds> flown{};
+  for (const trace::Event& e : tracer.snapshot()) {
+    ++traced[static_cast<std::size_t>(e.kind)];
+  }
+  for (const trace::FlightRecord& r : recorder.snapshot()) {
+    ++flown[static_cast<std::size_t>(r.kind)];
+  }
+  for (std::size_t k = 0; k < kKinds; ++k) {
+    const EngineCounter c = kEventCounters[k];
+    if (c == EngineCounter::none) continue;
+    const auto field = kEngineCounters[static_cast<std::size_t>(c)].field;
+    std::uint64_t counted = 0;
+    for (NodeId n = 0; n < world.fabric().node_count(); ++n) {
+      counted += world.engine(n).stats().*field;
+    }
+    const auto kind = static_cast<trace::EventKind>(k);
+    if (trace::recorded_by(kind, trace::Sinks::kTracer)) {
+      EXPECT_EQ(traced[k], counted) << "tracer: " << trace::to_string(kind);
+    }
+    if (trace::recorded_by(kind, trace::Sinks::kFlight)) {
+      EXPECT_EQ(flown[k], counted) << "flight recorder: " << trace::to_string(kind);
+    }
+  }
+}
+
+/// Runs `msgs` patterned sends node 0 -> node 1 (every tenth one rendezvous)
+/// with an unbounded tracer and an eviction-free flight ring on both nodes,
+/// drains the queue, and reconciles every event row with its counter.
+void run_and_reconcile_events(World& world, unsigned msgs) {
+  trace::Tracer tracer;
+  trace::FlightRecorder recorder(1 << 17);
+  for (NodeId n = 0; n < 2; ++n) {
+    world.engine(n).set_tracer(&tracer);
+    world.engine(n).set_flight_recorder(&recorder);
+  }
+  std::vector<std::vector<std::uint8_t>> tx, rx;
+  for (unsigned i = 0; i < msgs; ++i) {
+    const std::size_t size = i % 10 == 0 ? 256_KiB : 1_KiB + 37 * (i % 50);
+    tx.push_back(test::make_pattern(size, i));
+    rx.emplace_back(size, 0);
+    world.engine(1).irecv(0, i, rx[i].data(), size);
+  }
+  for (unsigned i = 0; i < msgs; ++i) {
+    world.engine(0).isend(1, i, tx[i].data(), tx[i].size());
+  }
+  world.fabric().events().run_all();
+  expect_event_records_reconcile(world, tracer, recorder);
+  for (NodeId n = 0; n < 2; ++n) {
+    world.engine(n).set_tracer(nullptr);
+    world.engine(n).set_flight_recorder(nullptr);
+  }
+}
+
+TEST(FaultInjection, EventRecordsReconcileWithCountersUnderAFaultStorm) {
+  // Reliability on, every data-plane fault on every NIC, and rail 1 of the
+  // sender fail-stops mid-run: retransmits, NACKs, duplicate suppression,
+  // tx errors and quarantines all fire.
+  WorldConfig cfg = paper_testbed("hetero-split");
+  cfg.engine.reliability.enabled = true;
+  World world(std::move(cfg));
+  fabric::FaultSpec storm[4];
+  storm[0].kind = fabric::FaultKind::kDrop;
+  storm[0].rate = 0.02;
+  storm[1].kind = fabric::FaultKind::kCorrupt;
+  storm[1].rate = 0.01;
+  storm[2].kind = fabric::FaultKind::kDup;
+  storm[2].rate = 0.01;
+  storm[3].kind = fabric::FaultKind::kReorder;
+  storm[3].rate = 0.05;
+  storm[3].reorder_window = 4;
+  for (NodeId n = 0; n < 2; ++n) {
+    for (RailId r = 0; r < world.fabric().rail_count(); ++r) {
+      for (const fabric::FaultSpec& f : storm) world.fabric().nic(n, r).inject_fault(f);
+    }
+  }
+  world.fabric().nic(0, 1).inject_fault(fail_stop_at(usec(500)));
+
+  run_and_reconcile_events(world, 300);
+
+  const EngineStats& tx = world.engine(0).stats();
+  const EngineStats& rx = world.engine(1).stats();
+  EXPECT_GT(tx.rel_retransmits, 0u);
+  EXPECT_GT(tx.tx_errors, 0u);
+  EXPECT_GT(tx.quarantines, 0u);
+  EXPECT_GT(rx.rel_corruptions, 0u);
+  EXPECT_GT(rx.rel_dup_suppressed, 0u);
+}
+
+TEST(FaultInjection, EventRecordsReconcileWithCountersThroughFailover) {
+  // Without reliability the failover re-split owns recovery: a fail-stop
+  // mid-transfer fires failover, chunk re-posts and quarantine rows.
+  World world(paper_testbed("hetero-split"));
+  world.fabric().nic(0, 0).inject_fault(fail_stop_at(usec(20)));
+
+  run_and_reconcile_events(world, 50);
+
+  const EngineStats& tx = world.engine(0).stats();
+  EXPECT_GT(tx.failovers, 0u);
+  EXPECT_GT(tx.quarantines, 0u);
+  EXPECT_GT(tx.rdv_chunks, 0u);
 }
 
 // -- NIC-level fault mechanics ----------------------------------------------

@@ -22,15 +22,8 @@
 namespace rails {
 namespace {
 
-trace::FlightRecord rec(SimTime t, std::uint64_t msg, std::int64_t a = 0,
-                        std::int64_t b = 0) {
-  trace::FlightRecord r;
-  r.time = t;
-  r.kind = trace::FlightKind::kSubmit;
-  r.msg_id = msg;
-  r.a = a;
-  r.b = b;
-  return r;
+trace::Event rec(SimTime t, std::uint64_t msg, std::int64_t a = 0, std::int64_t b = 0) {
+  return {.time = t, .kind = trace::EventKind::kSubmit, .msg_id = msg, .a = a, .b = b};
 }
 
 TEST(FlightRecorder, RingWrapsAndCountsEvictions) {
@@ -123,7 +116,7 @@ TEST(FlightRecorder, ConcurrentOffloadChannelProducers) {
   EXPECT_EQ(fr.total_recorded(), static_cast<std::uint64_t>(kSends) * 2);
   unsigned pushes = 0;
   for (const trace::FlightRecord& r : fr.snapshot()) {
-    ASSERT_EQ(r.kind, trace::FlightKind::kOffloadPush);
+    ASSERT_EQ(r.kind, trace::EventKind::kOffloadPush);
     EXPECT_LT(r.rail, 2u);
     EXPECT_GT(r.a, 0);   // chunk bytes
     EXPECT_GE(r.time, 0);  // wall-clock ns since the first record
@@ -197,7 +190,7 @@ TEST(FlightRecorder, TriggerWithoutOutputDirWritesNothing) {
   // The attempt itself is still on the record.
   const auto window = fr.snapshot();
   ASSERT_FALSE(window.empty());
-  EXPECT_EQ(window.back().kind, trace::FlightKind::kTrigger);
+  EXPECT_EQ(window.back().kind, trace::EventKind::kTrigger);
 }
 
 // The acceptance path: an injected rail fault must leave behind a bundle

@@ -8,6 +8,7 @@
 
 #include "core/world.hpp"
 #include "fabric/fault.hpp"
+#include "telemetry/metrics.hpp"
 #include "trace/flight_recorder.hpp"
 #include "test_util.hpp"
 
@@ -156,6 +157,55 @@ TEST(Reliability, CorruptionIsDetectedNackedAndRepaired) {
   EXPECT_EQ(world.engine(0).reliable_in_flight(), 0u);
 }
 
+TEST(Reliability, ParseRejectsAreRecordedUnderTheirOwnKind) {
+  // With the wire checksum off, a bit flipped inside a sub-packet header
+  // reaches the unpacker, which drops the frame. That drop is a parse
+  // reject, not a CRC-detected corruption: each flight record kind must
+  // match its own counter.
+  WorldConfig cfg = reliable_testbed("hetero-split");
+  cfg.engine.reliability.checksum = false;
+  World world(std::move(cfg));
+  telemetry::MetricsRegistry registry;
+  trace::FlightRecorder recorder(1 << 16);
+  for (NodeId n = 0; n < 2; ++n) {
+    world.engine(n).set_metrics(&registry);
+    world.engine(n).set_flight_recorder(&recorder);
+  }
+  fault_all_rails(world, 0, rate_fault(fabric::FaultKind::kCorrupt, 0.5));
+
+  // 8-byte messages: the 36-byte sub-packet header is most of each frame.
+  // Receives hold any eager message, so a flipped message length is either
+  // within capacity or above the rendezvous threshold (a parse reject).
+  const auto tx = test::make_pattern(8, 1);
+  std::vector<std::uint8_t> rx(1_MiB);
+  ASSERT_LE(world.engine(1).rdv_threshold(), rx.size());
+  for (Tag tag = 0; tag < 200; ++tag) {
+    world.engine(1).irecv(0, tag, rx.data(), rx.size());
+    world.engine(0).isend(1, tag, tx.data(), tx.size());
+    world.fabric().events().run_all();
+  }
+  const std::uint64_t rejects = world.engine(1).stats().rel_parse_rejects;
+  ASSERT_GT(rejects, 0u);
+
+  std::uint64_t corrupt_records = 0;
+  std::uint64_t reject_records = 0;
+  for (const auto& r : recorder.snapshot()) {
+    const std::string kind = trace::to_string(r.kind);
+    corrupt_records += kind == "corrupt-detected" ? 1 : 0;
+    reject_records += kind == "parse-reject" ? 1 : 0;
+  }
+  EXPECT_EQ(recorder.evictions(), 0u);
+  const telemetry::Counter* corruptions =
+      registry.find_counter("engine.reliability.corruptions");
+  ASSERT_NE(corruptions, nullptr);
+  EXPECT_EQ(corrupt_records, corruptions->value());
+  EXPECT_EQ(reject_records, world.engine(0).stats().rel_parse_rejects + rejects);
+  for (NodeId n = 0; n < 2; ++n) {
+    world.engine(n).set_flight_recorder(nullptr);
+    world.engine(n).set_metrics(nullptr);
+  }
+}
+
 TEST(Reliability, DuplicatesAreSuppressedExactlyOnce) {
   World world(reliable_testbed("hetero-split"));
   // EVERY data segment arrives twice; bytes_received checked by the helper
@@ -263,7 +313,7 @@ TEST(Reliability, RetryBudgetExhaustionFailsTheSendInsteadOfHanging) {
   // The exhaustion left a postmortem trail in the flight recorder.
   bool saw_exhaustion = false;
   for (const auto& r : recorder.snapshot()) {
-    if (r.kind == trace::FlightKind::kRetryExhausted) saw_exhaustion = true;
+    if (r.kind == trace::EventKind::kRetryExhausted) saw_exhaustion = true;
   }
   EXPECT_TRUE(saw_exhaustion);
   world.engine(0).set_flight_recorder(nullptr);

@@ -97,22 +97,22 @@ TEST(Spans, OffloadedEagerMessageMeasuresTo) {
 
 // -- eviction / incompleteness ----------------------------------------------
 
-trace::TraceEvent ev(trace::EventKind kind, SimTime t, std::uint64_t msg,
-                     std::size_t bytes = 0, SimTime nic_end = 0) {
-  trace::TraceEvent e;
+trace::Event ev(trace::EventKind kind, SimTime t, std::uint64_t msg,
+                std::size_t bytes = 0, SimTime nic_end = 0) {
+  trace::Event e;
   e.kind = kind;
   e.time = t;
   e.node = 0;
   e.msg_id = msg;
-  e.bytes = bytes;
-  e.nic_end = nic_end;
+  e.a = static_cast<std::int64_t>(bytes);
+  e.b = nic_end;
   return e;
 }
 
 TEST(Spans, EvictedHeadIsIncompleteNeverFabricated) {
   // The window starts mid-message: chunk + completion but no submit, as a
   // bounded tracer would retain after wrapping.
-  std::vector<trace::TraceEvent> window = {
+  std::vector<trace::Event> window = {
       ev(trace::EventKind::kChunkPosted, usec(10), 42, 1 << 20, usec(500)),
       ev(trace::EventKind::kSendComplete, usec(510), 42),
   };
@@ -157,7 +157,7 @@ TEST(Spans, BoundedTracerEvictionReportsIncomplete) {
 }
 
 TEST(Spans, InFlightMessageIsIncompleteWithoutHeadEviction) {
-  std::vector<trace::TraceEvent> window = {
+  std::vector<trace::Event> window = {
       ev(trace::EventKind::kSubmit, usec(1), 7, 4096),
       ev(trace::EventKind::kEagerEmit, usec(2), 7, 4096, usec(40)),
   };

@@ -16,6 +16,7 @@
 #include "telemetry/engine_metrics.hpp"
 #include "telemetry/prediction.hpp"
 #include "test_util.hpp"
+#include "trace/events.hpp"
 
 // -- allocation counting -----------------------------------------------------
 //
@@ -466,14 +467,18 @@ TEST(EngineMetrics, AttachedHooksHitNamedMetrics) {
   world.engine(0).set_metrics(nullptr);
 }
 
+std::string observability_doc() {
+  std::ifstream in(RAILS_REPO_DOCS_DIR "/OBSERVABILITY.md");
+  std::stringstream doc;
+  doc << in.rdbuf();
+  return doc.str();
+}
+
 TEST(EngineMetrics, EveryCounterRowIsInTheCatalogue) {
   // docs/OBSERVABILITY.md lists each row under its registry name, in the
   // same `<name>` / `<r>` / `<class>` notation the tables use.
-  std::ifstream in(RAILS_REPO_DOCS_DIR "/OBSERVABILITY.md");
-  ASSERT_TRUE(in.good());
-  std::stringstream doc;
-  doc << in.rdbuf();
-  const std::string text = doc.str();
+  const std::string text = observability_doc();
+  ASSERT_FALSE(text.empty());
   const auto documented = [&text](const std::string& name) {
     return text.find("`" + name + "`") != std::string::npos;
   };
@@ -481,6 +486,16 @@ TEST(EngineMetrics, EveryCounterRowIsInTheCatalogue) {
   for (const auto& row : core::kRailCounters) EXPECT_TRUE(documented(row.name)) << row.name;
   for (const auto& row : qos::kQosCounters) {
     EXPECT_TRUE(documented(std::string("qos.<class>.") + row.name)) << row.name;
+  }
+}
+
+TEST(EngineMetrics, EveryEventKindIsInTheCatalogue) {
+  // docs/OBSERVABILITY.md's events table lists each RAILS_ENGINE_EVENTS row
+  // under its display string.
+  const std::string text = observability_doc();
+  ASSERT_FALSE(text.empty());
+  for (const char* kind : trace::kEventNames) {
+    EXPECT_NE(text.find("| `" + std::string(kind) + "` |"), std::string::npos) << kind;
   }
 }
 
