@@ -3,6 +3,9 @@
 // virtual experimentation a second of host CPU buys.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "common/crc32c.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/presets.hpp"
 #include "sampling/sampler.hpp"
@@ -74,6 +77,28 @@ void BM_FullRailSampling(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullRailSampling)->Unit(benchmark::kMillisecond);
+
+// Wire checksum throughput (docs/PERF.md, "Wire checksum"): the dispatched
+// path the engine uses, and the portable slice-by-8 it falls back to.
+template <std::uint32_t (*Extend)(std::uint32_t, const void*, std::size_t)>
+void crc32c_throughput(benchmark::State& state) {
+  std::vector<std::uint8_t> buf(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<std::uint8_t>(i * 131u);
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = Extend(crc, buf.data(), buf.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+
+void BM_Crc32c(benchmark::State& state) { crc32c_throughput<crc32c_extend>(state); }
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(2 << 10)->Arg(64 << 10)->Arg(512 << 10);
+
+void BM_Crc32cPortable(benchmark::State& state) {
+  crc32c_throughput<detail::crc32c_extend_portable>(state);
+}
+BENCHMARK(BM_Crc32cPortable)->Arg(64)->Arg(2 << 10)->Arg(64 << 10)->Arg(512 << 10);
 
 }  // namespace
 

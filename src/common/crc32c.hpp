@@ -2,10 +2,20 @@
 //
 // This is the checksum real transports put on the wire (iSCSI, SCTP, RoCE
 // ICRC, ext4 metadata) because its polynomial has better error-detection
-// properties for short messages than the zlib CRC32. The implementation is
-// the classic software slice-by-8: eight 256-entry tables, eight bytes
-// consumed per iteration, no hardware intrinsics — portable across every
-// toolchain the CI matrix builds.
+// properties for short messages than the zlib CRC32. Two implementations
+// compute the same values:
+//
+//  * On x86-64 CPUs with SSE4.2, the crc32 instruction over three
+//    independent 2 KiB lanes per 6 KiB block; the lane registers are joined
+//    with two precomputed "shift by x^(8·lane)" tables. Shorter buffers and
+//    the tail use a single-lane crc32 loop.
+//  * Everywhere else, the classic software slice-by-8: eight 256-entry
+//    tables, eight bytes consumed per iteration, portable across every
+//    toolchain the CI matrix builds.
+//
+// The path is picked once, on first use, from the running CPU
+// (__builtin_cpu_supports); there is no knob. docs/PERF.md ("Wire
+// checksum") has the throughput of each.
 //
 // The API is incremental so callers can checksum a header and a payload
 // without concatenating them: crc32c_extend(crc32c_extend(0, hdr), body)
@@ -25,5 +35,13 @@ std::uint32_t crc32c(const void* data, std::size_t len);
 /// Extends a running CRC32C with `len` more bytes. Seed with 0 (the CRC of
 /// the empty string); chaining extends over concatenated inputs.
 std::uint32_t crc32c_extend(std::uint32_t crc, const void* data, std::size_t len);
+
+namespace detail {
+
+/// The software slice-by-8 path, callable on any CPU. crc32c_extend returns
+/// the same value; tests compare the two.
+std::uint32_t crc32c_extend_portable(std::uint32_t crc, const void* data, std::size_t len);
+
+}  // namespace detail
 
 }  // namespace rails

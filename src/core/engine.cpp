@@ -1683,7 +1683,7 @@ void Engine::post_data_chunk(SendRequest& send, RailId rail, std::uint64_t offse
   const auto times = post_segment(rail, std::move(data), config_.scheduler_core);
   emit({.time = times.host_start, .kind = EventKind::kChunkPosted, .msg_id = send.id,
         .tag = send.tag, .rail = rail, .core = config_.scheduler_core,
-        .a = static_cast<std::int64_t>(bytes), .b = times.nic_end});
+        .a = static_cast<std::int64_t>(bytes), .b = times.nic_end, .cls = send.qos_class});
   count(EngineCounter::retries);
   metrics_.on_chunk_posted(bytes);
   ++send.chunk_count;

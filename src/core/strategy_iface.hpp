@@ -60,7 +60,10 @@ struct FailoverConfig {
 /// reliable delivery"). Default-off: a disabled engine takes no reliability
 /// branch at all, keeping headline metrics bit-identical to pre-reliability
 /// builds. Enabled at zero fault rate, the layer costs one coalesced ACK
-/// per link per `ack_delay` plus a per-segment CRC — inside the bench gate.
+/// per link per `ack_delay` (virtual time) plus a CRC32C over each
+/// sequenced segment's header and payload, computed once on send and once
+/// on receive (host time; per payload byte, hardware-accelerated where the
+/// CPU has SSE4.2 — docs/PERF.md, "Wire checksum").
 struct ReliabilityConfig {
   bool enabled = false;
   /// Compute/verify the CRC32C wire checksum (header + payload). Off, a

@@ -51,6 +51,43 @@ TEST(FaultInjection, FailStopMidTransferCompletesViaSurvivor) {
   EXPECT_FALSE(world.engine(0).rail_quarantined(1));
 }
 
+TEST(FaultInjection, FailoverRepostChunksKeepTheSendsTrafficClass) {
+  // QoS on, reliability off: the failover re-split re-posts the lost range,
+  // and each re-posted chunk is traced in the class of its send, exactly
+  // like a first-transmission chunk.
+  WorldConfig cfg = paper_testbed("hetero-split");
+  cfg.engine.qos.enabled = true;
+  ASSERT_FALSE(cfg.engine.reliability.enabled);
+  core::World world(cfg);
+  trace::Tracer tracer;
+  world.engine(0).set_tracer(&tracer);
+  const std::size_t size = 4_MiB;
+  const auto tx = test::make_pattern(size, 21);
+  std::vector<std::uint8_t> rx(size, 0);
+
+  world.fabric().nic(0, 1).inject_fault(fail_stop_at(usec(20)));
+
+  auto recv = world.engine(1).irecv(0, 3, rx.data(), size);
+  Engine::SendOptions opts;
+  opts.traffic_class = qos::kBackground;
+  auto send = world.engine(0).isend(1, 3, tx.data(), size, opts);
+  world.wait(recv);
+  world.wait(send);
+  world.engine(0).set_tracer(nullptr);
+
+  EXPECT_EQ(rx, tx);
+  ASSERT_EQ(send->qos_class, qos::kBackground);
+  ASSERT_GE(world.engine(0).stats().failovers, 1u);
+  ASSERT_GE(world.engine(0).stats().retries, 1u);
+  std::size_t chunks = 0;
+  for (const trace::Event& e : tracer.of_kind(trace::EventKind::kChunkPosted)) {
+    if (e.msg_id != send->id) continue;
+    ++chunks;
+    EXPECT_EQ(e.cls, qos::kBackground) << "chunk at " << e.time << " on rail " << e.rail;
+  }
+  EXPECT_GT(chunks, world.engine(0).stats().retries);
+}
+
 TEST(FaultInjection, FailStopBeforeTransferStillCompletes) {
   // The whole handshake (RTS included) must survive a rail that was already
   // dead at submission time.

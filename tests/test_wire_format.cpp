@@ -1,6 +1,8 @@
 #include "core/wire_format.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <random>
 
 #include <gtest/gtest.h>
 
@@ -153,17 +155,68 @@ TEST(Crc32c, KnownAnswerVectors) {
   std::uint8_t ones[32];
   std::memset(ones, 0xFF, 32);
   EXPECT_EQ(crc32c(ones, 32), 0x62A8AB43u);
+  std::uint8_t ascending[32];
+  std::uint8_t descending[32];
+  for (std::uint8_t i = 0; i < 32; ++i) {
+    ascending[i] = i;
+    descending[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  EXPECT_EQ(crc32c(ascending, 32), 0x46DD794Eu);
+  EXPECT_EQ(crc32c(descending, 32), 0x113FDB5Cu);
 }
 
 TEST(Crc32c, IncrementalEqualsOneShotAtEverySplit) {
   const auto data = test::make_pattern(253, 9);  // odd length: exercises the
-                                                 // slice-by-8 tail loop
+                                                 // byte-wise tail after the
+                                                 // 8-byte loop
   const std::uint32_t whole = crc32c(data.data(), data.size());
   for (std::size_t split = 0; split <= data.size(); ++split) {
     const std::uint32_t head = crc32c_extend(0, data.data(), split);
     const std::uint32_t full =
         crc32c_extend(head, data.data() + split, data.size() - split);
     ASSERT_EQ(full, whole) << "split at " << split;
+  }
+}
+
+TEST(Crc32c, HardwareAndPortablePathsAgree) {
+  // crc32c_extend dispatches to the CPU's fastest path; it must match the
+  // portable slice-by-8 on every length, alignment, seed and chaining.
+  // kLane/kBlock mirror the SSE4.2 path's three-lane interleave.
+  constexpr std::size_t kLane = 2048;
+  constexpr std::size_t kBlock = 3 * kLane;
+  std::mt19937_64 rng(18);
+  std::vector<std::uint8_t> buf(512_KiB + 17 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (std::size_t n : {1_KiB, 64_KiB, 512_KiB + 17}) lengths.push_back(n);
+  for (std::size_t edge : {kLane, 2 * kLane, kBlock, 2 * kBlock}) {
+    for (std::size_t n : {edge - 1, edge, edge + 1}) lengths.push_back(n);
+  }
+  for (std::size_t len : lengths) {
+    for (std::size_t misalign = 0; misalign < 8; ++misalign) {
+      const std::uint8_t* p = buf.data() + misalign;
+      const auto seed = static_cast<std::uint32_t>(rng());
+      ASSERT_EQ(crc32c_extend(0, p, len), detail::crc32c_extend_portable(0, p, len))
+          << len << " B at misalignment " << misalign;
+      ASSERT_EQ(crc32c_extend(seed, p, len), detail::crc32c_extend_portable(seed, p, len))
+          << len << " B at misalignment " << misalign << ", seed " << seed;
+    }
+  }
+
+  // Chaining at random split points equals the one-shot portable value.
+  const std::size_t total = 512_KiB + 17;
+  const std::uint32_t whole = detail::crc32c_extend_portable(0, buf.data() + 3, total);
+  for (int trial = 0; trial < 16; ++trial) {
+    std::uint32_t crc = 0;
+    std::size_t done = 0;
+    while (done < total) {
+      const std::size_t step = std::min<std::size_t>(total - done, rng() % (3 * kBlock));
+      crc = crc32c_extend(crc, buf.data() + 3 + done, step);
+      done += step;
+    }
+    ASSERT_EQ(crc, whole) << "trial " << trial;
   }
 }
 
