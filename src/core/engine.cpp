@@ -424,12 +424,10 @@ SendHandle Engine::submit_send(NodeId dst, Tag tag, const void* data, std::size_
           return nullptr;
         }
         qos_->note_admission_downgrade(send->qos_class);
-        ++stats_.qos_admission_downgrades;
         send->qos_class = downgraded;
         deadline = 0;  // downgraded sends run best-effort
       } else {
         qos_->note_admission_reject(send->qos_class);
-        ++stats_.qos_admission_rejects;
         send->state = SendState::kRejected;
         return send;
       }
@@ -515,12 +513,7 @@ RecvHandle Engine::irecv(NodeId src, Tag tag, void* data, std::size_t capacity) 
     if (src != kAnySource && it->first.first != src) continue;
     if (tag != kAnyTag && it->second.tag != tag) continue;
     UnexpectedEager& u = it->second;
-    RAILS_CHECK_MSG(u.total <= capacity, "posted receive buffer too small");
-    recv->state = RecvState::kMatched;
-    recv->src = it->first.first;
-    recv->tag = u.tag;
-    recv->matched_msg = it->first.second;
-    recv->expected = u.total;
+    bind_recv(*recv, it->first.first, u.tag, it->first.second, u.total);
     recv->bytes_received = u.received;
     if (u.received > 0) std::memcpy(recv->data, u.buffer.data(), u.buffer.size());
     const bool complete = u.received == u.total;
@@ -540,17 +533,9 @@ RecvHandle Engine::irecv(NodeId src, Tag tag, void* data, std::size_t capacity) 
   for (auto it = unexpected_rts_.begin(); it != unexpected_rts_.end(); ++it) {
     if (src != kAnySource && it->src != src) continue;
     if (tag != kAnyTag && it->tag != tag) continue;
-    RAILS_CHECK_MSG(it->total <= capacity, "posted receive buffer too small");
-    recv->state = RecvState::kMatched;
-    recv->src = it->src;
-    recv->tag = it->tag;
-    recv->matched_msg = it->msg_id;
-    recv->expected = it->total;
-    const NodeId actual_src = it->src;  // `src` may be the wildcard
-    inbound_rdv_[{actual_src, it->msg_id}] = InboundRdv{recv, actual_src};
-    const std::uint64_t msg_id = it->msg_id;
+    bind_recv(*recv, it->src, it->tag, it->msg_id, it->total);
     unexpected_rts_.erase(it);
-    accept_rendezvous(actual_src, msg_id);
+    accept_rendezvous(recv);
     return recv;
   }
 
@@ -754,7 +739,7 @@ void Engine::plan_group(std::span<const SendRequest* const> group) {
 void Engine::drain_qos() {
   RAILS_PERF_SCOPE(perf::Layer::kArbiter);
   qos_->grant(fabric_->now(), [this](SendHandle send) {
-    ++stats_.qos_grants;
+    count(EngineCounter::qos_grants);
     pending_eager_.push_back(std::move(send));
   });
 }
@@ -786,19 +771,7 @@ SimTime Engine::earliest_feasible_completion(std::size_t len) const {
   if (usable.empty()) {
     for (RailId r = 0; r < nics_.size(); ++r) usable.push_back(r);
   }
-  std::vector<strategy::ProfileCost>& costs = cost_scratch_;
-  costs.clear();
-  costs.reserve(usable.size());
-  for (RailId r : usable) costs.emplace_back(&estimator_->profile(r).rdv_chunk);
-  std::vector<strategy::SolverRail>& rails = solver_scratch_;
-  rails.clear();
-  rails.reserve(usable.size());
-  for (std::size_t i = 0; i < usable.size(); ++i) {
-    const SimTime busy = nics_[usable[i]]->busy_until();
-    rails.push_back({usable[i], &costs[i], busy > now ? busy - now : 0});
-  }
-  const strategy::SplitResult split =
-      strategy::solve_equal_finish(std::span<const strategy::SolverRail>(rails), len);
+  const strategy::SplitResult split = equal_finish_split(usable, len);
   SimDuration makespan = 0;
   for (const SimDuration f : split.finish_times) makespan = std::max(makespan, f);
   if (makespan == 0) {
@@ -822,9 +795,6 @@ void Engine::note_qos_completion(const SendRequest& send) {
   if (qos_ == nullptr) return;
   const bool had_deadline = send.deadline != 0;
   const bool hit = had_deadline && send.complete_time <= send.deadline;
-  if (had_deadline) {
-    if (hit) ++stats_.qos_deadline_hits; else ++stats_.qos_deadline_misses;
-  }
   qos_->note_completion(send.qos_class, had_deadline, hit,
                         send.complete_time - send.submit_time);
 }
@@ -1000,15 +970,9 @@ void Engine::post_emission(const EagerEmission& emission) {
 
 void Engine::start_rendezvous(const SendHandle& send) {
   RAILS_PERF_SCOPE(perf::Layer::kEmit);
-  const StrategyContext ctx = make_context();
-  const RailId rail = strategy_ != nullptr ? strategy_->control_rail(ctx) : 0;
-  fabric::Segment rts;
-  rts.kind = fabric::SegKind::kRts;
-  rts.dst = send->dst;
-  rts.msg_id = send->id;
-  rts.tag = send->tag;
-  rts.total_len = send->len;
-  post_segment(rail, std::move(rts), config_.scheduler_core);
+  const RailId rail = post_control({.kind = fabric::SegKind::kRts, .dst = send->dst,
+                                    .msg_id = send->id, .tag = send->tag,
+                                    .total_len = send->len});
   emit({.time = fabric_->now(), .kind = EventKind::kRtsSent, .msg_id = send->id,
         .tag = send->tag, .rail = rail, .a = static_cast<std::int64_t>(send->len),
         .cls = send->qos_class});
@@ -1080,7 +1044,8 @@ void Engine::pump_qos_streams() {
       }
       const std::size_t bytes = std::min<std::size_t>(
           config_.qos.bulk_chunk, send.len - it->second.next_offset);
-      post_stream_chunk(send, best, it->second.next_offset, bytes);
+      post_chunk(send, best, it->second.next_offset, bytes, /*attempt=*/0);
+      count(EngineCounter::qos_stream_chunks);
       it->second.next_offset += bytes;
       progressed = true;
       if (it->second.next_offset >= send.len) {
@@ -1102,37 +1067,6 @@ void Engine::arm_qos_pump() {
   });
 }
 
-void Engine::post_stream_chunk(SendRequest& send, RailId rail, std::uint64_t offset,
-                               std::size_t bytes) {
-  RAILS_PERF_SCOPE(perf::Layer::kEmit);
-  const SimTime now = fabric_->now();
-  const sampling::RailState state{rail, nics_[rail]->busy_until()};
-  const SimDuration predicted = estimator_->chunk_completion(state, now, bytes) - now;
-
-  fabric::Segment data;
-  data.kind = fabric::SegKind::kData;
-  data.dst = send.dst;
-  data.msg_id = send.id;
-  data.tag = send.tag;
-  data.offset = offset;
-  data.total_len = send.len;
-  data.payload = fabric::acquire_payload();
-  data.payload.assign(send.data + offset, send.data + offset + bytes);
-  const auto times = post_segment(rail, std::move(data), config_.scheduler_core);
-  emit({.time = times.host_start, .kind = EventKind::kChunkPosted, .msg_id = send.id,
-        .tag = send.tag, .rail = rail, .core = config_.scheduler_core,
-        .a = static_cast<std::int64_t>(bytes), .b = times.nic_end, .cls = send.qos_class});
-  ++stats_.qos_stream_chunks;
-  metrics_.on_chunk_posted(bytes);
-  if (send.bytes_posted == 0) {
-    metrics_.on_queueing(times.host_start - send.submit_time);
-  }
-  ++send.chunk_count;
-  send.bytes_posted += bytes;
-  observe_completion(rail, predicted, times.nic_end - now);
-  track_chunk(send.id, send.dst, offset, bytes, rail, /*attempt=*/0, now, predicted);
-}
-
 void Engine::stream_chunks(SendRequest& send) {
   RAILS_PERF_SCOPE(perf::Layer::kEmit);
   // "when a rendezvous request has just been received" — the strategy is
@@ -1150,51 +1084,52 @@ void Engine::stream_chunks(SendRequest& send) {
   for (const strategy::Chunk& chunk : split.chunks) covered += chunk.bytes;
   RAILS_CHECK_MSG(covered == send.len, "rendezvous plan does not tile the message");
 
-  const SimTime decision_now = fabric_->now();
-  bool first_chunk = true;
-  send.chunk_count = static_cast<unsigned>(split.chunks.size());
   for (std::size_t i = 0; i < split.chunks.size(); ++i) {
     const strategy::Chunk& chunk = split.chunks[i];
     // The solver's own per-chunk finish prediction when available (it saw
     // the ready offsets); otherwise the estimator's busy-aware fallback.
-    // Besides feeding the PredictionTracker, this is what the chunk timeout
-    // is derived from (predicted completion times the slack factor).
-    SimDuration predicted = 0;
-    {
-      const sampling::RailState state{chunk.rail, nics_[chunk.rail]->busy_until()};
-      predicted =
-          estimator_->chunk_completion(state, decision_now, chunk.bytes) - decision_now;
-    }
-    // The raw estimator view of the same chunk (what the drift detector
-    // compares against the fabric) — identical unless the solver's plan
-    // carried a trust penalty or saw later ready offsets.
-    const SimDuration model_predicted = predicted;
-    if (i < split.finish_times.size()) predicted = split.finish_times[i];
-    fabric::Segment data;
-    data.kind = fabric::SegKind::kData;
-    data.dst = send.dst;
-    data.msg_id = send.id;
-    data.tag = send.tag;
-    data.offset = chunk.offset;
-    data.total_len = send.len;
-    data.payload = fabric::acquire_payload();
-    data.payload.assign(send.data + chunk.offset, send.data + chunk.offset + chunk.bytes);
-    const auto times = post_segment(chunk.rail, std::move(data), config_.scheduler_core);
-    emit({.time = times.host_start, .kind = EventKind::kChunkPosted, .msg_id = send.id,
-          .tag = send.tag, .rail = chunk.rail, .core = config_.scheduler_core,
-          .a = static_cast<std::int64_t>(chunk.bytes), .b = times.nic_end,
-          .cls = send.qos_class});
-    metrics_.on_chunk_posted(chunk.bytes);
-    if (first_chunk) {
-      metrics_.on_queueing(times.host_start - send.submit_time);
-      first_chunk = false;
-    }
-    observe_completion(chunk.rail, predicted, model_predicted,
-                       times.nic_end - decision_now);
-    send.bytes_posted += chunk.bytes;
-    track_chunk(send.id, send.dst, chunk.offset, chunk.bytes, chunk.rail,
-                /*attempt=*/0, decision_now, predicted);
+    post_chunk(send, chunk.rail, chunk.offset, chunk.bytes, /*attempt=*/0,
+               i < split.finish_times.size() ? std::optional(split.finish_times[i])
+                                             : std::nullopt);
   }
+}
+
+void Engine::post_chunk(SendRequest& send, RailId rail, std::uint64_t offset,
+                        std::size_t bytes, unsigned attempt,
+                        std::optional<SimDuration> plan) {
+  RAILS_PERF_SCOPE(perf::Layer::kEmit);
+  // Predict before posting: the post itself advances the NIC's busy-until.
+  // `model` is the raw estimator view (what the drift detector compares
+  // against the fabric); `predicted` is the plan, identical unless the
+  // solver carried a trust penalty or saw later ready offsets. Besides
+  // feeding the PredictionTracker, `predicted` is what the chunk timeout is
+  // derived from (predicted completion times the slack factor).
+  const SimTime now = fabric_->now();
+  const sampling::RailState state{rail, nics_[rail]->busy_until()};
+  const SimDuration model = estimator_->chunk_completion(state, now, bytes) - now;
+  const SimDuration predicted = plan.value_or(model);
+
+  fabric::Segment data{.kind = fabric::SegKind::kData, .dst = send.dst, .msg_id = send.id,
+                       .tag = send.tag, .offset = offset, .total_len = send.len,
+                       .attempt = static_cast<std::uint8_t>(attempt),
+                       .payload = fabric::acquire_payload()};
+  data.payload.assign(send.data + offset, send.data + offset + bytes);
+  const auto times = post_segment(rail, std::move(data), config_.scheduler_core);
+  emit({.time = times.host_start, .kind = EventKind::kChunkPosted, .msg_id = send.id,
+        .tag = send.tag, .rail = rail, .core = config_.scheduler_core,
+        .a = static_cast<std::int64_t>(bytes), .b = times.nic_end, .cls = send.qos_class});
+  metrics_.on_chunk_posted(bytes);
+  if (attempt == 0) {
+    if (send.chunk_count == 0) metrics_.on_queueing(times.host_start - send.submit_time);
+    send.bytes_posted += bytes;
+  } else {
+    // Retransmissions do not advance bytes_posted: it tracks distinct
+    // message bytes handed to the NICs, and these bytes were already counted.
+    count(EngineCounter::retries);
+  }
+  ++send.chunk_count;
+  observe_completion(rail, predicted, model, times.nic_end - now);
+  track_chunk(send.id, send.dst, offset, bytes, rail, attempt, now, predicted);
 }
 
 void Engine::handle_fin(const fabric::Segment& seg) {
@@ -1269,9 +1204,6 @@ RecvHandle Engine::match_posted(NodeId src, Tag tag) {
     if (recv_matches(**it, src, tag)) {
       RecvHandle recv = *it;
       posted_recvs_.erase(it);
-      // Bind the wildcard fields to the actual message.
-      recv->src = src;
-      recv->tag = tag;
       return recv;
     }
   }
@@ -1333,10 +1265,7 @@ void Engine::deliver_fragment(const SubPacket& sp, const fabric::Segment& seg) {
 
   // First fragment of a new message: try to bind a posted receive.
   if (RecvHandle recv = match_posted(src, sp.tag)) {
-    RAILS_CHECK_MSG(sp.msg_total <= recv->capacity, "posted receive buffer too small");
-    recv->state = RecvState::kMatched;
-    recv->matched_msg = sp.msg_id;
-    recv->expected = sp.msg_total;
+    bind_recv(*recv, src, sp.tag, sp.msg_id, sp.msg_total);
     if (sp.len > 0) std::memcpy(recv->data + sp.offset, sp.bytes, sp.len);
     recv->bytes_received = sp.len;
     if (recv->bytes_received == recv->expected) {
@@ -1377,27 +1306,35 @@ void Engine::handle_rts(const fabric::Segment& seg) {
     }
   }
   if (RecvHandle recv = match_posted(seg.src, seg.tag)) {
-    RAILS_CHECK_MSG(seg.total_len <= recv->capacity, "posted receive buffer too small");
-    recv->state = RecvState::kMatched;
-    recv->matched_msg = seg.msg_id;
-    recv->expected = seg.total_len;
-    inbound_rdv_[{seg.src, seg.msg_id}] = InboundRdv{recv, seg.src};
-    accept_rendezvous(seg.src, seg.msg_id);
+    bind_recv(*recv, seg.src, seg.tag, seg.msg_id, seg.total_len);
+    accept_rendezvous(recv);
     return;
   }
   unexpected_rts_.push_back(UnexpectedRts{seg.src, seg.msg_id, seg.tag, seg.total_len});
 }
 
-void Engine::accept_rendezvous(NodeId src, std::uint64_t msg_id) {
-  const StrategyContext ctx = make_context();
-  const RailId rail = strategy_ != nullptr ? strategy_->control_rail(ctx) : 0;
-  fabric::Segment cts;
-  cts.kind = fabric::SegKind::kCts;
-  cts.dst = src;
-  cts.msg_id = msg_id;
-  post_segment(rail, std::move(cts), config_.scheduler_core);
-  emit({.time = fabric_->now(), .kind = EventKind::kCtsSent, .msg_id = msg_id,
+void Engine::bind_recv(RecvRequest& recv, NodeId src, Tag tag, std::uint64_t msg_id,
+                       std::size_t total) {
+  RAILS_CHECK_MSG(total <= recv.capacity, "posted receive buffer too small");
+  recv.state = RecvState::kMatched;
+  recv.src = src;  // binds the kAnySource / kAnyTag wildcards
+  recv.tag = tag;
+  recv.matched_msg = msg_id;
+  recv.expected = total;
+}
+
+void Engine::accept_rendezvous(const RecvHandle& recv) {
+  inbound_rdv_[{recv->src, recv->matched_msg}] = InboundRdv{recv, recv->src};
+  const RailId rail = post_control(
+      {.kind = fabric::SegKind::kCts, .dst = recv->src, .msg_id = recv->matched_msg});
+  emit({.time = fabric_->now(), .kind = EventKind::kCtsSent, .msg_id = recv->matched_msg,
         .rail = rail});
+}
+
+RailId Engine::post_control(fabric::Segment seg) {
+  const RailId rail = strategy_ != nullptr ? strategy_->control_rail(make_context()) : 0;
+  post_segment(rail, std::move(seg), config_.scheduler_core);
+  return rail;
 }
 
 namespace {
@@ -1452,14 +1389,7 @@ void Engine::handle_data(const fabric::Segment& seg) {
     const NodeId src = it->second.src;
     const std::uint64_t msg_id = seg.msg_id;
     inbound_rdv_.erase(it);
-    // Completion notification back to the sender.
-    const StrategyContext ctx = make_context();
-    const RailId rail = strategy_ != nullptr ? strategy_->control_rail(ctx) : 0;
-    fabric::Segment fin;
-    fin.kind = fabric::SegKind::kFin;
-    fin.dst = src;
-    fin.msg_id = msg_id;
-    post_segment(rail, std::move(fin), config_.scheduler_core);
+    post_control({.kind = fabric::SegKind::kFin, .dst = src, .msg_id = msg_id});
     complete_recv(recv);
   }
 }
@@ -1561,12 +1491,12 @@ RailId Engine::repost_rail(const fabric::Segment& seg) const {
 void Engine::track_chunk(std::uint64_t msg_id, NodeId dst, std::uint64_t offset,
                          std::size_t bytes, RailId rail, unsigned attempt,
                          SimTime decision_now, SimDuration predicted) {
-  live_chunks_[msg_id][offset] = attempt;
-  if (!config_.failover.enabled) return;
   // With end-to-end reliability on, the ACK timeout owns loss detection for
   // every sequenced segment — arming the chunk timer too would race two
-  // recovery paths to the same byte range.
-  if (config_.reliability.enabled) return;
+  // recovery paths to the same byte range. The timer is the only reader of
+  // live_chunks_, so no other mode records the chunk.
+  if (!config_.failover.enabled || config_.reliability.enabled) return;
+  live_chunks_[msg_id][offset] = attempt;
   // Timeout = predicted completion times the slack factor, floored so tiny
   // chunks are not declared lost by rounding. On a healthy fabric the chunk
   // retires (tx-complete) long before this event fires, making it a no-op.
@@ -1645,52 +1575,24 @@ void Engine::failover_chunk(SendRequest& send, std::uint64_t offset, std::size_t
 
   // Re-split the lost byte range across the survivors with the equal-finish
   // solver, live busy offsets included (one survivor -> one chunk).
-  const SimTime now = fabric_->now();
-  std::vector<strategy::ProfileCost>& costs = cost_scratch_;
-  costs.clear();
-  costs.reserve(survivors.size());
-  for (RailId r : survivors) costs.emplace_back(&estimator_->profile(r).rdv_chunk);
-  std::vector<strategy::SolverRail>& rails = solver_scratch_;
-  rails.clear();
-  rails.reserve(survivors.size());
-  for (std::size_t i = 0; i < survivors.size(); ++i) {
-    const SimTime busy = nics_[survivors[i]]->busy_until();
-    rails.push_back({survivors[i], &costs[i], busy > now ? busy - now : 0});
-  }
-  const strategy::SplitResult split =
-      strategy::solve_equal_finish(std::span<const strategy::SolverRail>(rails), bytes);
-  for (const strategy::Chunk& c : split.chunks) {
-    post_data_chunk(send, c.rail, offset + c.offset, c.bytes, attempt + 1);
+  for (const strategy::Chunk& c : equal_finish_split(survivors, bytes).chunks) {
+    post_chunk(send, c.rail, offset + c.offset, c.bytes, attempt + 1);
   }
 }
 
-void Engine::post_data_chunk(SendRequest& send, RailId rail, std::uint64_t offset,
-                             std::size_t bytes, unsigned attempt) {
+strategy::SplitResult Engine::equal_finish_split(std::span<const RailId> rails,
+                                                 std::size_t bytes) const {
   const SimTime now = fabric_->now();
-  const sampling::RailState state{rail, nics_[rail]->busy_until()};
-  const SimDuration predicted = estimator_->chunk_completion(state, now, bytes) - now;
-
-  fabric::Segment data;
-  data.kind = fabric::SegKind::kData;
-  data.dst = send.dst;
-  data.msg_id = send.id;
-  data.tag = send.tag;
-  data.offset = offset;
-  data.total_len = send.len;
-  data.attempt = static_cast<std::uint8_t>(attempt);
-  data.payload = fabric::acquire_payload();
-  data.payload.assign(send.data + offset, send.data + offset + bytes);
-  const auto times = post_segment(rail, std::move(data), config_.scheduler_core);
-  emit({.time = times.host_start, .kind = EventKind::kChunkPosted, .msg_id = send.id,
-        .tag = send.tag, .rail = rail, .core = config_.scheduler_core,
-        .a = static_cast<std::int64_t>(bytes), .b = times.nic_end, .cls = send.qos_class});
-  count(EngineCounter::retries);
-  metrics_.on_chunk_posted(bytes);
-  ++send.chunk_count;
-  // Retransmissions do not advance bytes_posted: it tracks distinct message
-  // bytes handed to the NICs, and these bytes were already counted.
-  observe_completion(rail, predicted, times.nic_end - now);
-  track_chunk(send.id, send.dst, offset, bytes, rail, attempt, now, predicted);
+  cost_scratch_.clear();
+  cost_scratch_.reserve(rails.size());
+  for (RailId r : rails) cost_scratch_.emplace_back(&estimator_->profile(r).rdv_chunk);
+  solver_scratch_.clear();
+  solver_scratch_.reserve(rails.size());
+  for (std::size_t i = 0; i < rails.size(); ++i) {
+    const SimTime busy = nics_[rails[i]]->busy_until();
+    solver_scratch_.push_back({rails[i], &cost_scratch_[i], busy > now ? busy - now : 0});
+  }
+  return strategy::solve_equal_finish(solver_scratch_, bytes);
 }
 
 void Engine::quarantine_rail(RailId rail) {
@@ -1920,7 +1822,6 @@ void Engine::rel_exhaust(RelTxEntry& entry) {
   if (entry.kind == fabric::SegKind::kData || entry.kind == fabric::SegKind::kRts) {
     if (auto it = rdv_sends_.find(entry.msg_id); it != rdv_sends_.end()) {
       it->second->state = SendState::kFailed;
-      live_chunks_.erase(entry.msg_id);
       qos_streams_.erase(entry.msg_id);
       rdv_sends_.erase(it);
     }
@@ -1932,12 +1833,6 @@ void Engine::rel_retire(NodeId dst, std::uint64_t seq) {
   RelTxEntry* e = rel_find(dst, seq);
   if (e == nullptr) return;  // already retired (stale/duplicate ACK)
   rel_loss_streak_[e->rail] = 0;  // the rail is demonstrably delivering
-  if (e->kind == fabric::SegKind::kData) {
-    // End-to-end acknowledged: any chunk-tracking entry is moot.
-    if (auto it = live_chunks_.find(e->msg_id); it != live_chunks_.end()) {
-      it->second.erase(e->offset);
-    }
-  }
   rel_release(*e);
 }
 
@@ -2003,10 +1898,6 @@ void Engine::rel_flush_ack(NodeId src) {
   // The whole acknowledgement travels in header fields — no payload, no
   // allocation: `seq` carries the cumulative edge, `offset` a selective
   // bitmap for the 64 seqs above it (out-of-order arrivals under reorder).
-  fabric::Segment ack;
-  ack.kind = fabric::SegKind::kAck;
-  ack.dst = src;
-  ack.seq = link.rx_cumulative;
   std::uint64_t bits = 0;
   for (unsigned i = 0; i < 64; ++i) {
     const std::uint64_t b = link.rx_cumulative + i;  // bit of cumulative+1+i
@@ -2014,21 +1905,13 @@ void Engine::rel_flush_ack(NodeId src) {
       bits |= 1ull << i;
     }
   }
-  ack.offset = bits;
-  const StrategyContext ctx = make_context();
-  const RailId rail = strategy_ != nullptr ? strategy_->control_rail(ctx) : 0;
-  post_segment(rail, std::move(ack), config_.scheduler_core);
+  post_control({.kind = fabric::SegKind::kAck, .dst = src, .offset = bits,
+                .seq = link.rx_cumulative});
   count(EngineCounter::rel_acks);
 }
 
 void Engine::rel_send_nack(NodeId src, std::uint64_t seq) {
-  fabric::Segment nack;
-  nack.kind = fabric::SegKind::kNack;
-  nack.dst = src;
-  nack.seq = seq;
-  const StrategyContext ctx = make_context();
-  const RailId rail = strategy_ != nullptr ? strategy_->control_rail(ctx) : 0;
-  post_segment(rail, std::move(nack), config_.scheduler_core);
+  post_control({.kind = fabric::SegKind::kNack, .dst = src, .seq = seq});
   count(EngineCounter::rel_nacks);
 }
 

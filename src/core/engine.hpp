@@ -19,6 +19,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -83,7 +84,10 @@ namespace rails::core {
   X(trust_promotions, "engine.recal.promotions")                               \
   /* hot-path memoization (docs/PERF.md) */                                    \
   X(strategy_cache_hits, "strategy.<name>.cache_hits") /* plans replayed */   \
-  X(strategy_cache_misses, "strategy.<name>.cache_misses") /* computed */
+  X(strategy_cache_misses, "strategy.<name>.cache_misses") /* computed */      \
+  /* traffic-class QoS (docs/QOS.md); per-class rows live in the arbiter */    \
+  X(qos_grants, "engine.qos.grants")           /* sends released */           \
+  X(qos_stream_chunks, "engine.qos.stream_chunks") /* windowed bulk chunks */
 
 /// Per-rail rows, X(EngineStats vector field, registry name); `<r>` is the
 /// rail index. Both are bumped where every segment is posted, so they
@@ -99,14 +103,6 @@ struct EngineStats {
 #define RAILS_STATS_FIELD(field, name) std::vector<std::uint64_t> field;
   RAILS_ENGINE_RAIL_COUNTERS(RAILS_STATS_FIELD)
 #undef RAILS_STATS_FIELD
-
-  // -- traffic-class QoS (docs/QOS.md) ---------------------------------
-  std::uint64_t qos_grants = 0;               ///< sends released by the arbiter
-  std::uint64_t qos_stream_chunks = 0;        ///< windowed bulk chunks posted
-  std::uint64_t qos_admission_rejects = 0;    ///< deadline-infeasible sends refused
-  std::uint64_t qos_admission_downgrades = 0; ///< ... downgraded to BACKGROUND
-  std::uint64_t qos_deadline_hits = 0;        ///< deadline-tagged sends in time
-  std::uint64_t qos_deadline_misses = 0;      ///< ... that completed late
 };
 
 /// Row ids of the counter tables, in table order.
@@ -295,7 +291,7 @@ class Engine {
     /// Disjoint byte ranges already landed ([start, end) keyed by start).
     /// Makes reception idempotent: a duplicate DATA chunk — the original
     /// arriving after a spurious-timeout retransmit — adds nothing.
-    std::map<std::uint64_t, std::uint64_t> covered;
+    std::map<std::uint64_t, std::uint64_t> covered{};
   };
 
   /// Per-rail quarantine state (docs/FAULTS.md).
@@ -330,8 +326,23 @@ class Engine {
   void arm_progress(SimTime when);
   void post_emission(const EagerEmission& emission);
   void start_rendezvous(const SendHandle& send);
-  void accept_rendezvous(NodeId src, std::uint64_t msg_id);
+  /// Registers the matched rendezvous `recv` as inbound and answers with CTS.
+  void accept_rendezvous(const RecvHandle& recv);
   void stream_chunks(SendRequest& send);
+  /// Posts one DATA chunk of `send` and tracks it for timeout: the single
+  /// builder of a kData segment. `attempt` 0 is a first transmission (it
+  /// advances bytes_posted); later attempts are failover re-posts. `plan` is
+  /// the scheduler's promised duration (the solver's finish time); without
+  /// one the estimator's busy-aware prediction stands in.
+  void post_chunk(SendRequest& send, RailId rail, std::uint64_t offset, std::size_t bytes,
+                  unsigned attempt, std::optional<SimDuration> plan = {});
+  /// Posts a payload-free control segment (RTS/CTS/FIN/ACK/NACK) on the
+  /// strategy's control rail and returns that rail.
+  RailId post_control(fabric::Segment seg);
+  /// Equal-finish split of `bytes` over `rails` with the rendezvous cost
+  /// profiles and the live busy offsets (submit-path admission, failover).
+  strategy::SplitResult equal_finish_split(std::span<const RailId> rails,
+                                           std::size_t bytes) const;
 
   // -- traffic-class QoS (docs/QOS.md) -----------------------------------
   /// Asks the arbiter for one grant round and moves the grants into the
@@ -349,9 +360,6 @@ class Engine {
   /// slots between chunks, then re-arms at the next NIC-idle time.
   void pump_qos_streams();
   void arm_qos_pump();
-  /// Posts one first-transmission DMA chunk of a windowed stream.
-  void post_stream_chunk(SendRequest& send, RailId rail, std::uint64_t offset,
-                         std::size_t bytes);
 
   /// Posts one segment on `rail`; the submitting core is busy for the host
   /// share of the post. `extra_delay` models offload signalling (TO).
@@ -363,7 +371,12 @@ class Engine {
   /// reachable with the wire checksum off.
   void parse_reject(const fabric::Segment& seg, std::uint64_t msg_id);
   void complete_recv(const RecvHandle& recv);
+  /// First posted receive matching (src, tag), removed from the FIFO.
   RecvHandle match_posted(NodeId src, Tag tag);
+  /// Binds `recv` to message `msg_id` of `total` bytes from `src` with
+  /// `tag` (wildcards resolved); aborts when the buffer is too small.
+  void bind_recv(RecvRequest& recv, NodeId src, Tag tag, std::uint64_t msg_id,
+                 std::size_t total);
 
   // -- fault tolerance ---------------------------------------------------
   bool rail_usable(RailId rail) const { return !rail_health_[rail].quarantined; }
@@ -374,11 +387,9 @@ class Engine {
   /// Re-splits a lost byte range of `send` across the surviving rails.
   void failover_chunk(SendRequest& send, std::uint64_t offset, std::size_t bytes,
                       RailId failed_rail, unsigned attempt);
-  /// Posts one DATA chunk (failover path) and tracks it for timeout.
-  void post_data_chunk(SendRequest& send, RailId rail, std::uint64_t offset,
-                       std::size_t bytes, unsigned attempt);
-  /// Registers a live chunk and arms its timeout event. `dst` feeds the
-  /// multi-hop flight allowance (Fabric::extra_path_latency).
+  /// Registers a live chunk and arms its timeout event, in the one mode that
+  /// reads them (failover on, reliability off). `dst` feeds the multi-hop
+  /// flight allowance (Fabric::extra_path_latency).
   void track_chunk(std::uint64_t msg_id, NodeId dst, std::uint64_t offset,
                    std::size_t bytes, RailId rail, unsigned attempt,
                    SimTime decision_now, SimDuration predicted);
@@ -509,8 +520,9 @@ class Engine {
   std::vector<RailHealth> rail_health_;            ///< per-rail quarantine state
   std::vector<std::uint8_t> rail_usable_;          ///< mask refreshed per context
   /// In-flight DMA chunks: msg id -> (offset -> retransmission attempt).
-  /// Entries vanish on local tx-completion, error hand-off, or FIN — a
-  /// timeout event that finds no entry (or a newer attempt) is stale.
+  /// Filled only with failover on and reliability off (the chunk timer's
+  /// mode). Entries vanish on local tx-completion, error hand-off, or FIN —
+  /// a timeout event that finds no entry (or a newer attempt) is stale.
   std::map<std::uint64_t, std::map<std::uint64_t, unsigned>> live_chunks_;
 
   std::vector<SendHandle> pending_eager_;          ///< the pack list
@@ -582,8 +594,9 @@ class Engine {
   std::vector<std::uint32_t> dst_epoch_;
   std::uint32_t group_epoch_ = 0;
 
-  /// earliest_feasible_completion / failover re-split scratch (the former
-  /// is const, hence mutable).
+  /// Rail sets of earliest_feasible_completion / failover_chunk and the
+  /// solver inputs equal_finish_split builds from them (mutable: the
+  /// submit-path callers are const).
   mutable std::vector<RailId> rail_scratch_;
   mutable std::vector<strategy::ProfileCost> cost_scratch_;
   mutable std::vector<strategy::SolverRail> solver_scratch_;

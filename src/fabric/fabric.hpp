@@ -31,7 +31,7 @@ struct FabricConfig {
 
   /// Inter-node network shape; every rail is one plane of it. The default
   /// (flat) reproduces the PR 1–9 crossbar fabric exactly.
-  topo::TopologySpec net;
+  topo::TopologySpec net{};
 
   /// Partition the event queue per node (EventQueue::configure_shards) with
   /// the fabric's minimum link latency as the conservative horizon. Replays
@@ -45,7 +45,7 @@ struct FabricConfig {
     int node = -1;  ///< -1 = every node's NIC on the rail
     FaultSpec spec;
   };
-  std::vector<RailFault> faults;
+  std::vector<RailFault> faults{};
 
   /// Seed for the per-NIC data-plane fault RNGs (each NIC mixes in its own
   /// node/rail identity, so one knob reseeds the whole fabric).

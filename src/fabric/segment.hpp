@@ -59,7 +59,7 @@ struct Segment {
   std::uint64_t seq = 0;
 
   /// Real payload bytes (kEager, kData). Control segments carry none.
-  std::vector<std::uint8_t> payload;
+  std::vector<std::uint8_t> payload{};
 
   std::size_t wire_size() const { return payload.size() + kHeaderBytes; }
 

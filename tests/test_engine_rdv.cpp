@@ -139,17 +139,41 @@ TEST(RdvChunks, IsoSplitIsEqual) {
 }
 
 TEST(RdvChunks, SingleRailKeepsEverythingOnOneRail) {
-  core::World world(paper_testbed("single-rail:1"));
-  const std::size_t size = 2_MiB;
-  const auto tx = test::make_pattern(size, 3);
-  std::vector<std::uint8_t> rx(size);
-  auto recv = world.engine(1).irecv(0, 1, rx.data(), size);
-  auto send = world.engine(0).isend(1, 1, tx.data(), size);
-  world.wait(send);
-  (void)recv;
-  const auto& per_rail = world.engine(0).stats().payload_bytes_per_rail;
-  EXPECT_EQ(per_rail[0], 0u);
-  EXPECT_EQ(per_rail[1], size);
+  // Data and control alike: the DMA chunk, an eager send, and the RTS, CTS
+  // and FIN (plus the ACKs, with reliability on) that follow
+  // Strategy::control_rail all stay on the strategy's one rail, both ways.
+  for (const bool reliable : {false, true}) {
+    SCOPED_TRACE(reliable ? "reliability on" : "reliability off");
+    WorldConfig cfg = paper_testbed("single-rail:1");
+    cfg.engine.reliability.enabled = reliable;
+    core::World world(cfg);
+    const std::size_t size = 2_MiB;
+    const auto tx = test::make_pattern(size, 3);
+    std::vector<std::uint8_t> rx(size);
+    const auto small_tx = test::make_pattern(512, 4);
+    std::vector<std::uint8_t> small_rx(512);
+    auto recv = world.engine(1).irecv(0, 1, rx.data(), size);
+    auto small_recv = world.engine(1).irecv(0, 2, small_rx.data(), small_rx.size());
+    auto send = world.engine(0).isend(1, 1, tx.data(), size);
+    world.wait(send);
+    EXPECT_EQ(world.engine(0).stats().payload_bytes_per_rail[1], size);
+    auto small = world.engine(0).isend(1, 2, small_tx.data(), small_tx.size());
+    world.wait(recv);
+    world.wait(small_recv);
+    world.fabric().events().run_all();  // trailing coalesced ACKs
+    EXPECT_FALSE(small->rendezvous);
+    EXPECT_EQ(rx, tx);
+    EXPECT_EQ(small_rx, small_tx);
+    for (NodeId n = 0; n < 2; ++n) {
+      const EngineStats& stats = world.engine(n).stats();
+      EXPECT_EQ(stats.segments_per_rail[0], 0u) << "node " << n;
+      EXPECT_EQ(stats.payload_bytes_per_rail[0], 0u) << "node " << n;
+    }
+    // RTS + chunk + eager one way, CTS + FIN the other; ACKs on top.
+    EXPECT_GE(world.engine(0).stats().segments_per_rail[1], 3u);
+    EXPECT_GE(world.engine(1).stats().segments_per_rail[1], 2u);
+    EXPECT_EQ(world.engine(1).stats().rel_acks > 0, reliable);
+  }
 }
 
 }  // namespace

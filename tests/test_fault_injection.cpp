@@ -86,6 +86,10 @@ TEST(FaultInjection, FailoverRepostChunksKeepTheSendsTrafficClass) {
     EXPECT_EQ(e.cls, qos::kBackground) << "chunk at " << e.time << " on rail " << e.rail;
   }
   EXPECT_GT(chunks, world.engine(0).stats().retries);
+  // Windowed chunks and failover re-posts share one chunk path: every post
+  // counts once, and only first transmissions advance bytes_posted.
+  EXPECT_EQ(send->chunk_count, chunks);
+  EXPECT_EQ(send->bytes_posted, size);
 }
 
 TEST(FaultInjection, FailStopBeforeTransferStillCompletes) {
@@ -415,7 +419,14 @@ TEST(FaultInjection, TelemetryCountersMatchEngineStatsUnderReliableDrops) {
   for (NodeId n = 0; n < 2; ++n) {
     SCOPED_TRACE("node " + std::to_string(n));
     expect_counter_tables_reconcile(world.engine(n), registries[n]);
+    const qos::QosArbiter& arbiter = *world.engine(n).qos();
+    std::uint64_t granted = 0;
+    for (qos::ClassId c = 0; c < arbiter.class_count(); ++c) {
+      granted += arbiter.counters(c).granted;
+    }
+    EXPECT_EQ(world.engine(n).stats().qos_grants, granted);
   }
+  EXPECT_GT(s0.qos_grants, 0u);
 }
 
 // -- one event table ----------------------------------------------------------

@@ -260,13 +260,12 @@ TEST(QosAccounting, DowngradeThatWouldBeShedLeavesNoResidue) {
     ASSERT_NE(s, nullptr);
     EXPECT_EQ(s->qos_class, qos::kBackground);
   }
-  EXPECT_EQ(sender.stats().qos_admission_downgrades, 2u);
+  EXPECT_EQ(sender.qos()->counters(qos::kLatency).admission_downgrades, 2u);
 
   // The third would downgrade into a full queue, so try_isend sheds it. The
   // shed must leave no admission accounting behind — this pins the ordering
   // bug where the downgrade counters were mutated before the capacity check.
   EXPECT_EQ(sender.try_isend(1, 9, tx.data(), tx.size(), opts), nullptr);
-  EXPECT_EQ(sender.stats().qos_admission_downgrades, 2u);
   EXPECT_EQ(sender.qos()->counters(qos::kLatency).admission_downgrades, 2u);
   EXPECT_EQ(sender.qos()->counters(qos::kBackground).rejected_full, 1u);
 }

@@ -226,9 +226,8 @@ TEST(QosEngine, FeasibleDeadlineAcceptedAndHit) {
   world.wait(recv);
   world.wait(send);
   EXPECT_EQ(rx, tx);
-  EXPECT_EQ(world.engine(0).stats().qos_deadline_hits, 1u);
-  EXPECT_EQ(world.engine(0).stats().qos_deadline_misses, 0u);
   EXPECT_EQ(world.engine(0).qos()->counters(qos::kLatency).deadline_hits, 1u);
+  EXPECT_EQ(world.engine(0).qos()->counters(qos::kLatency).deadline_misses, 0u);
 }
 
 TEST(QosEngine, InfeasibleDeadlineRejectedAtSubmit) {
@@ -243,7 +242,6 @@ TEST(QosEngine, InfeasibleDeadlineRejectedAtSubmit) {
   ASSERT_NE(send, nullptr);
   EXPECT_TRUE(send->rejected());
   EXPECT_TRUE(send->failed());
-  EXPECT_EQ(world.engine(0).stats().qos_admission_rejects, 1u);
   EXPECT_EQ(world.engine(0).qos()->counters(qos::kBulk).admission_rejects, 1u);
 }
 
@@ -266,7 +264,7 @@ TEST(QosEngine, InfeasibleDeadlineDowngradedWhenConfigured) {
   world.wait(recv);
   world.wait(send);
   EXPECT_EQ(rx, tx);
-  EXPECT_EQ(world.engine(0).stats().qos_admission_downgrades, 1u);
+  EXPECT_EQ(world.engine(0).qos()->counters(qos::kBulk).admission_downgrades, 1u);
 }
 
 TEST(QosEngine, StrictPreemptionProtectsPingUnderBulkFlood) {

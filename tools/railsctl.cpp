@@ -535,14 +535,19 @@ int cmd_qos(core::WorldConfig cfg, std::size_t size, bool json) {
               tx.strategy().name().c_str(), size, rejected->rejected() ? "yes" : "no");
   print_qos_table(*arb);
   const auto& stats = tx.stats();
+  qos::ClassCounters sum;  // every per-class row, summed over the classes
+  for (qos::ClassId c = 0; c < arb->class_count(); ++c) {
+    const qos::ClassCounters cc = arb->counters(c);
+    for (const qos::QosCounterRow& row : qos::kQosCounters) sum.*row.field += cc.*row.field;
+  }
   std::printf("engine: %llu grants, %llu windowed chunks, %llu deadline hits, "
               "%llu misses, %llu admission rejects, %llu downgrades\n",
               static_cast<unsigned long long>(stats.qos_grants),
               static_cast<unsigned long long>(stats.qos_stream_chunks),
-              static_cast<unsigned long long>(stats.qos_deadline_hits),
-              static_cast<unsigned long long>(stats.qos_deadline_misses),
-              static_cast<unsigned long long>(stats.qos_admission_rejects),
-              static_cast<unsigned long long>(stats.qos_admission_downgrades));
+              static_cast<unsigned long long>(sum.deadline_hits),
+              static_cast<unsigned long long>(sum.deadline_misses),
+              static_cast<unsigned long long>(sum.admission_rejects),
+              static_cast<unsigned long long>(sum.admission_downgrades));
   return 0;
 }
 
