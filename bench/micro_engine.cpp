@@ -115,6 +115,31 @@ void BM_EagerSubmission(benchmark::State& state) {
 }
 BENCHMARK(BM_EagerSubmission);
 
+void BM_RendezvousSend(benchmark::State& state) {
+  // Host cost of one 2-node hetero-split rendezvous (RTS, CTS, DMA chunks,
+  // FIN), reliability off (chunks borrow the send buffer) or on (each chunk
+  // carries its own copy for the retransmit ring and the CRC).
+  core::WorldConfig cfg = core::paper_testbed("hetero-split");
+  cfg.engine.reliability.enabled = state.range(1) != 0;
+  core::World world(cfg);
+  const std::size_t size = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> tx(size, 0x3C);
+  std::vector<std::uint8_t> rx(size);
+  Tag tag = 1;
+  for (auto _ : state) {
+    auto recv = world.engine(1).irecv(0, tag, rx.data(), rx.size());
+    auto send = world.engine(0).isend(1, tag, tx.data(), tx.size());
+    world.wait(recv);
+    world.wait(send);
+    if (!send->rendezvous) state.SkipWithError("size is below the rendezvous threshold");
+    ++tag;
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RendezvousSend)
+    ->ArgsProduct({{64 << 10, 1 << 20, 16 << 20}, {0, 1}})
+    ->ArgNames({"bytes", "rel"});
+
 // Console reporter that also captures per-run timings for the --json bundle.
 class CaptureReporter : public benchmark::ConsoleReporter {
  public:

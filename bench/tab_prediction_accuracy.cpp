@@ -80,7 +80,7 @@ int main() {
       filler.offset = 0;
       // Park it in node 1's unexpected store as an eager fragment.
       filler.kind = fabric::SegKind::kEager;
-      std::vector<std::uint8_t> framed;
+      fabric::Payload framed;
       core::SubPacket sp;
       sp.msg_id = 1u << 30;
       sp.tag = 0xF00D;

@@ -371,28 +371,29 @@ StrategyContext Engine::make_context() {
 }
 
 SendHandle Engine::isend(NodeId dst, Tag tag, const void* data, std::size_t len) {
-  return submit_send(dst, tag, data, len, SendOptions{}, /*bounded=*/false);
+  return submit_send(make_send_request(), dst, tag, data, len, SendOptions{},
+                     /*bounded=*/false);
 }
 
 SendHandle Engine::isend(NodeId dst, Tag tag, const void* data, std::size_t len,
                          const SendOptions& opts) {
-  return submit_send(dst, tag, data, len, opts, /*bounded=*/false);
+  return submit_send(make_send_request(), dst, tag, data, len, opts, /*bounded=*/false);
 }
 
 SendHandle Engine::try_isend(NodeId dst, Tag tag, const void* data, std::size_t len) {
-  return submit_send(dst, tag, data, len, SendOptions{}, /*bounded=*/true);
+  return submit_send(make_send_request(), dst, tag, data, len, SendOptions{},
+                     /*bounded=*/true);
 }
 
 SendHandle Engine::try_isend(NodeId dst, Tag tag, const void* data, std::size_t len,
                              const SendOptions& opts) {
-  return submit_send(dst, tag, data, len, opts, /*bounded=*/true);
+  return submit_send(make_send_request(), dst, tag, data, len, opts, /*bounded=*/true);
 }
 
-SendHandle Engine::submit_send(NodeId dst, Tag tag, const void* data, std::size_t len,
-                               const SendOptions& opts, bool bounded) {
+SendHandle Engine::submit_send(SendHandle send, NodeId dst, Tag tag, const void* data,
+                               std::size_t len, const SendOptions& opts, bool bounded) {
   RAILS_PERF_SCOPE(perf::Layer::kSubmit);
   RAILS_CHECK_MSG(dst != self_, "self-sends are not routed through the fabric");
-  SendHandle send = make_send_request();
   send->id = next_msg_id_++;
   send->dst = dst;
   send->tag = tag;
@@ -479,7 +480,10 @@ SendHandle Engine::isendv(NodeId dst, Tag tag, std::span<const IoSlice> slices) 
     all_gather = all_gather && nic->model().params().gather_scatter;
   }
 
-  std::vector<std::uint8_t> staging;
+  // Staged in place: the pooled request's buffer keeps its capacity across
+  // recycles, so a steady flow of same-sized iovec sends never allocates.
+  SendHandle send = make_send_request();
+  std::vector<std::uint8_t>& staging = send->staging;
   staging.reserve(total);
   for (const IoSlice& s : slices) {
     const auto* bytes = static_cast<const std::uint8_t*>(s.data);
@@ -491,10 +495,8 @@ SendHandle Engine::isendv(NodeId dst, Tag tag, std::span<const IoSlice> slices) 
                  wire_time(total, config_.host_copy_mbps));
   }
 
-  SendHandle send = isend(dst, tag, staging.data(), total);
-  send->staging = std::move(staging);
-  send->data = send->staging.data();
-  return send;
+  return submit_send(std::move(send), dst, tag, staging.data(), total, SendOptions{},
+                     /*bounded=*/false);
 }
 
 RecvHandle Engine::irecv(NodeId src, Tag tag, void* data, std::size_t capacity) {
@@ -1111,9 +1113,18 @@ void Engine::post_chunk(SendRequest& send, RailId rail, std::uint64_t offset,
 
   fabric::Segment data{.kind = fabric::SegKind::kData, .dst = send.dst, .msg_id = send.id,
                        .tag = send.tag, .offset = offset, .total_len = send.len,
-                       .attempt = static_cast<std::uint8_t>(attempt),
-                       .payload = fabric::acquire_payload()};
-  data.payload.assign(send.data + offset, send.data + offset + bytes);
+                       .attempt = static_cast<std::uint8_t>(attempt)};
+  if (config_.reliability.enabled) {
+    // The parked retransmit copy, the CRC and post-FIN duplicates all read
+    // the bytes after the send completes: the chunk carries its own copy.
+    data.payload = fabric::acquire_payload();
+    data.payload.assign(send.data + offset, send.data + offset + bytes);
+  } else {
+    // DMA reads the application buffer in place (docs/PROTOCOL.md
+    // "Send-buffer contract"): the chunk borrows it through the send's pin.
+    if (send.pin == nullptr) send.pin = fabric::PinPool::instance().lend(send.data);
+    data.payload = fabric::Payload::borrow(send.pin, offset, bytes);
+  }
   const auto times = post_segment(rail, std::move(data), config_.scheduler_core);
   emit({.time = times.host_start, .kind = EventKind::kChunkPosted, .msg_id = send.id,
         .tag = send.tag, .rail = rail, .core = config_.scheduler_core,
@@ -1149,6 +1160,9 @@ void Engine::handle_fin(const fabric::Segment& seg) {
   }
   live_chunks_.erase(seg.msg_id);  // any armed timeouts are stale now
   qos_streams_.erase(seg.msg_id);  // a failover retransmit may finish early
+  // The receiver has every byte; chunks still in flight are duplicates it
+  // drops unread, so the buffer goes back to the application now.
+  if (send.pin != nullptr) fabric::revoke_pin(send.pin);
   send.state = SendState::kDone;
   send.complete_time = fabric_->now();
   emit({.time = send.complete_time, .kind = EventKind::kSendComplete, .msg_id = send.id,
@@ -1448,7 +1462,7 @@ void Engine::on_tx_error(fabric::Segment&& seg) {
     if (seg.kind == fabric::SegKind::kRts) {
       // The handshake can never finish; fail the send instead of hanging.
       if (auto it = rdv_sends_.find(seg.msg_id); it != rdv_sends_.end()) {
-        it->second->state = SendState::kFailed;
+        fail_send(*it->second);
         rdv_sends_.erase(it);
       }
     }
@@ -1527,6 +1541,14 @@ void Engine::on_chunk_timeout(std::uint64_t msg_id, std::uint64_t offset, std::s
   failover_chunk(*it->second, offset, bytes, rail, attempt);
 }
 
+void Engine::fail_send(SendRequest& send) {
+  // The application may reuse its buffer once the send is terminal, but
+  // chunks still in flight may yet be the receiver's only copy of their
+  // bytes: rescue-copy them into the pin first.
+  if (send.pin != nullptr) fabric::rescue_pin(send.pin, send.len);
+  send.state = SendState::kFailed;
+}
+
 void Engine::failover_chunk(SendRequest& send, std::uint64_t offset, std::size_t bytes,
                             RailId failed_rail, unsigned attempt) {
   auto lc = live_chunks_.find(send.id);
@@ -1552,7 +1574,7 @@ void Engine::failover_chunk(SendRequest& send, std::uint64_t offset, std::size_t
 
   if (attempt + 1u >= config_.failover.max_attempts) {
     count(EngineCounter::failover_exhausted);
-    send.state = SendState::kFailed;
+    fail_send(send);
     live_chunks_.erase(send.id);
     rdv_sends_.erase(send.id);
     return;
@@ -1821,7 +1843,7 @@ void Engine::rel_exhaust(RelTxEntry& entry) {
   // outright rather than hanging its waiter forever.
   if (entry.kind == fabric::SegKind::kData || entry.kind == fabric::SegKind::kRts) {
     if (auto it = rdv_sends_.find(entry.msg_id); it != rdv_sends_.end()) {
-      it->second->state = SendState::kFailed;
+      fail_send(*it->second);
       qos_streams_.erase(entry.msg_id);
       rdv_sends_.erase(it);
     }

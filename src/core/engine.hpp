@@ -302,10 +302,11 @@ class Engine {
   };
 
   StrategyContext make_context();
-  /// Shared isend/try_isend implementation. `bounded` = refuse (nullptr)
-  /// instead of enqueueing past the class queue capacity.
-  SendHandle submit_send(NodeId dst, Tag tag, const void* data, std::size_t len,
-                         const SendOptions& opts, bool bounded);
+  /// Shared isend/try_isend implementation on a fresh pooled `send`.
+  /// `bounded` = refuse (nullptr) instead of enqueueing past the class queue
+  /// capacity.
+  SendHandle submit_send(SendHandle send, NodeId dst, Tag tag, const void* data,
+                         std::size_t len, const SendOptions& opts, bool bounded);
   void on_segment(fabric::Segment&& seg);
   void handle_eager(const fabric::Segment& seg);
   void handle_rts(const fabric::Segment& seg);
@@ -384,6 +385,9 @@ class Engine {
   void on_tx_complete(const fabric::Segment& seg);
   void on_chunk_timeout(std::uint64_t msg_id, std::uint64_t offset, std::size_t bytes,
                         RailId rail, unsigned attempt);
+  /// Marks a rendezvous send kFailed, first rescue-copying its buffer into
+  /// the pin if DMA chunks still borrow it.
+  void fail_send(SendRequest& send);
   /// Re-splits a lost byte range of `send` across the surviving rails.
   void failover_chunk(SendRequest& send, std::uint64_t offset, std::size_t bytes,
                       RailId failed_rail, unsigned attempt);

@@ -7,6 +7,7 @@
 
 #include "common/types.hpp"
 #include "core/request_pool.hpp"
+#include "fabric/payload.hpp"
 
 namespace rails::core {
 
@@ -29,9 +30,16 @@ enum class RecvState : std::uint8_t {
   kDone,
 };
 
+// Field order packs the 4-byte fields in pairs: the pools hold one slot per
+// send in flight (65k on a 256-node all-to-all), so padding costs memory.
 struct SendRequest {
   std::uint64_t id = 0;  ///< engine-unique message id (scoped to the source node)
   NodeId dst = 0;
+  /// Traffic class the QoS arbiter resolved at submit (docs/QOS.md);
+  /// 0 when the QoS subsystem is disabled.
+  std::uint32_t qos_class = 0;
+  /// Absolute completion deadline; 0 = none. Admission-checked at submit.
+  SimTime deadline = 0;
   Tag tag = 0;
   const std::uint8_t* data = nullptr;
   std::size_t len = 0;
@@ -40,6 +48,11 @@ struct SendRequest {
   /// the engine coalesces into this request-owned staging buffer and `data`
   /// points at it.
   std::vector<std::uint8_t> staging;
+
+  /// Rendezvous with reliability off: the pin through which in-flight DMA
+  /// chunks read `data` in place. Taken on the first chunk; revoked when
+  /// the send completes, rescue-copied when it fails (docs/PROTOCOL.md).
+  fabric::Pin* pin = nullptr;
 
   SendState state = SendState::kQueued;
   bool rendezvous = false;
@@ -52,12 +65,6 @@ struct SendRequest {
   unsigned chunk_count = 0;
   /// Number of chunks submitted from a remote (offloaded) core.
   unsigned offloaded_chunks = 0;
-
-  /// Traffic class the QoS arbiter resolved at submit (docs/QOS.md);
-  /// 0 when the QoS subsystem is disabled.
-  std::uint32_t qos_class = 0;
-  /// Absolute completion deadline; 0 = none. Admission-checked at submit.
-  SimTime deadline = 0;
 
   bool done() const { return state == SendState::kDone; }
   /// Terminal non-completion: failover exhausted or refused at admission.
@@ -87,8 +94,11 @@ struct RecvRequest {
 };
 
 /// Resets a recycled send request for reuse. `staging` keeps its capacity
-/// so a flow that staged once never re-allocates on later messages.
+/// so a flow that staged once never re-allocates on later messages. A pin
+/// still held (the send never reached a terminal state) is revoked: the
+/// buffer it lends is about to be released.
 inline void pool_recycle(SendRequest& r) {
+  if (r.pin != nullptr) fabric::revoke_pin(r.pin);
   r.id = 0;
   r.dst = 0;
   r.tag = 0;

@@ -8,12 +8,36 @@ namespace rails::core {
 
 namespace {
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
+template <typename Buf>
+void put_u64(Buf& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+template <typename Buf>
+void put_u32(Buf& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+void put_bytes(fabric::Payload& out, const std::uint8_t* bytes, std::size_t n) {
+  out.append(bytes, n);
+}
+
+void put_bytes(std::vector<std::uint8_t>& out, const std::uint8_t* bytes, std::size_t n) {
+  out.insert(out.end(), bytes, bytes + n);
+}
+
+template <typename Buf>
+void append_framed(Buf& out, const SubPacket& sp) {
+  out.reserve(out.size() + framed_size(sp.len));
+  put_u64(out, sp.msg_id);
+  put_u64(out, sp.tag);
+  put_u64(out, sp.msg_total);
+  put_u64(out, sp.offset);
+  put_u32(out, sp.len);
+  if (sp.len > 0) {
+    RAILS_CHECK(sp.bytes != nullptr);
+    put_bytes(out, sp.bytes, sp.len);
+  }
 }
 
 std::uint64_t get_u64(const std::uint8_t* p) {
@@ -30,27 +54,19 @@ std::uint32_t get_u32(const std::uint8_t* p) {
 
 }  // namespace
 
+void append_subpacket(fabric::Payload& out, const SubPacket& sp) { append_framed(out, sp); }
+
 void append_subpacket(std::vector<std::uint8_t>& out, const SubPacket& sp) {
-  out.reserve(out.size() + framed_size(sp.len));
-  put_u64(out, sp.msg_id);
-  put_u64(out, sp.tag);
-  put_u64(out, sp.msg_total);
-  put_u64(out, sp.offset);
-  put_u32(out, sp.len);
-  if (sp.len > 0) {
-    RAILS_CHECK(sp.bytes != nullptr);
-    out.insert(out.end(), sp.bytes, sp.bytes + sp.len);
-  }
+  append_framed(out, sp);
 }
 
-std::vector<SubPacket> parse_subpackets(const std::vector<std::uint8_t>& payload) {
+std::vector<SubPacket> parse_subpackets(std::span<const std::uint8_t> payload) {
   std::vector<SubPacket> out;
   parse_subpackets(payload, out);
   return out;
 }
 
-void parse_subpackets(const std::vector<std::uint8_t>& payload,
-                      std::vector<SubPacket>& out) {
+void parse_subpackets(std::span<const std::uint8_t> payload, std::vector<SubPacket>& out) {
   out.clear();
   std::size_t pos = 0;
   while (pos < payload.size()) {
@@ -70,7 +86,7 @@ void parse_subpackets(const std::vector<std::uint8_t>& payload,
   }
 }
 
-bool try_parse_subpackets(const std::vector<std::uint8_t>& payload,
+bool try_parse_subpackets(std::span<const std::uint8_t> payload,
                           std::vector<SubPacket>& out) {
   out.clear();
   std::size_t pos = 0;

@@ -11,9 +11,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
+#include "fabric/payload.hpp"
 
 namespace rails::core {
 
@@ -29,16 +31,16 @@ struct SubPacket {
 };
 
 /// Appends one framed sub-packet to `out`.
+void append_subpacket(fabric::Payload& out, const SubPacket& sp);
 void append_subpacket(std::vector<std::uint8_t>& out, const SubPacket& sp);
 
 /// Parses every sub-packet of an eager payload. The returned views alias
 /// `payload`; consume them before the segment is destroyed.
-std::vector<SubPacket> parse_subpackets(const std::vector<std::uint8_t>& payload);
+std::vector<SubPacket> parse_subpackets(std::span<const std::uint8_t> payload);
 
 /// Scratch-reusing overload: clears `out` and fills it in place, so a
 /// caller on the hot receive path pays no allocation once warmed.
-void parse_subpackets(const std::vector<std::uint8_t>& payload,
-                      std::vector<SubPacket>& out);
+void parse_subpackets(std::span<const std::uint8_t> payload, std::vector<SubPacket>& out);
 
 /// Corruption-tolerant parse: returns false (leaving `out` cleared) instead
 /// of aborting when the framing is inconsistent — a truncated header, a
@@ -47,7 +49,7 @@ void parse_subpackets(const std::vector<std::uint8_t>& payload,
 /// data plane (see fabric/fault.hpp kCorrupt) must use this variant: with
 /// the wire checksum off, a flipped bit inside a sub-packet header is
 /// otherwise indistinguishable from a malformed frame.
-bool try_parse_subpackets(const std::vector<std::uint8_t>& payload,
+bool try_parse_subpackets(std::span<const std::uint8_t> payload,
                           std::vector<SubPacket>& out);
 
 /// Wire size one fragment of `len` bytes will occupy inside a segment.

@@ -1,11 +1,14 @@
-// Recycling pool for segment payload buffers.
+// Recycling pool for owned segment payload storage.
 //
-// Every eager segment and DMA chunk carries its payload in a
-// std::vector<uint8_t>; without pooling that is one heap allocation per
-// segment on the hot path. The pool is process-wide (segments migrate
-// between sender and receiver engines inside one process) and bounded, and
-// it is an immortal leaked singleton for the same reason as RequestPool:
-// segments may outlive any engine. See docs/PERF.md.
+// Eager segments (and, with reliability on, DMA chunks and retransmits)
+// carry their bytes in owned Payload storage; without pooling that is one
+// heap allocation per segment on the hot path. Rendezvous DMA chunks with
+// reliability off borrow the sender's buffer instead (fabric/payload.hpp)
+// and never touch the pool. The pool is process-wide (segments migrate
+// between sender and receiver engines inside one process) and bounded both
+// in buffers and in bytes, and it is an immortal leaked singleton for the
+// same reason as RequestPool: segments may outlive any engine. See
+// docs/PERF.md.
 #pragma once
 
 #include <cstdint>
@@ -13,52 +16,67 @@
 #include <utility>
 #include <vector>
 
+#include "fabric/payload.hpp"
+
 namespace rails::fabric {
 
 class BufferPool {
  public:
+  /// Caps on what the pool retains. Far above any workload's working set
+  /// (mixed_reliable's whole process peaks near 19 MB); they only stop a
+  /// burst of huge buffers from being kept forever.
+  static constexpr std::size_t kMaxPooled = 1024;
+  static constexpr std::size_t kMaxPooledBytes = std::size_t{64} << 20;
+
   static BufferPool& instance() {
     static BufferPool* pool = new BufferPool();
     return *pool;
   }
 
-  /// An empty buffer, with whatever capacity its previous life grew.
-  std::vector<std::uint8_t> acquire() {
+  /// An empty owned payload, with whatever capacity its previous life grew.
+  Payload acquire() {
     std::lock_guard<std::mutex> lock(mu_);
     if (pool_.empty()) return {};
-    std::vector<std::uint8_t> buf = std::move(pool_.back());
+    Payload buf = std::move(pool_.back());
     pool_.pop_back();
+    pooled_bytes_ -= buf.capacity();
     return buf;
   }
 
-  /// Returns a buffer to the pool (cleared, capacity kept). Buffers past
-  /// the bound are simply freed — the pool caps retained memory, it does
-  /// not guarantee recycling.
-  void release(std::vector<std::uint8_t>&& buf) {
-    if (buf.capacity() == 0) return;
+  /// Returns a payload's storage to the pool (cleared, capacity kept). A
+  /// borrowed view just drops its pin reference. Storage past either bound
+  /// is simply freed — the pool caps retained memory, it does not
+  /// guarantee recycling.
+  void release(Payload&& buf) {
     buf.clear();
+    if (buf.capacity() == 0) return;
     std::lock_guard<std::mutex> lock(mu_);
-    if (pool_.size() < kMaxPooled) pool_.push_back(std::move(buf));
+    if (pool_.size() < kMaxPooled && pooled_bytes_ + buf.capacity() <= kMaxPooledBytes) {
+      pooled_bytes_ += buf.capacity();
+      pool_.push_back(std::move(buf));
+    }
   }
 
   std::size_t pooled() const {
     std::lock_guard<std::mutex> lock(mu_);
     return pool_.size();
   }
+  /// Total capacity of the pooled buffers.
+  std::size_t pooled_bytes() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return pooled_bytes_;
+  }
 
  private:
-  static constexpr std::size_t kMaxPooled = 1024;
-
   BufferPool() = default;
 
   mutable std::mutex mu_;
-  std::vector<std::vector<std::uint8_t>> pool_;
+  std::vector<Payload> pool_;
+  std::size_t pooled_bytes_ = 0;
 };
 
-inline std::vector<std::uint8_t> acquire_payload() {
-  return BufferPool::instance().acquire();
-}
-inline void recycle_payload(std::vector<std::uint8_t>&& buf) {
+inline Payload acquire_payload() { return BufferPool::instance().acquire(); }
+inline void recycle_payload(Payload&& buf) {
   BufferPool::instance().release(std::move(buf));
 }
 

@@ -193,10 +193,13 @@ SimNic::WireFate SimNic::draw_fate(Segment& seg, SimTime begin, SimTime end) {
         if (fault_rng_.uniform() < f.rate) {
           // Flip one random payload bit; header-only segments have their
           // stored checksum damaged instead (the simulation stand-in for a
-          // header bit flip — struct fields must stay parseable).
+          // header bit flip — struct fields must stay parseable). A chunk
+          // that borrows the sender's buffer is copied first: the fault
+          // damages the bytes on the wire, never the sender's memory.
           if (!seg.payload.empty()) {
             const std::uint64_t bit = fault_rng_.below(seg.payload.size() * 8);
-            seg.payload[bit >> 3] ^= static_cast<std::uint8_t>(1u << (bit & 7));
+            seg.payload.mutable_data()[bit >> 3] ^=
+                static_cast<std::uint8_t>(1u << (bit & 7));
           } else {
             seg.crc ^= 1u << fault_rng_.below(32);
           }

@@ -8,9 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hpp"
+#include "fabric/payload.hpp"
 
 namespace rails::fabric {
 
@@ -58,8 +58,9 @@ struct Segment {
   /// carries the cumulative acknowledgement).
   std::uint64_t seq = 0;
 
-  /// Real payload bytes (kEager, kData). Control segments carry none.
-  std::vector<std::uint8_t> payload{};
+  /// Real payload bytes (kEager, kData). Control segments carry none. A
+  /// rendezvous DATA chunk may borrow the sender's buffer (payload.hpp).
+  Payload payload{};
 
   std::size_t wire_size() const { return payload.size() + kHeaderBytes; }
 
@@ -68,5 +69,9 @@ struct Segment {
   /// enabling reliability does not change modeled wire occupancy.
   static constexpr std::size_t kHeaderBytes = 40;
 };
+
+// The NIC's delivery closure carries a Segment by value and must fit
+// InlineHandler's inline buffer, or every delivery spills to the heap.
+static_assert(sizeof(Segment) == 88);
 
 }  // namespace rails::fabric

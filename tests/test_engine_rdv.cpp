@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/world.hpp"
+#include "fabric/payload.hpp"
 #include "test_util.hpp"
 
 namespace rails::core {
@@ -174,6 +175,56 @@ TEST(RdvChunks, SingleRailKeepsEverythingOnOneRail) {
     EXPECT_GE(world.engine(1).stats().segments_per_rail[1], 2u);
     EXPECT_EQ(world.engine(1).stats().rel_acks > 0, reliable);
   }
+}
+
+// -- send-buffer contract (docs/PROTOCOL.md) ---------------------------------
+
+TEST(RdvSendBuffer, ChunksBorrowThroughAPinUntilCompletion) {
+  // Reliability off: DMA chunks read the send buffer in place, so the send
+  // holds a pin while streaming and revokes it at FIN. With reliability on
+  // every chunk carries its own copy and no pin is ever taken.
+  for (const bool reliable : {false, true}) {
+    SCOPED_TRACE(reliable ? "reliability on" : "reliability off");
+    WorldConfig cfg = paper_testbed("hetero-split");
+    cfg.engine.reliability.enabled = reliable;
+    core::World world(cfg);
+    const std::size_t size = 4_MiB;
+    const auto tx = test::make_pattern(size, 41);
+    std::vector<std::uint8_t> rx(size, 0);
+    auto recv = world.engine(1).irecv(0, 1, rx.data(), size);
+    auto send = world.engine(0).isend(1, 1, tx.data(), size);
+    ASSERT_TRUE(world.fabric().events().run_until(
+        [&] { return send->state == SendState::kStreaming; }));
+    EXPECT_EQ(send->pin != nullptr, !reliable);
+    EXPECT_EQ(fabric::PinPool::instance().live(), reliable ? 0u : 1u);
+    world.wait(recv);
+    world.wait(send);
+    world.fabric().events().run_all();
+    EXPECT_EQ(rx, tx);
+    EXPECT_EQ(send->pin, nullptr);
+    EXPECT_EQ(fabric::PinPool::instance().live(), 0u);
+  }
+}
+
+TEST(RdvSendBuffer, ConcurrentSendsEachReleaseTheirPin) {
+  core::World world(paper_testbed("hetero-split"));
+  constexpr int kSends = 6;
+  const std::size_t size = 1_MiB;
+  std::vector<std::vector<std::uint8_t>> tx;
+  std::vector<std::vector<std::uint8_t>> rx(kSends, std::vector<std::uint8_t>(size, 0));
+  std::vector<RecvHandle> recvs;
+  std::vector<SendHandle> sends;
+  for (int i = 0; i < kSends; ++i) {
+    tx.push_back(test::make_pattern(size, 50 + i));
+    recvs.push_back(world.engine(1).irecv(0, static_cast<Tag>(i), rx[i].data(), size));
+    sends.push_back(world.engine(0).isend(1, static_cast<Tag>(i), tx[i].data(), size));
+  }
+  world.fabric().events().run_all();
+  for (int i = 0; i < kSends; ++i) {
+    EXPECT_TRUE(sends[i]->done());
+    EXPECT_EQ(rx[i], tx[i]) << "send " << i;
+  }
+  EXPECT_EQ(fabric::PinPool::instance().live(), 0u);
 }
 
 }  // namespace

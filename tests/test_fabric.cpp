@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fabric/buffer_pool.hpp"
+#include "fabric/payload.hpp"
 #include "fabric/presets.hpp"
 
 namespace rails::fabric {
@@ -234,6 +236,102 @@ TEST(SimCores, Reset) {
   cores.occupy(0, 0, 100);
   cores.reset();
   EXPECT_TRUE(cores.idle(0, 0));
+}
+
+// -- payloads: owned storage, borrowed views, pins ---------------------------
+
+TEST(Payload, OwnedStorageBehavesLikeAByteVector) {
+  Payload p;
+  EXPECT_TRUE(p.empty());
+  EXPECT_EQ(p.data(), nullptr);
+  p.assign(4, 0x11);
+  p.push_back(0x22);
+  const std::uint8_t tail[] = {0x33, 0x44};
+  p.append(tail, 2);
+  const std::vector<std::uint8_t> expect = {0x11, 0x11, 0x11, 0x11, 0x22, 0x33, 0x44};
+  EXPECT_EQ(std::vector<std::uint8_t>(p.begin(), p.end()), expect);
+  EXPECT_FALSE(p.borrowed());
+
+  Payload copy = p;  // deep copy
+  copy.mutable_data()[0] = 0x99;
+  EXPECT_EQ(p[0], 0x11);
+  EXPECT_EQ(copy[0], 0x99);
+
+  const std::size_t cap = p.capacity();
+  p.clear();
+  EXPECT_TRUE(p.empty());
+  EXPECT_EQ(p.capacity(), cap) << "clear keeps owned capacity";
+}
+
+TEST(Payload, BorrowedViewReadsInPlaceAndCopiesOnWrite) {
+  std::vector<std::uint8_t> lent = {1, 2, 3, 4, 5, 6, 7, 8};
+  Pin* pin = PinPool::instance().lend(lent.data());
+  {
+    Payload view = Payload::borrow(pin, 2, 4);
+    EXPECT_TRUE(view.borrowed());
+    EXPECT_EQ(view.size(), 4u);
+    EXPECT_EQ(view.data(), lent.data() + 2) << "a view reads the lender's bytes in place";
+    EXPECT_EQ(pin->refs.load(), 2u);
+
+    Payload shared = view;  // a copy shares the pin
+    EXPECT_EQ(pin->refs.load(), 3u);
+    EXPECT_EQ(shared.data(), view.data());
+
+    shared.mutable_data()[0] = 0xFF;  // copy-on-write
+    EXPECT_FALSE(shared.borrowed());
+    EXPECT_EQ(pin->refs.load(), 2u);
+    EXPECT_EQ(shared[0], 0xFF);
+    EXPECT_EQ(lent[2], 3) << "a write to a view must never reach the lender";
+
+    Payload appended = view;
+    appended.push_back(9);
+    EXPECT_EQ(std::vector<std::uint8_t>(appended.begin(), appended.end()),
+              (std::vector<std::uint8_t>{3, 4, 5, 6, 9}));
+    appended.assign(2, 0);
+    EXPECT_EQ(appended.size(), 2u);
+    EXPECT_EQ(lent, (std::vector<std::uint8_t>{1, 2, 3, 4, 5, 6, 7, 8}));
+  }
+  EXPECT_EQ(pin->refs.load(), 1u);
+  revoke_pin(pin);
+  EXPECT_EQ(pin, nullptr);
+}
+
+TEST(Payload, RescuedPinOutlivesTheLendersBuffer) {
+  const std::size_t live_before = PinPool::instance().live();
+  std::vector<std::uint8_t> lent = {10, 20, 30, 40};
+  Pin* pin = PinPool::instance().lend(lent.data());
+  Payload view = Payload::borrow(pin, 1, 2);
+  rescue_pin(pin, lent.size());
+  std::fill(lent.begin(), lent.end(), 0xEE);
+  EXPECT_EQ(std::vector<std::uint8_t>(view.begin(), view.end()),
+            (std::vector<std::uint8_t>{20, 30}));
+  EXPECT_EQ(PinPool::instance().live(), live_before + 1);
+  view = Payload();
+  EXPECT_EQ(PinPool::instance().live(), live_before);
+}
+
+TEST(PayloadDeathTest, ReadThroughARevokedPinTraps) {
+  std::vector<std::uint8_t> lent(64, 7);
+  Pin* pin = PinPool::instance().lend(lent.data());
+  const Payload view = Payload::borrow(pin, 0, lent.size());
+  revoke_pin(pin);
+  EXPECT_DEATH((void)view.data(), "revoked pin");
+}
+
+TEST(BufferPool, RetainedBytesStayUnderTheCap) {
+  BufferPool& pool = BufferPool::instance();
+  constexpr std::size_t kBuffers = 1024;
+  for (std::size_t i = 0; i < kBuffers; ++i) {
+    Payload buf;
+    buf.assign(std::size_t{1} << 20, 0);
+    pool.release(std::move(buf));
+    ASSERT_LE(pool.pooled_bytes(), BufferPool::kMaxPooledBytes);
+  }
+  EXPECT_GT(pool.pooled(), 0u);
+  EXPECT_LE(pool.pooled(), BufferPool::kMaxPooled);
+  // Drain, so the retained memory does not outlive the test.
+  while (pool.pooled() > 0) (void)pool.acquire();
+  EXPECT_EQ(pool.pooled_bytes(), 0u);
 }
 
 }  // namespace

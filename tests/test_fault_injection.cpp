@@ -9,6 +9,7 @@
 
 #include "core/world.hpp"
 #include "fabric/fault.hpp"
+#include "fabric/payload.hpp"
 #include "telemetry/metrics.hpp"
 #include "trace/flight_recorder.hpp"
 #include "trace/tracer.hpp"
@@ -586,6 +587,115 @@ TEST(FaultInjection, ClearFaultsRestoresHealth) {
   EXPECT_FALSE(nic.link_up(usec(1)));
   nic.clear_faults();
   EXPECT_TRUE(nic.link_up(usec(1)));
+}
+
+// -- send-buffer lifetime (docs/PROTOCOL.md "Send-buffer contract") ----------
+//
+// With reliability off, rendezvous DMA chunks read the sender's buffer in
+// place through a pin. Each scenario below overwrites or inspects that
+// buffer at the moment the contract hands it back to the application, and
+// checks the receiver and the pin slab for fallout.
+
+/// Bytes of `rx` that are neither still zero-filled nor the original data.
+std::size_t poisoned_bytes(const std::vector<std::uint8_t>& rx,
+                           const std::vector<std::uint8_t>& original) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < rx.size(); ++i) n += rx[i] != 0 && rx[i] != original[i];
+  return n;
+}
+
+TEST(SendBufferLifetime, FailedSendRescuesChunksStillInFlight) {
+  // Both sender rails deliver 20 ms late: every chunk times out, failover
+  // runs out of attempts and fails the send while the original chunks are
+  // still on the wire. The application then reuses its buffer; the late
+  // chunks must deliver the bytes they were posted with.
+  core::World world(paper_testbed("hetero-split"));
+  ASSERT_FALSE(world.engine(0).config().reliability.enabled);
+  fabric::FaultSpec lat;
+  lat.kind = fabric::FaultKind::kLatency;
+  lat.extra_latency = usec(20000);
+  for (RailId r = 0; r < world.fabric().rail_count(); ++r) {
+    world.fabric().nic(0, r).inject_fault(lat);
+  }
+  const std::size_t size = 1_MiB;
+  auto tx = test::make_pattern(size, 31);
+  const auto original = tx;
+  std::vector<std::uint8_t> rx(size, 0);
+
+  auto recv = world.engine(1).irecv(0, 13, rx.data(), size);
+  auto send = world.engine(0).isend(1, 13, tx.data(), size);
+  ASSERT_TRUE(world.fabric().events().run_until([&] { return send->failed(); }));
+  std::fill(tx.begin(), tx.end(), 0xEE);
+  world.fabric().events().run_all();
+
+  EXPECT_GE(world.engine(0).stats().failover_exhausted, 1u);
+  EXPECT_GT(recv->bytes_received, 0u) << "no chunk outlived the failure";
+  EXPECT_EQ(poisoned_bytes(rx, original), 0u);
+  EXPECT_EQ(fabric::PinPool::instance().live(), 0u);
+}
+
+TEST(SendBufferLifetime, CorruptFaultNeverWritesTheSendBuffer) {
+  // Every wire copy gets a bit flipped, and nothing checks: reliability
+  // (and with it the checksum) is off. The flip must land in a private
+  // copy of the chunk, not in the application's buffer it borrows.
+  WorldConfig cfg = paper_testbed("hetero-split");
+  cfg.engine.reliability.enabled = false;
+  cfg.engine.reliability.checksum = false;
+  core::World world(std::move(cfg));
+  fabric::FaultSpec corrupt;
+  corrupt.kind = fabric::FaultKind::kCorrupt;
+  corrupt.rate = 1.0;
+  for (RailId r = 0; r < world.fabric().rail_count(); ++r) {
+    world.fabric().nic(0, r).inject_fault(corrupt);
+  }
+  const std::size_t size = 2_MiB;
+  const auto tx = test::make_pattern(size, 32);
+  const auto original = tx;
+  std::vector<std::uint8_t> rx(size, 0);
+
+  auto recv = world.engine(1).irecv(0, 14, rx.data(), size);
+  auto send = world.engine(0).isend(1, 14, tx.data(), size);
+  world.wait(recv);
+  world.wait(send);
+  world.fabric().events().run_all();
+
+  std::uint64_t corrupted = 0;
+  for (RailId r = 0; r < world.fabric().rail_count(); ++r) {
+    corrupted += world.fabric().nic(0, r).segments_corrupted();
+  }
+  EXPECT_GT(corrupted, 0u);
+  EXPECT_NE(rx, original) << "the flipped bits never reached the receiver";
+  EXPECT_EQ(tx, original);
+  EXPECT_EQ(fabric::PinPool::instance().live(), 0u);
+}
+
+TEST(SendBufferLifetime, DuplicatesAfterCompletionAreDroppedUnread) {
+  // Every segment is duplicated one wire latency behind its original. The
+  // application overwrites its buffer the instant the send completes;
+  // duplicates landing after that must be dropped without reading it.
+  core::World world(paper_testbed("hetero-split"));
+  ASSERT_FALSE(world.engine(0).config().reliability.enabled);
+  fabric::FaultSpec dup;
+  dup.kind = fabric::FaultKind::kDup;
+  dup.rate = 1.0;
+  for (RailId r = 0; r < world.fabric().rail_count(); ++r) {
+    world.fabric().nic(0, r).inject_fault(dup);
+  }
+  const std::size_t size = 2_MiB;
+  auto tx = test::make_pattern(size, 33);
+  const auto original = tx;
+  std::vector<std::uint8_t> rx(size, 0);
+
+  auto recv = world.engine(1).irecv(0, 15, rx.data(), size);
+  auto send = world.engine(0).isend(1, 15, tx.data(), size);
+  world.wait(send);
+  std::fill(tx.begin(), tx.end(), 0xEE);
+  world.fabric().events().run_all();
+
+  EXPECT_TRUE(recv->done());
+  EXPECT_EQ(rx, original);
+  EXPECT_GE(world.engine(1).stats().duplicate_chunks, 1u);
+  EXPECT_EQ(fabric::PinPool::instance().live(), 0u);
 }
 
 }  // namespace

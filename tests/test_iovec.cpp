@@ -1,8 +1,12 @@
 // Gathered (iovec) sends and the gather/scatter capability (§II-B).
+//
+// This binary links src/perf/alloc_hook.cpp (see tests/CMakeLists.txt), so
+// rails::perf::t_alloc_count counts every operator-new on this thread.
 #include <gtest/gtest.h>
 
 #include "core/world.hpp"
 #include "fabric/presets.hpp"
+#include "perf/profiler.hpp"
 #include "test_util.hpp"
 
 namespace rails::core {
@@ -115,6 +119,38 @@ TEST(Iovec, ManySmallSlices) {
   auto recv = world.engine(1).irecv(0, 1, rx.data(), rx.size());
   world.engine(0).isendv(1, 1, slices);
   world.wait(recv);
+  EXPECT_EQ(rx, tx);
+}
+
+/// This thread's operator-new count. Out of line: GCC 12's UBSan
+/// misreports an inlined read of the extern thread_local counter as a null
+/// load after the world has run.
+[[gnu::noinline]] std::uint64_t allocs_so_far() { return perf::t_alloc_count; }
+
+TEST(Iovec, SteadyStateStagingIsAllocationFree) {
+  // Without gather/scatter every isendv stages a contiguous copy. The copy
+  // goes into the pooled request's own buffer, whose capacity survives
+  // recycling, so a steady flow of same-sized iovec sends never allocates.
+  perf::Profiler::set_enabled(false);
+  core::WorldConfig cfg = paper_testbed("single-rail:0");
+  cfg.fabric.rails[1] = fabric::ib_ddr();
+  core::World world(cfg);
+  const auto tx = test::make_pattern(6000, 6);
+  const auto slices = slices_of(tx, {100, 900, 3000});
+  std::vector<std::uint8_t> rx(tx.size());
+  const auto send_one = [&] {
+    auto recv = world.engine(1).irecv(0, 1, rx.data(), rx.size());
+    auto send = world.engine(0).isendv(1, 1, slices);
+    world.wait(recv);
+    world.wait(send);
+  };
+  for (int i = 0; i < 4; ++i) send_one();  // warm the pools
+
+  const std::uint64_t before = allocs_so_far();
+  constexpr int kMeasured = 16;
+  for (int i = 0; i < kMeasured; ++i) send_one();
+  const std::uint64_t delta = allocs_so_far() - before;
+  EXPECT_EQ(delta, 0u) << delta << " allocations across " << kMeasured << " isendv calls";
   EXPECT_EQ(rx, tx);
 }
 
