@@ -79,9 +79,14 @@ void BM_FullRailSampling(benchmark::State& state) {
 BENCHMARK(BM_FullRailSampling)->Unit(benchmark::kMillisecond);
 
 // Wire checksum throughput (docs/PERF.md, "Wire checksum"): the dispatched
-// path the engine uses, and the portable slice-by-8 it falls back to.
+// path the engine uses, each carry-less-multiply fold the CPU can run, and
+// the portable slice-by-8 they all must agree with.
 template <std::uint32_t (*Extend)(std::uint32_t, const void*, std::size_t)>
-void crc32c_throughput(benchmark::State& state) {
+void crc32c_throughput(benchmark::State& state, bool supported = true) {
+  if (!supported) {
+    state.SkipWithError("this CPU cannot run this path");
+    return;
+  }
   std::vector<std::uint8_t> buf(static_cast<std::size_t>(state.range(0)));
   for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<std::uint8_t>(i * 131u);
   std::uint32_t crc = 0;
@@ -92,14 +97,38 @@ void crc32c_throughput(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 
+void crc32c_sizes(benchmark::internal::Benchmark* b) {
+  for (const int64_t n : {64, 512, 2 << 10, 4 << 10, 64 << 10, 512 << 10, 1 << 20}) {
+    b->Arg(n);
+  }
+}
+
 void BM_Crc32c(benchmark::State& state) { crc32c_throughput<crc32c_extend>(state); }
-BENCHMARK(BM_Crc32c)->Arg(64)->Arg(2 << 10)->Arg(64 << 10)->Arg(512 << 10);
+BENCHMARK(BM_Crc32c)->Apply(crc32c_sizes);
+
+void BM_Crc32cVpclmul(benchmark::State& state) {
+  crc32c_throughput<detail::crc32c_extend_vpclmul>(state,
+                                                   detail::crc32c_vpclmul_supported());
+}
+BENCHMARK(BM_Crc32cVpclmul)->Apply(crc32c_sizes);
+
+void BM_Crc32cPclmul(benchmark::State& state) {
+  crc32c_throughput<detail::crc32c_extend_pclmul>(state, detail::crc32c_pclmul_supported());
+}
+BENCHMARK(BM_Crc32cPclmul)->Apply(crc32c_sizes);
 
 void BM_Crc32cPortable(benchmark::State& state) {
   crc32c_throughput<detail::crc32c_extend_portable>(state);
 }
-BENCHMARK(BM_Crc32cPortable)->Arg(64)->Arg(2 << 10)->Arg(64 << 10)->Arg(512 << 10);
+BENCHMARK(BM_Crc32cPortable)->Apply(crc32c_sizes);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("crc32c_path", detail::crc32c_path());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -846,9 +846,9 @@ fabric::SimNic::PostTimes Engine::post_segment(RailId rail, fabric::Segment seg,
   seg.rail = rail;
   const std::size_t payload = seg.payload.size();
   // Reliability choke point: every first-transmission segment (seq still 0)
-  // except the ACK/NACK control plane gets sequenced, checksummed, and a
-  // retransmit copy parked before it touches the NIC. Retransmissions carry
-  // their original seq and skip straight through.
+  // except the ACK/NACK control plane gets sequenced, checksummed, and its
+  // bytes parked (shared, not copied) before it touches the NIC.
+  // Retransmissions carry their original seq and skip straight through.
   const bool sequenced = config_.reliability.enabled && seg.seq == 0 &&
                          seg.kind != fabric::SegKind::kAck &&
                          seg.kind != fabric::SegKind::kNack;
@@ -1115,7 +1115,7 @@ void Engine::post_chunk(SendRequest& send, RailId rail, std::uint64_t offset,
                        .tag = send.tag, .offset = offset, .total_len = send.len,
                        .attempt = static_cast<std::uint8_t>(attempt)};
   if (config_.reliability.enabled) {
-    // The parked retransmit copy, the CRC and post-FIN duplicates all read
+    // The parked retransmit bytes, the CRC and post-FIN duplicates all read
     // the bytes after the send completes: the chunk carries its own copy.
     data.payload = fabric::acquire_payload();
     data.payload.assign(send.data + offset, send.data + offset + bytes);
@@ -1436,7 +1436,7 @@ void Engine::on_tx_error(fabric::Segment&& seg) {
         .b = seg.attempt});
   if (config_.reliability.enabled && seg.seq != 0) {
     // The reliability layer owns recovery for sequenced segments: the parked
-    // copy is retransmitted immediately (budget-checked) instead of routing
+    // bytes are retransmitted immediately (budget-checked) instead of routing
     // through PR 2's failover re-split, which would race the retransmit to
     // the same bytes. A hard CQ error is still a sick rail — quarantine it.
     quarantine_rail(seg.rail);
@@ -1717,7 +1717,7 @@ Engine::RelTxEntry* Engine::rel_find(NodeId dst, std::uint64_t seq) {
 
 void Engine::rel_release(RelTxEntry& entry) {
   entry.in_use = false;
-  entry.payload.clear();  // capacity stays with the slot for reuse
+  entry.payload.clear();  // the last reference returns the bytes to the pool
   --rel_live_entries_;
 }
 
@@ -1739,7 +1739,8 @@ void Engine::rel_stash(fabric::Segment& seg, RailId rail) {
   e.total_len = seg.total_len;
   e.crc = seg.crc;
   e.base_timeout = 0;
-  e.payload.assign(seg.payload.begin(), seg.payload.end());
+  seg.payload.share();
+  e.payload = seg.payload;  // a reference, not a copy
   ++rel_live_entries_;
   count(EngineCounter::rel_segments);
 }
@@ -1799,7 +1800,7 @@ void Engine::rel_retransmit(RelTxEntry& entry) {
   emit({.time = fabric_->now(), .kind = EventKind::kRetransmit, .msg_id = entry.msg_id,
         .rail = entry.rail, .a = static_cast<std::int64_t>(entry.seq),
         .b = entry.retransmits});
-  // Rebuild the segment from the parked copy — byte-identical to the
+  // Rebuild the segment around the parked bytes — byte-identical to the
   // original (same seq, same CRC), so whichever copy lands first passes
   // verification and the other dies in the receiver's dedup window.
   fabric::Segment seg;
@@ -1812,10 +1813,7 @@ void Engine::rel_retransmit(RelTxEntry& entry) {
   seg.attempt = entry.attempt;
   seg.crc = entry.crc;
   seg.seq = entry.seq;
-  if (!entry.payload.empty()) {
-    seg.payload = fabric::acquire_payload();
-    seg.payload.assign(entry.payload.begin(), entry.payload.end());
-  }
+  seg.payload = entry.payload;
   const RailId rail = repost_rail(seg);
   entry.rail = rail;
   const NodeId dst = entry.dst;

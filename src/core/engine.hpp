@@ -403,11 +403,12 @@ class Engine {
 
   // -- end-to-end reliability (docs/FAULTS.md) ---------------------------
   // Sender side: every non-ACK segment gets a per-(src,dst)-link sequence
-  // number and a CRC32C, and a copy of its payload parks in a power-of-two
-  // ring slab until a cumulative/selective ACK retires it. Loss is inferred
-  // by prediction-scaled ACK timeout (silent drops), NACK (checksum
-  // failures), or NIC tx-error; recovery retransmits from the parked copy —
-  // never touching PR 2's failover re-split, which would race it.
+  // number and a CRC32C, and its payload bytes, shared with the segment
+  // rather than copied, park in a power-of-two ring slab until a
+  // cumulative/selective ACK retires them. Loss is inferred by
+  // prediction-scaled ACK timeout (silent drops), NACK (checksum failures),
+  // or NIC tx-error; recovery retransmits the parked bytes — never touching
+  // the failover re-split, which would race it.
 
   /// One unacknowledged sequenced segment (slot in a RelLink ring).
   struct RelTxEntry {
@@ -424,7 +425,10 @@ class Engine {
     std::uint64_t total_len = 0;
     std::uint32_t crc = 0;
     SimDuration base_timeout = 0;   ///< first-transmission ACK wait (pre-backoff)
-    std::vector<std::uint8_t> payload;  ///< parked copy for retransmission
+    /// The segment's bytes, shared with every transmission of it
+    /// (fabric::Payload::share): a retransmit takes one more reference, and
+    /// a corrupt fault copies before it writes, so these stay the original.
+    fabric::Payload payload;
   };
 
   /// Per-peer link state, indexed by node id. TX: seq allocation + the
@@ -440,7 +444,7 @@ class Engine {
   };
   static constexpr std::uint64_t kRelRxWindow = 16 * 64;  ///< rx_bits span
 
-  /// Assigns seq + CRC to an outbound segment and parks a retransmit copy.
+  /// Assigns seq + CRC to an outbound segment and parks its shared bytes.
   void rel_stash(fabric::Segment& seg, RailId rail);
   /// Arms (or re-arms, with backoff) the ACK timeout for (dst, seq).
   void rel_arm(NodeId dst, std::uint64_t seq, SimDuration predicted_flight);

@@ -63,7 +63,7 @@ struct FailoverConfig {
 /// per link per `ack_delay` (virtual time) plus a CRC32C over each
 /// sequenced segment's header and payload, computed once on send and once
 /// on receive (host time; per payload byte, hardware-accelerated where the
-/// CPU has SSE4.2 — docs/PERF.md, "Wire checksum").
+/// CPU has carry-less multiply — docs/PERF.md, "Wire checksum").
 struct ReliabilityConfig {
   bool enabled = false;
   /// Compute/verify the CRC32C wire checksum (header + payload). Off, a

@@ -1,14 +1,17 @@
 // Recycling pool for owned segment payload storage.
 //
-// Eager segments (and, with reliability on, DMA chunks and retransmits)
-// carry their bytes in owned Payload storage; without pooling that is one
-// heap allocation per segment on the hot path. Rendezvous DMA chunks with
-// reliability off borrow the sender's buffer instead (fabric/payload.hpp)
-// and never touch the pool. The pool is process-wide (segments migrate
-// between sender and receiver engines inside one process) and bounded both
-// in buffers and in bytes, and it is an immortal leaked singleton for the
-// same reason as RequestPool: segments may outlive any engine. See
-// docs/PERF.md.
+// Eager segments (and, with reliability on, DMA chunks) carry their bytes
+// in owned Payload storage; without pooling that is one heap allocation per
+// segment on the hot path. Storage comes back either when the receiver
+// recycles its segment or, once shared (Payload::share: a reliable segment
+// and its parked retransmit bytes), when the last reference drops, usually
+// at the ACK. A copy-on-write of a view draws its private copy from here
+// too. Rendezvous DMA chunks with reliability off borrow the sender's
+// buffer instead (fabric/payload.hpp) and never touch the pool. The pool is
+// process-wide (segments migrate between sender and receiver engines inside
+// one process) and bounded both in buffers and in bytes, and it is an
+// immortal leaked singleton for the same reason as RequestPool: segments
+// may outlive any engine. See docs/PERF.md.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +26,7 @@ namespace rails::fabric {
 class BufferPool {
  public:
   /// Caps on what the pool retains. Far above any workload's working set
-  /// (mixed_reliable's whole process peaks near 19 MB); they only stop a
+  /// (mixed_reliable's whole process peaks near 8 MB); they only stop a
   /// burst of huge buffers from being kept forever.
   static constexpr std::size_t kMaxPooled = 1024;
   static constexpr std::size_t kMaxPooledBytes = std::size_t{64} << 20;
@@ -44,7 +47,8 @@ class BufferPool {
   }
 
   /// Returns a payload's storage to the pool (cleared, capacity kept). A
-  /// borrowed view just drops its pin reference. Storage past either bound
+  /// view just drops its pin reference (the last one to a shared payload
+  /// comes back here with the storage). Storage past either bound
   /// is simply freed — the pool caps retained memory, it does not
   /// guarantee recycling.
   void release(Payload&& buf) {

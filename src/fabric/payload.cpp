@@ -1,6 +1,7 @@
 #include "fabric/payload.hpp"
 
 #include "common/check.hpp"
+#include "fabric/buffer_pool.hpp"
 
 namespace rails::fabric {
 
@@ -31,8 +32,23 @@ Pin* PinPool::lend(const std::uint8_t* bytes) {
   return pin;
 }
 
+Pin* PinPool::adopt(std::uint8_t* storage, std::uint32_t cap) {
+  Pin* pin = lend(storage);
+  pin->storage = storage;
+  pin->storage_cap = cap;
+  return pin;
+}
+
 void PinPool::unref(Pin* pin) {
   if (pin->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  if (pin->storage != nullptr) {
+    Payload owned;
+    owned.buf_ = pin->storage;
+    owned.cap_ = pin->storage_cap;
+    pin->storage = nullptr;
+    pin->storage_cap = 0;
+    recycle_payload(std::move(owned));
+  }
   pin->bytes = nullptr;
   pin->rescue = {};  // failures are rare; do not retain a message-sized copy
   std::lock_guard<std::mutex> lock(mu_);
@@ -70,6 +86,13 @@ Payload Payload::borrow(Pin* pin, std::size_t offset, std::size_t n) {
   p.off_ = offset;
   p.size_ = static_cast<std::uint32_t>(n);
   return p;
+}
+
+void Payload::share() {
+  if (cap_ == 0 || size_ == 0) return;
+  pin_ = PinPool::instance().adopt(buf_, cap_);
+  off_ = 0;
+  cap_ = 0;
 }
 
 const std::uint8_t* Payload::view_data() const {
@@ -126,11 +149,10 @@ void Payload::reallocate(std::size_t cap) {
 
 std::uint8_t* Payload::mutable_data() {
   if (borrowed()) {
-    if (size_ > 0) {
-      reallocate(size_);
-    } else {
-      drop_view();
-    }
+    // The private copy comes from the pool, like every segment's storage.
+    Payload copy = acquire_payload();
+    copy.append(data(), size_);
+    *this = std::move(copy);
   }
   return cap_ > 0 ? buf_ : nullptr;
 }

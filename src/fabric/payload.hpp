@@ -1,5 +1,5 @@
-// Segment payload bytes: owned (pooled) storage, or a borrowed view of a
-// sender's buffer.
+// Segment payload bytes: owned (pooled) storage, or a refcounted read-only
+// view.
 //
 // Eager segments frame their sub-packets into owned storage — the CPU copy
 // PIO pays on real hardware. A rendezvous DMA chunk instead borrows the
@@ -7,13 +7,20 @@
 // the receiver's memcpy into its posted buffer is the only copy, which is
 // the DMA the paper models (docs/PROTOCOL.md "Send-buffer contract").
 //
-// A view never points at user memory directly. It points at a refcounted
-// Pin taken from an immortal slab, so the lender can end the loan while
-// views are still in flight: on completion it revokes the pin (any later
-// read traps instead of touching freed memory), on failure it first
-// rescue-copies its bytes into the pin. Every write to a view copies it
-// into owned storage first (copy-on-write), so a corrupt fault never
-// writes the sender's memory.
+// A view never points at its bytes directly. It points at a refcounted Pin
+// taken from an immortal slab, and a pin holds one of two things:
+//
+//  * A lender's buffer (Payload::borrow). The lender can end the loan while
+//    views are still in flight: on completion it revokes the pin (any later
+//    read traps instead of touching freed memory), on failure it first
+//    rescue-copies its bytes into the pin.
+//  * Storage a payload gave up (Payload::share). Copies of a shared payload
+//    are more references, not more bytes; the last reference to drop hands
+//    the storage back to BufferPool. With reliability on, a segment and its
+//    parked retransmit copy share their bytes this way.
+//
+// Every write to a view copies it into owned storage first (copy-on-write),
+// so a corrupt fault never writes the sender's memory or the parked bytes.
 #pragma once
 
 #include <algorithm>
@@ -29,13 +36,18 @@
 
 namespace rails::fabric {
 
-/// A lender's buffer shared by in-flight views.
+/// Bytes shared by in-flight views: a lender's buffer, or shared storage.
 struct Pin {
   /// The lender's buffer; then nullptr once revoked (reads trap), or the
-  /// rescue copy once the lender failed with views still in flight.
+  /// rescue copy once the lender failed with views still in flight. For
+  /// shared storage, the storage itself.
   const std::uint8_t* bytes = nullptr;
   std::atomic<std::uint32_t> refs{0};
   std::vector<std::uint8_t> rescue;
+  /// Shared storage the last reference returns to BufferPool; nullptr for
+  /// a loan.
+  std::uint8_t* storage = nullptr;
+  std::uint32_t storage_cap = 0;
   Pin* next_free = nullptr;
 };
 
@@ -48,6 +60,9 @@ class PinPool {
 
   /// A pin lending `bytes`; the caller holds its one reference.
   Pin* lend(const std::uint8_t* bytes);
+  /// A pin owning pooled `storage` of `cap` bytes; the caller holds its one
+  /// reference, and the last unref returns the storage to BufferPool.
+  Pin* adopt(std::uint8_t* storage, std::uint32_t cap);
   static void ref(Pin* pin) { pin->refs.fetch_add(1, std::memory_order_relaxed); }
   /// Drops one reference; the last one returns the pin to the slab.
   void unref(Pin* pin);
@@ -100,10 +115,16 @@ class Payload {
   /// reference on the pin.
   static Payload borrow(Pin* pin, std::size_t offset, std::size_t n);
 
+  /// Turns owned bytes into shared read-only storage: this payload becomes
+  /// a view of them, so copying it takes a reference instead of the bytes.
+  /// A view or an empty payload is left as it is.
+  void share();
+
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   /// Owned capacity; 0 for a view.
   std::size_t capacity() const { return cap_; }
+  /// A read-only view: borrowed from a lender, or shared.
   bool borrowed() const { return cap_ == 0 && pin_ != nullptr; }
 
   const std::uint8_t* data() const {
@@ -140,6 +161,8 @@ class Payload {
   }
 
  private:
+  friend class PinPool;
+
   static constexpr std::size_t kMaxBytes = UINT32_MAX;
 
   const std::uint8_t* view_data() const;

@@ -310,6 +310,48 @@ TEST(Payload, RescuedPinOutlivesTheLendersBuffer) {
   EXPECT_EQ(PinPool::instance().live(), live_before);
 }
 
+TEST(Payload, SharedBytesAreReferencedNotCopiedAndReturnToThePool) {
+  // The reliable send path: a segment shares its storage, the retransmit
+  // ring and each retransmit take references, and a corrupt fault writes a
+  // private copy. The last reference hands the storage back to the pool.
+  BufferPool& pool = BufferPool::instance();
+  const std::size_t live_before = PinPool::instance().live();
+  Payload seg;
+  seg.assign(64, 0x5a);
+  const std::uint8_t* bytes = seg.data();
+  seg.share();
+  EXPECT_TRUE(seg.borrowed());
+  EXPECT_EQ(seg.capacity(), 0u);
+  EXPECT_EQ(seg.data(), bytes) << "sharing moves no bytes";
+  EXPECT_EQ(PinPool::instance().live(), live_before + 1);
+  {
+    Payload parked = seg;
+    Payload retransmit = parked;
+    EXPECT_EQ(parked.data(), bytes);
+    EXPECT_EQ(retransmit.data(), bytes);
+
+    retransmit.mutable_data()[0] ^= 0x01;  // a corrupt fault
+    EXPECT_FALSE(retransmit.borrowed());
+    EXPECT_NE(retransmit.data(), bytes);
+    EXPECT_EQ(parked[0], 0x5a) << "a write to a copy must never reach the shared bytes";
+    EXPECT_EQ(retransmit[0], 0x5b);
+
+    pool.release(std::move(retransmit));  // the receiver recycles its segment
+    seg.share();                          // already a view: no-op
+    EXPECT_EQ(seg.data(), bytes);
+    pool.release(std::move(seg));
+    EXPECT_EQ(PinPool::instance().live(), live_before + 1) << "parked still holds it";
+  }
+  EXPECT_EQ(PinPool::instance().live(), live_before);
+  Payload reused = pool.acquire();
+  EXPECT_EQ(reused.data(), bytes) << "the last reference returned the storage to the pool";
+  EXPECT_GE(reused.capacity(), 64u);
+
+  Payload empty;
+  empty.share();
+  EXPECT_FALSE(empty.borrowed()) << "an empty payload has nothing to share";
+}
+
 TEST(PayloadDeathTest, ReadThroughARevokedPinTraps) {
   std::vector<std::uint8_t> lent(64, 7);
   Pin* pin = PinPool::instance().lend(lent.data());

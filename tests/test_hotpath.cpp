@@ -17,6 +17,7 @@
 
 #include "core/request_pool.hpp"
 #include "core/world.hpp"
+#include "fabric/buffer_pool.hpp"
 #include "fabric/event_queue.hpp"
 #include "fabric/fault.hpp"
 #include "fabric/presets.hpp"
@@ -24,11 +25,16 @@
 #include "perf/profiler.hpp"
 #include "qos/arbiter.hpp"
 #include "trace/tracer.hpp"
+#include "test_util.hpp"
 
 namespace rails::core {
 namespace {
 
 // --- allocation budgets ------------------------------------------------------
+
+// Out of line: see the UBSan note on inlined thread_local reads in
+// tests/test_iovec.cpp.
+[[gnu::noinline]] std::uint64_t allocs_so_far() { return perf::t_alloc_count; }
 
 TEST(HotPathAlloc, SteadyEagerPathIsAllocationFree) {
   perf::Profiler::set_enabled(false);
@@ -69,11 +75,12 @@ TEST(HotPathAlloc, SteadyEagerPathIsAllocationFree) {
 }
 
 TEST(HotPathAlloc, ReliableEagerPathIsAllocationFreeAtZeroFaultRate) {
-  // Reliability on, fault rate zero: the CRC + seq + parked-copy machinery
-  // must ride the same recycled structures as the bare path. The warm-up is
-  // longer than the eager test above because the retransmit ring's parked
-  // payload buffers warm per slot — only a full cycle of the 64-slot ring
-  // touches them all.
+  // Reliability on, fault rate zero: the CRC + seq + parked-bytes machinery
+  // must ride the same recycled structures as the bare path. The parked
+  // bytes are the segment's own pooled storage, shared through a slab pin,
+  // so the ring slots hold nothing to warm: the warm-up only has to reach
+  // the peak working set of pooled buffers and pins, as the eager test
+  // above does.
   perf::Profiler::set_enabled(false);
   WorldConfig cfg = paper_testbed("aggregate-fastest");
   cfg.engine.reliability.enabled = true;
@@ -99,18 +106,80 @@ TEST(HotPathAlloc, ReliableEagerPathIsAllocationFreeAtZeroFaultRate) {
     for (const auto& r : recvs) world.wait(r);
     world.fabric().events().run_all();  // drain delayed ACKs + stale timeouts
   };
-  for (int i = 0; i < 80; ++i) burst();
+  for (int i = 0; i < 4; ++i) burst();
 
-  const std::uint64_t before = perf::t_alloc_count;
+  const std::uint64_t before = allocs_so_far();
   constexpr int kMeasured = 16;
   for (int i = 0; i < kMeasured; ++i) burst();
-  const std::uint64_t delta = perf::t_alloc_count - before;
+  const std::uint64_t delta = allocs_so_far() - before;
 
   EXPECT_EQ(delta, 0u) << delta << " allocations across " << kMeasured
                        << " bursts with reliability enabled";
   EXPECT_GT(world.engine(0).stats().rel_segments, 0u);
   EXPECT_EQ(world.engine(0).stats().rel_retransmits, 0u);
   EXPECT_EQ(world.engine(0).reliable_in_flight(), 0u);
+}
+
+TEST(HotPathAlloc, RetransmitAfterADroppedAckReusesTheParkedBytes) {
+  // The receiver's first ACK is lost, so the sender's ACK timeout fires and
+  // it retransmits from the retransmit ring. The retransmit takes one more
+  // reference to the parked bytes: no copy and no allocation. The receiver
+  // verifies its checksum against the original's and drops it as a
+  // duplicate, so it was byte-identical.
+  perf::Profiler::set_enabled(false);
+  WorldConfig cfg = paper_testbed("aggregate-fastest");
+  cfg.engine.reliability.enabled = true;
+  World world(std::move(cfg));
+  constexpr std::size_t kSize = 2048;
+  const auto tx = test::make_pattern(kSize, 7);
+  std::vector<std::uint8_t> rx(kSize);
+  const auto send_one = [&](Tag tag) {
+    auto recv = world.engine(1).irecv(0, tag, rx.data(), kSize);
+    (void)world.engine(0).isend(1, tag, tx.data(), kSize);
+    world.wait(recv);
+  };
+  for (Tag t = 0; t < 4; ++t) send_one(t);  // warm pools, pins, ring, queue
+  world.fabric().events().run_all();
+  const std::size_t pooled_before = fabric::BufferPool::instance().pooled();
+  const std::size_t pins_before = fabric::PinPool::instance().live();
+
+  // Node 1 sends only ACKs: drop everything it posts until well before the
+  // sender's 100 us minimum ACK timeout, i.e. the first ACK alone.
+  fabric::FaultSpec drop;
+  drop.kind = fabric::FaultKind::kDrop;
+  drop.rate = 1.0;
+  drop.at = world.now();
+  drop.duration = usec(50);
+  for (RailId r = 0; r < world.fabric().rail_count(); ++r) {
+    world.fabric().nic(1, r).inject_fault(drop);
+  }
+  std::fill(rx.begin(), rx.end(), 0);
+  send_one(4);
+  EXPECT_EQ(rx, tx);
+
+  const EngineStats& sender = world.engine(0).stats();
+  const EngineStats& receiver = world.engine(1).stats();
+  const std::uint64_t retransmits = sender.rel_retransmits;
+  const std::size_t pooled_in_flight = fabric::BufferPool::instance().pooled();
+  const std::uint64_t before = allocs_so_far();
+  ASSERT_TRUE(world.fabric().events().run_until(
+      [&] { return sender.rel_retransmits > retransmits; }));
+  EXPECT_EQ(allocs_so_far() - before, 0u) << "the retransmit allocated";
+  EXPECT_EQ(fabric::BufferPool::instance().pooled(), pooled_in_flight)
+      << "the retransmit drew a buffer to copy into";
+  world.fabric().events().run_all();
+
+  std::uint64_t acks_dropped = 0;
+  for (RailId r = 0; r < world.fabric().rail_count(); ++r) {
+    acks_dropped += world.fabric().nic(1, r).segments_silently_dropped();
+  }
+  EXPECT_EQ(acks_dropped, 1u);
+  EXPECT_EQ(sender.rel_retransmits, retransmits + 1);
+  EXPECT_EQ(receiver.rel_dup_suppressed, 1u);
+  EXPECT_EQ(receiver.rel_corruptions, 0u) << "the retransmit's bytes differ";
+  EXPECT_EQ(world.engine(0).reliable_in_flight(), 0u);
+  EXPECT_EQ(fabric::PinPool::instance().live(), pins_before);
+  EXPECT_EQ(fabric::BufferPool::instance().pooled(), pooled_before);
 }
 
 TEST(HotPathAlloc, RendezvousSteadyStateStaysWithinBudget) {

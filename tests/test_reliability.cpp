@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/world.hpp"
+#include "fabric/buffer_pool.hpp"
 #include "fabric/fault.hpp"
 #include "telemetry/metrics.hpp"
 #include "trace/flight_recorder.hpp"
@@ -155,6 +156,49 @@ TEST(Reliability, CorruptionIsDetectedNackedAndRepaired) {
   EXPECT_GT(world.engine(1).stats().rel_nacks, 0u);
   EXPECT_GT(world.engine(0).stats().rel_retransmits, 0u);
   EXPECT_EQ(world.engine(0).reliable_in_flight(), 0u);
+}
+
+TEST(Reliability, CorruptFaultNeverWritesTheParkedBytes) {
+  // The retransmit ring parks the segment's own bytes, shared, not a copy.
+  // A corrupt fault on the first transmission must flip a bit in a private
+  // copy: the receiver NACKs, and the retransmit sends the parked bytes,
+  // which must still be the original (it passes the same checksum).
+  World world(reliable_testbed("aggregate-fastest"));
+  const auto corrupt_first_transmission = [&world](Tag tag) {
+    SCOPED_TRACE(::testing::Message() << "tag " << tag);
+    fabric::FaultSpec corrupt = rate_fault(fabric::FaultKind::kCorrupt, 1.0);
+    corrupt.at = world.now();
+    corrupt.duration = usec(2);  // the first transmission, not the retransmit
+    fault_all_rails(world, 0, corrupt);
+    const EngineStats sender = world.engine(0).stats();
+    const EngineStats receiver = world.engine(1).stats();
+    const auto tx = test::make_pattern(2048, tag);
+    std::vector<std::uint8_t> rx(tx.size(), 0);
+    auto recv = world.engine(1).irecv(0, tag, rx.data(), rx.size());
+    auto send = world.engine(0).isend(1, tag, tx.data(), tx.size());
+    world.fabric().events().run_all();
+
+    ASSERT_TRUE(recv->done());
+    EXPECT_TRUE(send->done());
+    EXPECT_EQ(rx, tx);
+    EXPECT_EQ(world.engine(1).stats().rel_corruptions, receiver.rel_corruptions + 1)
+        << "the retransmit failed its checksum: the parked bytes were written";
+    EXPECT_EQ(world.engine(1).stats().rel_nacks, receiver.rel_nacks + 1);
+    EXPECT_EQ(world.engine(0).stats().rel_retransmits, sender.rel_retransmits + 1);
+    EXPECT_EQ(world.engine(0).reliable_in_flight(), 0u);
+  };
+  corrupt_first_transmission(1);  // warms the pools to this scenario's peak
+  const std::size_t pooled_before = fabric::BufferPool::instance().pooled();
+  const std::size_t pins_before = fabric::PinPool::instance().live();
+  corrupt_first_transmission(2);
+
+  std::uint64_t corrupted = 0;
+  for (RailId r = 0; r < world.fabric().rail_count(); ++r) {
+    corrupted += world.fabric().nic(0, r).segments_corrupted();
+  }
+  EXPECT_EQ(corrupted, 2u);
+  EXPECT_EQ(fabric::PinPool::instance().live(), pins_before);
+  EXPECT_EQ(fabric::BufferPool::instance().pooled(), pooled_before);
 }
 
 TEST(Reliability, ParseRejectsAreRecordedUnderTheirOwnKind) {

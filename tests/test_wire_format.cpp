@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -178,46 +179,88 @@ TEST(Crc32c, IncrementalEqualsOneShotAtEverySplit) {
   }
 }
 
-TEST(Crc32c, HardwareAndPortablePathsAgree) {
-  // crc32c_extend dispatches to the CPU's fastest path; it must match the
-  // portable slice-by-8 on every length, alignment, seed and chaining.
-  // kLane/kBlock mirror the SSE4.2 path's three-lane interleave.
-  constexpr std::size_t kLane = 2048;
-  constexpr std::size_t kBlock = 3 * kLane;
+using Crc32cExtend = std::uint32_t (*)(std::uint32_t, const void*, std::size_t);
+
+// Compares `extend` with the portable slice-by-8 on every length, fold
+// edge, misalignment, seed and chaining the fast paths treat differently.
+void expect_matches_portable(Crc32cExtend extend, const char* name) {
+  SCOPED_TRACE(name);
+  constexpr std::size_t kMaxLen = 1_MiB + 15;
+  constexpr std::size_t kMaxMisalign = 63;
   std::mt19937_64 rng(18);
-  std::vector<std::uint8_t> buf(512_KiB + 17 + 8);
+  std::vector<std::uint8_t> buf(kMaxLen + kMaxMisalign);
   for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
 
+  // Every length to 1,100 B covers the chain/fold switch at 128 B, the
+  // 16-byte lane edges (15/16/17), the 64 B fold steps (63/64/65) and the
+  // 512-bit fold's 256 B step (255/256/257, 320 = one step plus one 64 B
+  // fold). The 128-bit fold's 2,176 B crc32/multiply blocks add their own
+  // edges: one block, one block plus the 128 B fold minimum, two blocks.
   std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
-  for (std::size_t n : {1_KiB, 64_KiB, 512_KiB + 17}) lengths.push_back(n);
-  for (std::size_t edge : {kLane, 2 * kLane, kBlock, 2 * kBlock}) {
-    for (std::size_t n : {edge - 1, edge, edge + 1}) lengths.push_back(n);
+  for (std::size_t n = 0; n <= 1100; ++n) lengths.push_back(n);
+  for (std::size_t n :
+       {2175, 2176, 2177, 2176 + 127, 2176 + 128, 2176 + 129, 4351, 4352, 4353, 5452}) {
+    lengths.push_back(n);
+  }
+  for (std::size_t n : {64_KiB, 64_KiB + 1, 128_KiB - 1, 256_KiB + 7, 512_KiB + 17, 1_MiB,
+                        kMaxLen}) {
+    lengths.push_back(n);
   }
   for (std::size_t len : lengths) {
-    for (std::size_t misalign = 0; misalign < 8; ++misalign) {
+    for (std::size_t misalign = 0; misalign <= kMaxMisalign; ++misalign) {
       const std::uint8_t* p = buf.data() + misalign;
-      const auto seed = static_cast<std::uint32_t>(rng());
-      ASSERT_EQ(crc32c_extend(0, p, len), detail::crc32c_extend_portable(0, p, len))
+      ASSERT_EQ(extend(0, p, len), detail::crc32c_extend_portable(0, p, len))
           << len << " B at misalignment " << misalign;
-      ASSERT_EQ(crc32c_extend(seed, p, len), detail::crc32c_extend_portable(seed, p, len))
+      const auto seed = static_cast<std::uint32_t>(rng());
+      ASSERT_EQ(extend(seed, p, len), detail::crc32c_extend_portable(seed, p, len))
           << len << " B at misalignment " << misalign << ", seed " << seed;
     }
   }
 
-  // Chaining at random split points equals the one-shot portable value.
-  const std::size_t total = 512_KiB + 17;
-  const std::uint32_t whole = detail::crc32c_extend_portable(0, buf.data() + 3, total);
+  // Chaining at random split points, short and long, equals the one-shot
+  // portable value.
+  const std::uint32_t whole = detail::crc32c_extend_portable(0, buf.data() + 3, kMaxLen);
   for (int trial = 0; trial < 16; ++trial) {
     std::uint32_t crc = 0;
     std::size_t done = 0;
-    while (done < total) {
-      const std::size_t step = std::min<std::size_t>(total - done, rng() % (3 * kBlock));
-      crc = crc32c_extend(crc, buf.data() + 3 + done, step);
+    const std::size_t max_step = trial % 2 == 0 ? 300 : 20_KiB;
+    while (done < kMaxLen) {
+      const std::size_t step = std::min<std::size_t>(kMaxLen - done, rng() % max_step);
+      crc = extend(crc, buf.data() + 3 + done, step);
       done += step;
     }
     ASSERT_EQ(crc, whole) << "trial " << trial;
   }
+}
+
+TEST(Crc32c, HardwareAndPortablePathsAgree) {
+  // crc32c_extend dispatches to the fastest path this CPU can run; the
+  // PclmulFold and VpclmulFold tests below compare each path's values.
+  const char* fastest = detail::crc32c_vpclmul_supported()  ? "vpclmul"
+                        : detail::crc32c_pclmul_supported() ? "pclmul"
+                                                            : "portable";
+  EXPECT_STREQ(detail::crc32c_path(), fastest);
+  const auto data = test::make_pattern(64_KiB + 7, 21);
+  for (const std::size_t len : {std::size_t{0}, std::size_t{100}, std::size_t{5000},
+                                data.size()}) {
+    EXPECT_EQ(crc32c_extend(0x1234u, data.data(), len),
+              detail::crc32c_extend_portable(0x1234u, data.data(), len))
+        << len << " B";
+  }
+}
+
+TEST(Crc32c, PclmulFoldMatchesPortable) {
+  if (!detail::crc32c_pclmul_supported()) {
+    GTEST_SKIP() << "this CPU cannot run the pclmul path";
+  }
+  expect_matches_portable(detail::crc32c_extend_pclmul, "pclmul");
+}
+
+TEST(Crc32c, VpclmulFoldMatchesPortable) {
+  if (!detail::crc32c_vpclmul_supported()) {
+    GTEST_SKIP() << "this CPU cannot run the vpclmul path";
+  }
+  expect_matches_portable(detail::crc32c_extend_vpclmul, "vpclmul");
 }
 
 TEST(Crc32c, DetectsEverySingleBitFlip) {
