@@ -4,7 +4,7 @@
 // so splitting across rails from one core serialises (Fig. 4a). This
 // example shows the engine signalling idle cores to submit chunks in
 // parallel at a TO cost (eq. 1), and measures the real signalling cost on
-// this host with the threaded runtime — the §III-D numbers.
+// this host with the worker pool — the §III-D numbers.
 #include <atomic>
 #include <chrono>
 #include <cstdio>

@@ -20,9 +20,7 @@ const char* layer_name(Layer layer) {
     case Layer::kArbiter: return "arbiter";
     case Layer::kStrategy: return "strategy";
     case Layer::kEmit: return "emit";
-    case Layer::kProgress: return "progress";
     case Layer::kCompletion: return "completion";
-    case Layer::kOffload: return "offload";
     case Layer::kCount: break;
   }
   return "?";

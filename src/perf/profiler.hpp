@@ -6,7 +6,7 @@
 // profiler does that attribution for the engine's own hot path:
 //
 //   submit -> classify/admit -> arbiter -> strategy/split -> emit/pack
-//          -> progress-poll -> completion           (+ threaded offload)
+//          -> completion
 //
 // Design constraints, in order:
 //
@@ -73,9 +73,7 @@ enum class Layer : unsigned {
   kArbiter,      ///< QosArbiter grant pass + queue drain
   kStrategy,     ///< strategy interrogation + split solving
   kEmit,         ///< emission/packing: segments, chunks, wire framing
-  kProgress,     ///< ProgressEngine::tick polling
   kCompletion,   ///< FIN handling and receive completion
-  kOffload,      ///< threaded offload worker: copy + ring push
   kCount
 };
 

@@ -25,8 +25,8 @@
 //
 // Thread safety: every method is serialised on an internal mutex and the
 // watermark/grant callbacks are invoked with the lock released, so real
-// threads (the offload channel, tests under TSan) may produce concurrently
-// with a draining consumer. The DES engine is single-threaded; the lock is
+// threads (tests under TSan) may produce concurrently with a draining
+// consumer. The DES engine is single-threaded; the lock is
 // uncontended there.
 #pragma once
 

@@ -1,6 +1,5 @@
 #include "rt/worker_pool.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/check.hpp"
@@ -35,7 +34,6 @@ void WorkerPool::submit_to(unsigned worker, Tasklet tasklet) {
   RAILS_CHECK(tasklet.fn != nullptr);
   Worker& w = *workers_[worker];
   pending_.fetch_add(1, std::memory_order_relaxed);
-  std::size_t depth = 0;
   {
     std::lock_guard<std::mutex> lock(w.mutex);
     if (tasklet.priority == TaskPriority::kTasklet) {
@@ -43,49 +41,8 @@ void WorkerPool::submit_to(unsigned worker, Tasklet tasklet) {
     } else {
       w.normal.push_back(std::move(tasklet));
     }
-    depth = w.tasklets.size() + w.normal.size();
   }
   w.cv.notify_one();
-  if (m_signals_ != nullptr) {
-    m_signals_->inc();
-    m_queue_hwm_->update_max(depth);
-  }
-}
-
-void WorkerPool::submit(Tasklet tasklet) {
-  // Prefer a parked worker; otherwise the one with the shortest queue.
-  const unsigned idle = pick_idle();
-  if (idle < workers_.size()) {
-    submit_to(idle, std::move(tasklet));
-    return;
-  }
-  unsigned best = 0;
-  std::size_t best_depth = ~std::size_t{0};
-  for (unsigned i = 0; i < workers_.size(); ++i) {
-    Worker& w = *workers_[i];
-    std::lock_guard<std::mutex> lock(w.mutex);
-    const std::size_t depth = w.tasklets.size() + w.normal.size();
-    if (depth < best_depth) {
-      best_depth = depth;
-      best = i;
-    }
-  }
-  submit_to(best, std::move(tasklet));
-}
-
-unsigned WorkerPool::idle_count() const {
-  unsigned n = 0;
-  for (const auto& w : workers_) {
-    if (w->idle.load(std::memory_order_acquire)) ++n;
-  }
-  return n;
-}
-
-unsigned WorkerPool::pick_idle() const {
-  for (unsigned i = 0; i < workers_.size(); ++i) {
-    if (workers_[i]->idle.load(std::memory_order_acquire)) return i;
-  }
-  return worker_count();
 }
 
 void WorkerPool::drain() {
@@ -104,36 +61,18 @@ void WorkerPool::run_worker(unsigned index) {
       auto& queue = !w.tasklets.empty() ? w.tasklets : w.normal;
       Tasklet t = std::move(queue.front());
       queue.pop_front();
-      w.idle.store(false, std::memory_order_release);
       lock.unlock();
       t.fn();
-      executed_.fetch_add(1, std::memory_order_relaxed);
-      if (m_executed_ != nullptr) m_executed_->inc();
       pending_.fetch_sub(1, std::memory_order_release);
       lock.lock();
       continue;
     }
     if (stopping_.load(std::memory_order_acquire)) return;
-    w.idle.store(true, std::memory_order_release);
     w.cv.wait(lock, [&] {
       return stopping_.load(std::memory_order_acquire) || !w.tasklets.empty() ||
              !w.normal.empty();
     });
   }
-}
-
-void WorkerPool::set_metrics(telemetry::MetricsRegistry* registry) {
-  RAILS_CHECK_MSG(pending_.load(std::memory_order_acquire) == 0,
-                  "attach/detach metrics while the pool is quiescent");
-  if (registry == nullptr) {
-    m_signals_ = nullptr;
-    m_executed_ = nullptr;
-    m_queue_hwm_ = nullptr;
-    return;
-  }
-  m_signals_ = registry->counter("rt.signals");
-  m_executed_ = registry->counter("rt.executed");
-  m_queue_hwm_ = registry->gauge("rt.queue_depth_hwm");
 }
 
 double WorkerPool::calibrate_signal_cost_us(unsigned round_trips) {

@@ -4,9 +4,11 @@
 //  * submit work to a *specific* core ("idle cores are signaled that some
 //    requests need to be sent", §III-D) with a measurable signalling cost;
 //  * tasklet priority — a worker drains its tasklet queue before taking
-//    shared work;
-//  * idle tracking, so a strategy can ask how many cores are available for
-//    offloaded PIO submissions.
+//    ordinary work.
+//
+// It measures this host's real TO (bench/micro_offload_cost,
+// examples/multicore_eager); the engine itself charges the modelled TO on
+// the virtual clock.
 //
 // Following CP.42, idle workers block on a condition variable (no spinning);
 // the signalling cost measured by calibrate_signal_cost() therefore includes
@@ -17,13 +19,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "common/types.hpp"
 #include "rt/tasklet.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace rails::rt {
 
@@ -40,16 +41,7 @@ class WorkerPool {
   /// Enqueues onto a specific worker and wakes it.
   void submit_to(unsigned worker, Tasklet tasklet);
 
-  /// Enqueues onto the least-loaded worker.
-  void submit(Tasklet tasklet);
-
-  /// Number of workers currently parked (no queued work, waiting).
-  unsigned idle_count() const;
-
-  /// Lowest-indexed idle worker, or worker_count() when none is idle.
-  unsigned pick_idle() const;
-
-  /// Blocks until every queued tasklet has run and all workers are parked.
+  /// Blocks until every queued tasklet has run.
   void drain();
 
   /// Measures the host's real strategy-to-remote-core signalling cost: the
@@ -57,21 +49,12 @@ class WorkerPool {
   /// halved. This is the empirical TO of §III-D.
   double calibrate_signal_cost_us(unsigned round_trips = 64);
 
-  std::uint64_t executed() const { return executed_.load(std::memory_order_relaxed); }
-
-  /// Attaches a metrics registry (nullptr detaches): "rt.signals" /
-  /// "rt.executed" counters and an "rt.queue_depth_hwm" high-water gauge.
-  /// Must be called while no tasklets are queued or executing — the handles
-  /// are read from worker threads without further synchronisation.
-  void set_metrics(telemetry::MetricsRegistry* registry);
-
  private:
   struct Worker {
     std::mutex mutex;
     std::condition_variable cv;
     std::deque<Tasklet> tasklets;  ///< TaskPriority::kTasklet
     std::deque<Tasklet> normal;    ///< TaskPriority::kNormal
-    std::atomic<bool> idle{true};
     std::thread thread;
   };
 
@@ -79,12 +62,7 @@ class WorkerPool {
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> executed_{0};
   std::atomic<std::uint64_t> pending_{0};
-
-  telemetry::Counter* m_signals_ = nullptr;
-  telemetry::Counter* m_executed_ = nullptr;
-  telemetry::Gauge* m_queue_hwm_ = nullptr;
 };
 
 }  // namespace rails::rt

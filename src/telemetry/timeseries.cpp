@@ -192,11 +192,9 @@ void HealthSampler::attach(MetricsRegistry* registry,
     add_source(Source::Kind::kCounterRate, base + ".shed_rate", base + ".rejected_full",
                SeriesAgg::kMean, 1.0, static_cast<int>(c));
   }
-  // Perf self-time gauges exist only when the cycle profiler runs; the lazy
-  // re-resolve in sample() picks them up when they appear.
+  // The perf self-time gauge exists only when the cycle profiler runs; the
+  // lazy re-resolve in sample() picks it up when it appears.
   add_source(Source::Kind::kGauge, "perf.submit_self", "perf.submit.self_cycles",
-             SeriesAgg::kLast);
-  add_source(Source::Kind::kGauge, "perf.progress_self", "perf.progress.self_cycles",
              SeriesAgg::kLast);
 }
 

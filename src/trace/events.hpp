@@ -26,7 +26,6 @@
   X(kSendComplete, "send-complete", none, kBoth)                                \
   X(kRecvComplete, "recv-complete", none, kBoth)                                \
   X(kFailover, "failover", failovers, kBoth)     /* range re-split */           \
-  X(kOffloadPush, "offload-push", none, kFlight) /* threaded OffloadChannel */  \
   /* fault tolerance (docs/FAULTS.md) */                                        \
   X(kTxError, "tx-error", tx_errors, kFlight)                                   \
   X(kChunkTimeout, "chunk-timeout", chunk_timeouts, kFlight)                    \

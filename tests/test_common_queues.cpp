@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/mpmc_queue.hpp"
 #include "common/spsc_queue.hpp"
 
 namespace rails {
@@ -99,93 +98,6 @@ TEST(SpscQueue, FailedPushDoesNotConsumeTheValue) {
   auto v = q.try_pop();
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, (std::vector<int>{4, 5, 6}));
-}
-
-TEST(MpmcQueue, TryPopOnEmpty) {
-  MpmcQueue<int> q;
-  EXPECT_FALSE(q.try_pop().has_value());
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(MpmcQueue, FifoOrder) {
-  MpmcQueue<int> q;
-  for (int i = 0; i < 10; ++i) q.push(i);
-  for (int i = 0; i < 10; ++i) {
-    auto v = q.try_pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-}
-
-TEST(MpmcQueue, BlockingPopWakesOnPush) {
-  MpmcQueue<int> q;
-  std::thread t([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    q.push(5);
-  });
-  auto v = q.pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 5);
-  t.join();
-}
-
-TEST(MpmcQueue, CloseDrainsThenReturnsNull) {
-  MpmcQueue<int> q;
-  q.push(1);
-  q.close();
-  EXPECT_TRUE(q.closed());
-  auto v = q.pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 1);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(MpmcQueue, CloseWakesBlockedConsumers) {
-  MpmcQueue<int> q;
-  std::atomic<int> woke{0};
-  std::vector<std::thread> consumers;
-  for (int i = 0; i < 3; ++i) {
-    consumers.emplace_back([&] {
-      auto v = q.pop();
-      if (!v.has_value()) woke.fetch_add(1);
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(woke.load(), 3);
-}
-
-TEST(MpmcQueue, ManyProducersManyConsumers) {
-  MpmcQueue<int> q;
-  constexpr int kPerProducer = 10'000;
-  constexpr int kProducers = 4;
-  std::atomic<long long> sum{0};
-  std::atomic<int> received{0};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.push(p * kPerProducer + i);
-    });
-  }
-  for (int c = 0; c < 2; ++c) {
-    threads.emplace_back([&] {
-      while (true) {
-        auto v = q.pop();
-        if (!v.has_value()) return;
-        sum.fetch_add(*v);
-        received.fetch_add(1);
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) threads[p].join();
-  q.close();
-  for (std::size_t i = kProducers; i < threads.size(); ++i) threads[i].join();
-
-  EXPECT_EQ(received.load(), kProducers * kPerProducer);
-  const long long n = static_cast<long long>(kProducers) * kPerProducer;
-  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
 
 }  // namespace

@@ -28,7 +28,7 @@ struct ProfilerGuard {
     perf::Profiler::set_enabled(true);
     perf::Profiler::set_sample_every(1);
     for (int i = 0; i < 64; ++i) {
-      RAILS_PERF_SCOPE(perf::Layer::kProgress);
+      RAILS_PERF_SCOPE(perf::Layer::kCompletion);
     }
     perf::Profiler::set_enabled(false);
     perf::Profiler::reset();
@@ -151,18 +151,18 @@ TEST(PerfProfiler, SamplingRecordsEveryNthRootScope) {
   // The sampling countdown is per-thread state that survives across tests;
   // 16 warmup roots realign it to the new period before we count.
   for (int i = 0; i < 16; ++i) {
-    RAILS_PERF_SCOPE(perf::Layer::kProgress);
+    RAILS_PERF_SCOPE(perf::Layer::kCompletion);
   }
   perf::Profiler::reset();
   for (int i = 0; i < 16; ++i) {
-    RAILS_PERF_SCOPE(perf::Layer::kProgress);
+    RAILS_PERF_SCOPE(perf::Layer::kCompletion);
   }
   const perf::Snapshot snap = perf::Profiler::snapshot();
   EXPECT_EQ(snap.sample_every, 4u);
   // 16 roots at 1-in-4 sampling: exactly 4 recorded (phase-independent over
   // a whole number of periods), and the invariant holds over the sampled
   // population.
-  EXPECT_EQ(snap.layers[static_cast<unsigned>(perf::Layer::kProgress)].calls, 4u);
+  EXPECT_EQ(snap.layers[static_cast<unsigned>(perf::Layer::kCompletion)].calls, 4u);
   EXPECT_EQ(snap.total_self_cycles(), snap.root_cycles);
 }
 
