@@ -1,6 +1,7 @@
 #include "core/config.hpp"
 
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -95,14 +96,22 @@ WorldConfig parse_world_config(std::istream& is) {
         ls >> dims;
         const auto x = dims.find('x');
         if (x == std::string::npos) fail(lineno, "topology mesh|torus needs WxH");
-        const std::uint32_t w = std::stoul(dims.substr(0, x));
-        const std::uint32_t h = std::stoul(dims.substr(x + 1));
+        const std::uint64_t w = std::stoull(dims.substr(0, x));
+        const std::uint64_t h = std::stoull(dims.substr(x + 1));
         if (w == 0 || h == 0) fail(lineno, "empty network topology");
-        cfg.fabric.net = spec == "mesh" ? topo::TopologySpec::mesh(w, h)
-                                        : topo::TopologySpec::torus(w, h);
+        // Node ids are 32-bit: a grid with more nodes than that is refused
+        // here rather than wrapped into a smaller world.
+        constexpr std::uint64_t kMaxNodes = std::numeric_limits<NodeId>::max();
+        if (w > kMaxNodes || h > kMaxNodes || w * h > kMaxNodes) {
+          fail(lineno, "network topology extent overflows the node count");
+        }
+        const auto w32 = static_cast<std::uint32_t>(w);
+        const auto h32 = static_cast<std::uint32_t>(h);
+        cfg.fabric.net = spec == "mesh" ? topo::TopologySpec::mesh(w32, h32)
+                                        : topo::TopologySpec::torus(w32, h32);
         // The grid implies the node count; a later `nodes` line that
         // disagrees is caught when the topology is materialised.
-        cfg.fabric.node_count = w * h;
+        cfg.fabric.node_count = w32 * h32;
       } else if (spec == "fattree") {
         std::string dims;
         ls >> dims;

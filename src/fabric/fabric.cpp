@@ -97,21 +97,20 @@ void Fabric::route(Segment&& seg) {
     return;
   }
   // The source NIC's wire model already paid the first link's latency, so a
-  // segment arrives here positioned at route[0].to. On routed shapes with
-  // further links to cross, walk them as forwarding events.
+  // segment arrives here positioned at the route's first vertex. On routed
+  // shapes with further links to cross, walk them as forwarding events.
   if (!topo_.direct()) {
-    const topo::Path& path = topo_.route(seg.src, seg.dst);
-    if (path.size() > 1) {
-      forward(std::move(seg), 1);
+    const std::uint32_t at = topo_.next_hop(seg.src, seg.dst).to;
+    if (at != seg.dst) {
+      forward(std::move(seg), at);
       return;
     }
   }
   admit(std::move(seg));
 }
 
-void Fabric::forward(Segment&& seg, std::uint32_t hop) {
-  const topo::Path& path = topo_.route(seg.src, seg.dst);
-  const topo::Hop& h = path[hop];
+void Fabric::forward(Segment&& seg, std::uint32_t at) {
+  const topo::Hop h = topo_.next_hop(at, seg.dst);
   const NetworkModelParams& p = config_.rails[seg.rail];
   // Cut-through switching: the link is occupied for the segment's full
   // serialization window, but the leading edge moves on after one hop
@@ -122,18 +121,18 @@ void Fabric::forward(Segment&& seg, std::uint32_t hop) {
   busy = start + wire_time(seg.wire_size(), p.dma_bw_mbps);
   const SimTime arrive = start + usec(p.wire_latency_us);
   ++forwarded_segments_;
-  RAILS_TRACE("fabric", "forward %s msg=%llu rail=%u %u->%u hop=%u via=%u t=%.3fus",
+  RAILS_TRACE("fabric", "forward %s msg=%llu rail=%u %u->%u at=%u via=%u t=%.3fus",
               to_string(seg.kind), static_cast<unsigned long long>(seg.msg_id),
-              seg.rail, seg.src, seg.dst, hop, h.to, to_usec(events_.now()));
-  if (hop + 1 == path.size()) {
+              seg.rail, seg.src, seg.dst, at, h.to, to_usec(events_.now()));
+  if (h.to == seg.dst) {
     events_.at_node(arrive, seg.dst,
                     [this, s = std::move(seg)]() mutable { admit(std::move(s)); });
   } else {
     // Switch vertices have no shard of their own; their work rides the
     // destination's shard (any placement pops in the same global order).
     const NodeId affinity = h.to < config_.node_count ? h.to : seg.dst;
-    events_.at_node(arrive, affinity, [this, hop, s = std::move(seg)]() mutable {
-      forward(std::move(s), hop + 1);
+    events_.at_node(arrive, affinity, [this, next = h.to, s = std::move(seg)]() mutable {
+      forward(std::move(s), next);
     });
   }
 }

@@ -101,7 +101,8 @@ class Fabric {
 
  private:
   void route(Segment&& seg);
-  void forward(Segment&& seg, std::uint32_t hop);
+  /// Crosses the next link from vertex `at` (a node or switch) towards seg.dst.
+  void forward(Segment&& seg, std::uint32_t at);
   void admit(Segment&& seg);
   void deliver(Segment&& seg);
 

@@ -35,7 +35,7 @@ Topology::Topology(const TopologySpec& spec, std::uint32_t node_count)
     case TopoKind::kMesh2D:
     case TopoKind::kTorus2D:
       RAILS_CHECK(spec_.width >= 1 && spec_.height >= 1);
-      RAILS_CHECK_MSG(spec_.width * spec_.height == node_count_,
+      RAILS_CHECK_MSG(static_cast<std::uint64_t>(spec_.width) * spec_.height == node_count_,
                       "mesh/torus extent does not match the node count");
       link_count_ = node_count_ * 4;
       break;
@@ -46,10 +46,6 @@ Topology::Topology(const TopologySpec& spec, std::uint32_t node_count)
       link_count_ = 2 * node_count_ + 2 * leaves_ * spec_.up_ports;
       break;
     }
-  }
-  if (!direct()) {
-    route_cache_.resize(static_cast<std::size_t>(node_count_) * node_count_);
-    route_ready_.assign(route_cache_.size(), 0);
   }
 }
 
@@ -65,20 +61,58 @@ NodeId Topology::node_at(Coord c) const {
   return c.y * spec_.width + c.x;
 }
 
-const Path& Topology::route(NodeId src, NodeId dst) const {
+Hop Topology::next_hop(std::uint32_t at, NodeId dst) const {
   RAILS_CHECK(!direct());
-  RAILS_CHECK(src < node_count_ && dst < node_count_);
-  const std::size_t idx = static_cast<std::size_t>(src) * node_count_ + dst;
-  if (!route_ready_[idx]) {
-    route_cache_[idx] = compute_route(src, dst);
-    route_ready_[idx] = 1;
+  RAILS_CHECK(at < vertex_count() && dst < node_count_ && at != dst);
+  const std::uint32_t N = node_count_;
+  if (spec_.kind == TopoKind::kFatTree2L) {
+    // Up-down through the 2-level tree: loop-free by construction (every
+    // path climbs, crosses at most one root, and descends — never up
+    // again). The crossing root is picked per destination (dst mod roots),
+    // the RailS idiom: different destinations exercise different roots, so
+    // all-to-all traffic spreads across the core without adaptive state.
+    const std::uint32_t L = leaves_;
+    const std::uint32_t R = spec_.up_ports;
+    const std::uint32_t dst_leaf = dst / spec_.down_ports;
+    if (at < N) return {N + at / spec_.down_ports, /*node-up link*/ at};
+    if (at < N + L) {
+      const std::uint32_t leaf = at - N;
+      if (leaf == dst_leaf) return {dst, N + 2 * L * R + dst};
+      const std::uint32_t root = dst % R;
+      return {N + L + root, N + leaf * R + root};
+    }
+    const std::uint32_t root = at - N - L;
+    return {N + dst_leaf, N + L * R + root * L + dst_leaf};
   }
-  return route_cache_[idx];
+
+  // Dimension-order: resolve X fully, then Y. Deterministic and minimal;
+  // on the torus the shorter way around wins, ties broken toward +.
+  const std::uint32_t W = spec_.width;
+  Coord cur{at % W, at / W};
+  const Coord goal{dst % W, dst / W};
+  const bool along_x = cur.x != goal.x;
+  std::uint32_t& pos = along_x ? cur.x : cur.y;
+  const std::uint32_t to = along_x ? goal.x : goal.y;
+  const std::uint32_t extent = along_x ? W : spec_.height;
+  const std::uint32_t fwd = (to + extent - pos) % extent;
+  const bool plus = spec_.kind == TopoKind::kTorus2D ? fwd <= extent - fwd : to > pos;
+  const Dir d = along_x ? (plus ? kPlusX : kMinusX) : (plus ? kPlusY : kMinusY);
+  pos = plus ? (pos + 1) % extent : (pos + extent - 1) % extent;
+  return {cur.y * W + cur.x, at * 4 + d};
 }
 
 std::uint32_t Topology::hops(NodeId src, NodeId dst) const {
+  RAILS_CHECK(src < node_count_ && dst < node_count_);
   if (direct() || src == dst) return 1;
-  return static_cast<std::uint32_t>(route(src, dst).size());
+  if (spec_.kind == TopoKind::kFatTree2L) {
+    return src / spec_.down_ports == dst / spec_.down_ports ? 2 : 4;
+  }
+  const auto axis = [&](std::uint32_t from, std::uint32_t to, std::uint32_t extent) {
+    const std::uint32_t d = from > to ? from - to : to - from;
+    return spec_.kind == TopoKind::kTorus2D ? std::min(d, extent - d) : d;
+  };
+  const std::uint32_t W = spec_.width;
+  return axis(src % W, dst % W, W) + axis(src / W, dst / W, spec_.height);
 }
 
 std::uint32_t Topology::diameter_hops() const {
@@ -93,77 +127,6 @@ std::uint32_t Topology::diameter_hops() const {
       return leaves_ > 1 ? 4 : 2;
   }
   return 1;
-}
-
-Path Topology::compute_route(NodeId src, NodeId dst) const {
-  if (src == dst) return {};
-  switch (spec_.kind) {
-    case TopoKind::kFlat:
-      return {Hop{dst, kNoLink}};
-    case TopoKind::kMesh2D:
-    case TopoKind::kTorus2D:
-      return route_mesh(src, dst);
-    case TopoKind::kFatTree2L:
-      return route_fat_tree(src, dst);
-  }
-  return {};
-}
-
-Path Topology::route_mesh(NodeId src, NodeId dst) const {
-  // Dimension-order: resolve X fully, then Y. Deterministic and minimal;
-  // on the torus the shorter way around wins, ties broken toward +.
-  const bool wrap = spec_.kind == TopoKind::kTorus2D;
-  const std::uint32_t W = spec_.width;
-  const std::uint32_t H = spec_.height;
-  Path path;
-  Coord cur = coord_of(src);
-  const Coord goal = coord_of(dst);
-
-  auto step = [&](std::uint32_t extent, std::uint32_t from, std::uint32_t to,
-                  Dir plus, Dir minus) {
-    const std::uint32_t fwd = (to + extent - from) % extent;
-    const bool positive = wrap ? fwd <= extent - fwd : to > from;
-    return positive ? plus : minus;
-  };
-
-  while (cur.x != goal.x) {
-    const Dir d = step(W, cur.x, goal.x, kPlusX, kMinusX);
-    const std::uint32_t link = node_at(cur) * 4 + d;
-    cur.x = d == kPlusX ? (cur.x + 1) % W : (cur.x + W - 1) % W;
-    path.push_back(Hop{node_at(cur), link});
-  }
-  while (cur.y != goal.y) {
-    const Dir d = step(H, cur.y, goal.y, kPlusY, kMinusY);
-    const std::uint32_t link = node_at(cur) * 4 + d;
-    cur.y = d == kPlusY ? (cur.y + 1) % H : (cur.y + H - 1) % H;
-    path.push_back(Hop{node_at(cur), link});
-  }
-  return path;
-}
-
-Path Topology::route_fat_tree(NodeId src, NodeId dst) const {
-  // Up-down through the 2-level tree: loop-free by construction (every path
-  // climbs, crosses at most one root, and descends — never up again). The
-  // crossing root is picked per destination (dst mod roots), the RailS
-  // idiom: different destinations exercise different roots, so all-to-all
-  // traffic spreads across the core without adaptive state.
-  const std::uint32_t N = node_count_;
-  const std::uint32_t L = leaves_;
-  const std::uint32_t R = spec_.up_ports;
-  const std::uint32_t src_leaf = src / spec_.down_ports;
-  const std::uint32_t dst_leaf = dst / spec_.down_ports;
-  const auto leaf_vertex = [&](std::uint32_t l) { return N + l; };
-  const auto root_vertex = [&](std::uint32_t r) { return N + L + r; };
-
-  Path path;
-  path.push_back(Hop{leaf_vertex(src_leaf), /*node-up link*/ src});
-  if (src_leaf != dst_leaf) {
-    const std::uint32_t root = dst % R;
-    path.push_back(Hop{root_vertex(root), N + src_leaf * R + root});
-    path.push_back(Hop{leaf_vertex(dst_leaf), N + L * R + root * L + dst_leaf});
-  }
-  path.push_back(Hop{dst, N + 2 * L * R + dst});
-  return path;
 }
 
 std::string Topology::describe() const {

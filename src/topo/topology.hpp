@@ -18,14 +18,13 @@
 //     is a parallel copy of the topology — a "plane"), so a (NIC, path)
 //     pair is what the estimator/split-solver stack actually schedules.
 //
-// Routes are cached per (src, dst) on first use: steady-state forwarding
-// never allocates, which is what lets the 256-node hot-path test keep the
-// 0 allocs/msg invariant with routing enabled.
+// Both disciplines are closed-form in the vertex coordinates, so routes are
+// computed, not stored: next_hop() gives one step from any vertex and hops()
+// the path length, each in O(1) with no allocation and no per-pair state.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -81,13 +80,8 @@ struct Hop {
   bool operator==(const Hop&) const = default;
 };
 
-using Path = std::vector<Hop>;
-
 class Topology {
  public:
-  /// Sentinel link id for the flat topology's direct "hop" (no link table).
-  static constexpr std::uint32_t kNoLink = 0xffffffffu;
-
   Topology(const TopologySpec& spec, std::uint32_t node_count);
 
   const TopologySpec& spec() const { return spec_; }
@@ -105,13 +99,14 @@ class Topology {
   Coord coord_of(NodeId n) const;
   NodeId node_at(Coord c) const;
 
-  /// The deterministic route src -> dst as a hop list. The first hop leaves
-  /// the source NIC (its latency is already part of the NIC wire model);
-  /// the last hop's `to` is always `dst`. Cached per (src, dst): repeat
-  /// calls return the same vector with no allocation.
-  const Path& route(NodeId src, NodeId dst) const;
+  /// The next step of the deterministic route from vertex `at` (a node or,
+  /// on the fat-tree, a switch) towards node `dst != at`. Walking it from
+  /// the source reaches `dst` in exactly hops(src, dst) steps; the first
+  /// step leaves the source NIC (its latency is already part of the NIC
+  /// wire model). Routed shapes only.
+  Hop next_hop(std::uint32_t at, NodeId dst) const;
 
-  /// Number of links on route(src, dst); 1 for flat or src == dst.
+  /// Number of links on the route src -> dst; 1 for flat or src == dst.
   std::uint32_t hops(NodeId src, NodeId dst) const;
 
   /// Longest shortest-path in links (analytic, not enumerated).
@@ -120,19 +115,11 @@ class Topology {
   std::string describe() const;
 
  private:
-  Path compute_route(NodeId src, NodeId dst) const;
-  Path route_mesh(NodeId src, NodeId dst) const;
-  Path route_fat_tree(NodeId src, NodeId dst) const;
-
   TopologySpec spec_;
   std::uint32_t node_count_ = 0;
   std::uint32_t switch_count_ = 0;
   std::uint32_t link_count_ = 0;
   std::uint32_t leaves_ = 0;  ///< fat-tree leaf switch count
-
-  // Lazily-filled (src, dst) route cache; index = src * node_count + dst.
-  mutable std::vector<Path> route_cache_;
-  mutable std::vector<std::uint8_t> route_ready_;
 };
 
 }  // namespace rails::topo

@@ -365,6 +365,14 @@ TEST(ClusterConfigDeath, MeshMissingDims) {
   EXPECT_DEATH(parse_world_config(is), "WxH");
 }
 
+TEST(ClusterConfigDeath, GridExtentOverflow) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // 65536 x 65537 nodes is 2^32 + 65536: it must not wrap to a 65,536-node
+  // world. Only the parser runs; no Topology is built from these extents.
+  std::istringstream is("rail preset myri10g\ntopology torus 65536x65537\n");
+  EXPECT_DEATH(parse_world_config(is), "line 2: network topology extent overflows");
+}
+
 TEST(ClusterConfigDeath, UnknownDirective) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   std::istringstream is("bogus 7\nrail preset myri10g\n");

@@ -406,8 +406,8 @@ TEST(HotPathAlloc, RoutedBurstAt256NodesStaysAllocationFree) {
   // The PR 1–9 invariants (0 allocs/msg, 0 handler spills) must survive the
   // jump from a 2-node flat world to a 256-node routed torus with the
   // sharded event queue: hop-forwarding closures must stay inside
-  // InlineHandler's inline bytes and the route cache must be warm after the
-  // first pass so steady-state forwarding never allocates.
+  // InlineHandler's inline bytes, and routing is next_hop arithmetic with no
+  // per-pair state, so forwarding never allocates.
   perf::Profiler::set_enabled(false);
   WorldConfig cfg = paper_testbed("aggregate-fastest");
   cfg.fabric.node_count = 256;
@@ -447,7 +447,7 @@ TEST(HotPathAlloc, RoutedBurstAt256NodesStaysAllocationFree) {
     ++tag;
   };
 
-  for (int i = 0; i < 4; ++i) burst();  // warm pools, slots, route cache
+  for (int i = 0; i < 4; ++i) burst();  // warm pools and slots
 
   const std::uint64_t spills_before = world.fabric().events().handler_spills();
   const std::uint64_t before = perf::t_alloc_count;

@@ -1,9 +1,10 @@
 // Topology invariants and the sharded event queue's exactness.
 //
-// The routing claims (dimension-order determinism, up-down loop-freedom)
-// are checked structurally over every pair, not spot-checked; the sharded
-// EventQueue is held to the strongest possible standard — a bit-identical
-// delivery log against the single-queue run of the same world.
+// The routing claims (dimension-order determinism, up-down loop-freedom,
+// allocation-free arithmetic) are checked structurally by walking next_hop
+// over every pair, not spot-checked; the sharded EventQueue is held to the
+// strongest possible standard — a bit-identical delivery log against the
+// single-queue run of the same world, on every routed shape.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -13,17 +14,31 @@
 #include "fabric/event_queue.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/presets.hpp"
+#include "perf/profiler.hpp"
 #include "topo/topology.hpp"
 
 using namespace rails;
 using topo::Coord;
 using topo::Hop;
-using topo::Path;
 using topo::TopoKind;
 using topo::Topology;
 using topo::TopologySpec;
 
 namespace {
+
+// Read through an out-of-line call: an inlined thread_local read trips a
+// GCC 12 UBSan false positive.
+[[gnu::noinline]] std::uint64_t allocs_so_far() { return perf::t_alloc_count; }
+
+// The route src -> dst as the hop list next_hop yields, step by step.
+std::vector<Hop> walk(const Topology& t, NodeId src, NodeId dst) {
+  std::vector<Hop> path;
+  for (std::uint32_t at = src; at != dst && path.size() <= t.vertex_count();) {
+    path.push_back(t.next_hop(at, dst));
+    at = path.back().to;
+  }
+  return path;
+}
 
 TEST(TopologySpec, PresetNodeCounts) {
   EXPECT_EQ(TopologySpec::mesh(4, 4).preset_nodes(), 16u);
@@ -66,8 +81,9 @@ TEST(Mesh, DimensionOrderRoutesAreMinimalAndXFirst) {
   for (NodeId s = 0; s < 16; ++s) {
     for (NodeId d = 0; d < 16; ++d) {
       if (s == d) continue;
-      const Path& p = t.route(s, d);
+      const std::vector<Hop> p = walk(t, s, d);
       EXPECT_EQ(p.size(), grid_distance(t, s, d)) << s << "->" << d;
+      EXPECT_EQ(p.size(), t.hops(s, d)) << s << "->" << d;
       EXPECT_EQ(p.back().to, d);
       EXPECT_LE(p.size(), t.diameter_hops());
       // X resolves before Y ever moves: once the y coordinate changes, the
@@ -83,26 +99,77 @@ TEST(Mesh, DimensionOrderRoutesAreMinimalAndXFirst) {
   }
 }
 
-TEST(Mesh, RoutesAreDeterministicAndCached) {
+TEST(Mesh, RoutesAreDeterministic) {
+  // (1,0) -> (2,3) on the 4x4 mesh: +x once, then +y three times. Link id
+  // = source vertex * 4 + direction (+x = 0, +y = 2).
+  const std::vector<Hop> expected = {{2, 4}, {6, 10}, {10, 26}, {14, 42}};
   const Topology t(TopologySpec::mesh(4, 4), 16);
-  const Path& a = t.route(1, 14);
-  const Path& b = t.route(1, 14);
-  EXPECT_EQ(&a, &b);  // cached: same object, no recompute, no allocation
-  const Path first(a);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(t.route(1, 14), first);
+  EXPECT_EQ(walk(t, 1, 14), expected);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(walk(t, 1, 14), expected);
+  EXPECT_EQ(walk(Topology(TopologySpec::mesh(4, 4), 16), 1, 14), expected);
 }
 
 TEST(Torus, WrapAroundTakesTheShortWay) {
   const Topology t(TopologySpec::torus(4, 4), 16);
-  // (0,0) -> (3,0): one -x wrap hop, not three +x hops.
-  EXPECT_EQ(t.route(0, 3).size(), 1u);
+  // (0,0) -> (3,0): one -x wrap hop (link 0 * 4 + 1), not three +x hops.
+  EXPECT_EQ(t.hops(0, 3), 1u);
+  EXPECT_EQ(t.next_hop(0, 3), (Hop{3, 1}));
+  // 0 -> 2 is two hops either way round the 4-wide ring: the tie goes to
+  // +x, and the same tie on the Y ring, (0,0) -> (0,2), to +y (link 2).
+  EXPECT_EQ(walk(t, 0, 2), (std::vector<Hop>{{1, 0}, {2, 4}}));
+  EXPECT_EQ(t.next_hop(0, 8), (Hop{4, 2}));
   for (NodeId s = 0; s < 16; ++s) {
     for (NodeId d = 0; d < 16; ++d) {
       if (s == d) continue;
-      EXPECT_EQ(t.route(s, d).size(), grid_distance(t, s, d));
-      EXPECT_LE(t.route(s, d).size(), t.diameter_hops());
+      EXPECT_EQ(walk(t, s, d).size(), grid_distance(t, s, d));
+      EXPECT_EQ(t.hops(s, d), grid_distance(t, s, d));
+      EXPECT_LE(t.hops(s, d), t.diameter_hops());
     }
   }
+}
+
+// Walks next_hop over every ordered pair of a freshly built topology and
+// checks each walk against hops() and for revisits, with the allocation
+// hook counting across the whole sweep: routing must be pure arithmetic.
+void expect_walks_are_arithmetic(const Topology& t) {
+  const std::uint32_t n = t.node_count();
+  std::vector<std::uint64_t> stamp(t.vertex_count(), 0);  // pair id per vertex
+  std::uint64_t pair = 0;
+  std::uint64_t wrong_length = 0;
+  std::uint64_t revisits = 0;
+  std::uint64_t bad_links = 0;
+  const std::uint64_t before = allocs_so_far();
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId d = 0; d < n; ++d) {
+      if (s == d) continue;
+      ++pair;
+      stamp[s] = pair;
+      std::uint32_t len = 0;
+      for (std::uint32_t at = s; at != d && len <= t.vertex_count(); ++len) {
+        const Hop h = t.next_hop(at, d);
+        if (h.link >= t.link_count()) ++bad_links;
+        if (stamp[h.to] == pair) ++revisits;
+        stamp[h.to] = pair;
+        at = h.to;
+      }
+      if (len != t.hops(s, d) || len > t.diameter_hops()) ++wrong_length;
+    }
+  }
+  const std::uint64_t allocs = allocs_so_far() - before;
+  EXPECT_EQ(pair, static_cast<std::uint64_t>(n) * (n - 1));
+  EXPECT_EQ(wrong_length, 0u);
+  EXPECT_EQ(revisits, 0u);
+  EXPECT_EQ(bad_links, 0u);
+  EXPECT_EQ(allocs, 0u) << allocs << " allocations while routing " << pair << " pairs";
+}
+
+TEST(Routing, TorusWalksAreArithmeticFromCold) {
+  expect_walks_are_arithmetic(Topology(TopologySpec::torus(16, 16), 256));
+}
+
+TEST(Routing, FatTreeWalksAreArithmeticFromCold) {
+  // 30 nodes on 8-port leaves: the last leaf is partial (6 nodes).
+  expect_walks_are_arithmetic(Topology(TopologySpec::fat_tree(8, 4), 30));
 }
 
 TEST(FatTree, UpDownRoutesAreLoopFree) {
@@ -118,7 +185,7 @@ TEST(FatTree, UpDownRoutesAreLoopFree) {
   for (NodeId s = 0; s < nodes; ++s) {
     for (NodeId d = 0; d < nodes; ++d) {
       if (s == d) continue;
-      const Path& p = t.route(s, d);
+      const std::vector<Hop> p = walk(t, s, d);
       EXPECT_EQ(p.back().to, d);
       EXPECT_LE(p.size(), t.diameter_hops());
       std::set<std::uint32_t> seen{s};
@@ -133,6 +200,7 @@ TEST(FatTree, UpDownRoutesAreLoopFree) {
       }
       // Same leaf: 2 hops through it. Different leaf: 4 hops via one root.
       EXPECT_EQ(p.size(), s / 8 == d / 8 ? 2u : 4u);
+      EXPECT_EQ(t.hops(s, d), p.size());
     }
   }
 }
@@ -142,8 +210,9 @@ TEST(FatTree, RootChoiceSpreadsByDestination) {
   // Destinations in different residue classes cross different roots.
   std::set<std::uint32_t> roots;
   for (NodeId d = 8; d < 12; ++d) {  // same leaf, four residues
-    const Path& p = t.route(0, d);
+    const std::vector<Hop> p = walk(t, 0, d);
     ASSERT_EQ(p.size(), 4u);
+    EXPECT_EQ(p[1].to, 32u + 4u + d % 4);  // root vertex N + leaves + dst % roots
     roots.insert(p[1].to);
   }
   EXPECT_EQ(roots.size(), 4u);
@@ -201,11 +270,12 @@ TEST(EventQueue, ShardedSelfSchedulingStaysOrdered) {
 // One delivery observation, bit-exact comparable across runs.
 using RxRecord = std::tuple<SimTime, std::uint64_t, NodeId, NodeId, RailId, std::size_t>;
 
-std::vector<RxRecord> run_routed_world(bool sharded) {
+std::vector<RxRecord> run_routed_world(const TopologySpec& net, std::uint32_t nodes,
+                                       bool sharded) {
   fabric::FabricConfig cfg;
-  cfg.node_count = 16;
+  cfg.node_count = nodes;
   cfg.rails = {fabric::seastar_torus(), fabric::qsnet2()};
-  cfg.net = TopologySpec::torus(4, 4);
+  cfg.net = net;
   cfg.event_sharding = sharded;
   cfg.fault_seed = 42;  // fixed seed: the replay must be bit-identical
   // A little data-plane chaos so the log is not trivially ordered.
@@ -218,7 +288,7 @@ std::vector<RxRecord> run_routed_world(bool sharded) {
 
   fabric::Fabric fab(std::move(cfg));
   std::vector<RxRecord> log;
-  for (NodeId n = 0; n < 16; ++n) {
+  for (NodeId n = 0; n < nodes; ++n) {
     fab.set_rx_handler(n, [&log, &fab, n](fabric::Segment&& seg) {
       log.emplace_back(fab.now(), seg.msg_id, seg.src, n, seg.rail,
                        seg.payload.size());
@@ -226,12 +296,12 @@ std::vector<RxRecord> run_routed_world(bool sharded) {
   }
   std::uint64_t msg_id = 1;
   for (int round = 0; round < 3; ++round) {
-    for (NodeId src = 0; src < 16; ++src) {
+    for (NodeId src = 0; src < nodes; ++src) {
       for (std::uint32_t k = 1; k <= 5; k += 2) {
         fabric::Segment seg;
         seg.kind = fabric::SegKind::kEager;
         seg.src = src;
-        seg.dst = (src + k + round) % 16;
+        seg.dst = (src + k + round) % nodes;
         if (seg.dst == src) continue;
         seg.rail = static_cast<RailId>(k % 2);
         seg.msg_id = msg_id++;
@@ -244,17 +314,29 @@ std::vector<RxRecord> run_routed_world(bool sharded) {
   EXPECT_GT(fab.forwarded_segments(), 0u);  // routes really were multi-hop
   EXPECT_EQ(fab.events().handler_spills(), 0u);
   if (sharded) {
-    EXPECT_EQ(fab.events().shard_count(), 16u);
+    EXPECT_EQ(fab.events().shard_count(), nodes);
     EXPECT_GT(fab.events().horizon(), 0);
   }
   return log;
 }
 
 TEST(ShardedQueue, BitIdenticalReplayAgainstSingleQueue) {
-  const std::vector<RxRecord> single = run_routed_world(false);
-  const std::vector<RxRecord> sharded = run_routed_world(true);
-  ASSERT_FALSE(single.empty());
-  EXPECT_EQ(single, sharded);
+  // The 4x4 torus; a 5x4 torus, whose even ring has ties and whose odd ring
+  // has none; and a 30-node fat-tree whose last leaf is partial, so segments
+  // are forwarded through switch vertices (which ride the destination's
+  // shard).
+  const std::vector<std::pair<TopologySpec, std::uint32_t>> shapes = {
+      {TopologySpec::torus(4, 4), 16},
+      {TopologySpec::torus(5, 4), 20},
+      {TopologySpec::fat_tree(8, 4), 30},
+  };
+  for (const auto& [net, nodes] : shapes) {
+    SCOPED_TRACE(Topology(net, nodes).describe());
+    const std::vector<RxRecord> single = run_routed_world(net, nodes, false);
+    const std::vector<RxRecord> sharded = run_routed_world(net, nodes, true);
+    ASSERT_FALSE(single.empty());
+    EXPECT_EQ(single, sharded);
+  }
 }
 
 TEST(RoutedFabric, ExtraPathLatencyMatchesHopCount) {

@@ -809,14 +809,14 @@ int cmd_topo(const core::WorldConfig& cfg, unsigned route_samples) {
   for (unsigned s = 0; s < route_samples; ++s) {
     const NodeId src = static_cast<NodeId>((s * n) / route_samples);
     const NodeId dst = (n - 1 - src == src) ? (src + 1) % n : n - 1 - src;
-    const topo::Path& path = t.route(src, dst);
-    std::printf("  %3u -> %-3u (%zu hop%s):", src, dst, path.size(),
-                path.size() == 1 ? "" : "s");
-    for (const topo::Hop& h : path) {
-      if (h.to < n) {
-        std::printf(" %u", h.to);
+    const std::uint32_t hops = src == dst ? 0 : t.hops(src, dst);  // 1-node worlds
+    std::printf("  %3u -> %-3u (%u hop%s):", src, dst, hops, hops == 1 ? "" : "s");
+    for (std::uint32_t at = src; at != dst;) {
+      at = t.next_hop(at, dst).to;
+      if (at < n) {
+        std::printf(" %u", at);
       } else {
-        std::printf(" sw%u", h.to - n);
+        std::printf(" sw%u", at - n);
       }
     }
     std::printf("\n");
