@@ -5,7 +5,7 @@
 // the QoS subsystem off and then on. Off, every bulk transfer streams all
 // of its chunks onto the NICs at once, so a ping submitted mid-flood waits
 // out megabytes of queued wire time. On, bulk data is windowed (one
-// bulk_chunk per idle rail per pump) and the strict-priority LATENCY class
+// 256 KiB chunk per idle rail per pump) and the strict-priority LATENCY class
 // is drained first at every arbitration point, so pings slip into the gaps
 // between chunks. The shape checks pin the headline acceptance numbers:
 // p99 ping latency at least 5x lower with QoS on, bulk goodput degraded at

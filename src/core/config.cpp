@@ -154,68 +154,10 @@ WorldConfig parse_world_config(std::istream& is) {
       int on = 1;
       ls >> on;
       cfg.engine.failover.enabled = on != 0;
-    } else if (directive == "failover_slack") {
-      ls >> cfg.engine.failover.timeout_slack;
-      if (cfg.engine.failover.timeout_slack < 1.0) {
-        fail(lineno, "failover_slack must be >= 1");
-      }
-    } else if (directive == "failover_min_timeout_us") {
-      double us = 0;
-      ls >> us;
-      cfg.engine.failover.min_timeout = usec(us);
-    } else if (directive == "failover_max_attempts") {
-      if (!(ls >> cfg.engine.failover.max_attempts) ||
-          cfg.engine.failover.max_attempts < 1) {
-        fail(lineno, "failover_max_attempts needs a positive integer");
-      }
-    } else if (directive == "quarantine_us") {
-      double us = 0;
-      ls >> us;
-      cfg.engine.failover.quarantine = usec(us);
-    } else if (directive == "quarantine_backoff") {
-      ls >> cfg.engine.failover.quarantine_backoff;
-      if (cfg.engine.failover.quarantine_backoff < 1.0) {
-        fail(lineno, "quarantine_backoff must be >= 1");
-      }
-    } else if (directive == "quarantine_max_us") {
-      double us = 0;
-      ls >> us;
-      cfg.engine.failover.max_quarantine = usec(us);
     } else if (directive == "reliability") {
       int on = 0;
       ls >> on;
       cfg.engine.reliability.enabled = on != 0;
-    } else if (directive == "reliability_checksum") {
-      int on = 1;
-      ls >> on;
-      cfg.engine.reliability.checksum = on != 0;
-    } else if (directive == "reliability_max_retransmits") {
-      if (!(ls >> cfg.engine.reliability.max_retransmits) ||
-          cfg.engine.reliability.max_retransmits < 1) {
-        fail(lineno, "reliability_max_retransmits needs a positive integer");
-      }
-    } else if (directive == "reliability_ack_slack") {
-      ls >> cfg.engine.reliability.ack_timeout_slack;
-      if (cfg.engine.reliability.ack_timeout_slack < 1.0) {
-        fail(lineno, "reliability_ack_slack must be >= 1");
-      }
-    } else if (directive == "reliability_min_timeout_us") {
-      double us = 0;
-      ls >> us;
-      if (us <= 0) fail(lineno, "reliability_min_timeout_us must be positive");
-      cfg.engine.reliability.min_ack_timeout = usec(us);
-    } else if (directive == "reliability_backoff") {
-      ls >> cfg.engine.reliability.backoff;
-      if (cfg.engine.reliability.backoff < 1.0) {
-        fail(lineno, "reliability_backoff must be >= 1");
-      }
-    } else if (directive == "reliability_ack_delay_us") {
-      double us = 0;
-      ls >> us;
-      if (us < 0) fail(lineno, "reliability_ack_delay_us must be >= 0");
-      cfg.engine.reliability.ack_delay = usec(us);
-    } else if (directive == "reliability_loss_streak") {
-      ls >> cfg.engine.reliability.loss_streak_quarantine;
     } else if (directive == "fault_seed") {
       ls >> cfg.fabric.fault_seed;
     } else if (directive == "fault") {
@@ -262,43 +204,6 @@ WorldConfig parse_world_config(std::istream& is) {
       int on = 0;
       ls >> on;
       cfg.engine.recalibration.enabled = on != 0;
-    } else if (directive == "recal_alpha") {
-      ls >> cfg.engine.recalibration.ewma_alpha;
-      if (cfg.engine.recalibration.ewma_alpha <= 0.0 ||
-          cfg.engine.recalibration.ewma_alpha > 1.0) {
-        fail(lineno, "recal_alpha must be in (0, 1]");
-      }
-    } else if (directive == "recal_window") {
-      if (!(ls >> cfg.engine.recalibration.window) ||
-          cfg.engine.recalibration.window < 1) {
-        fail(lineno, "recal_window needs a positive integer");
-      }
-    } else if (directive == "recal_min_samples") {
-      if (!(ls >> cfg.engine.recalibration.min_samples) ||
-          cfg.engine.recalibration.min_samples < 1) {
-        fail(lineno, "recal_min_samples needs a positive integer");
-      }
-    } else if (directive == "recal_drift_threshold") {
-      ls >> cfg.engine.recalibration.drift_threshold;
-      if (cfg.engine.recalibration.drift_threshold <= 0.0) {
-        fail(lineno, "recal_drift_threshold must be positive");
-      }
-    } else if (directive == "recal_recover_threshold") {
-      ls >> cfg.engine.recalibration.recover_threshold;
-      if (cfg.engine.recalibration.recover_threshold <= 0.0) {
-        fail(lineno, "recal_recover_threshold must be positive");
-      }
-    } else if (directive == "recal_suspect_penalty") {
-      ls >> cfg.engine.recalibration.suspect_penalty;
-      if (cfg.engine.recalibration.suspect_penalty < 1.0) {
-        fail(lineno, "recal_suspect_penalty must be >= 1");
-      }
-    } else if (directive == "recal_resample_budget") {
-      ls >> cfg.engine.recalibration.resample_budget;
-    } else if (directive == "recal_resample_interval_us") {
-      double us = 0;
-      ls >> us;
-      cfg.engine.recalibration.resample_interval = usec(us);
     } else if (directive == "qos") {
       int on = 0;
       ls >> on;
@@ -307,17 +212,11 @@ WorldConfig parse_world_config(std::istream& is) {
       if (!(ls >> cfg.engine.qos.quantum) || cfg.engine.qos.quantum == 0) {
         fail(lineno, "qos_quantum needs a positive byte count");
       }
-    } else if (directive == "qos_bulk_chunk") {
-      if (!(ls >> cfg.engine.qos.bulk_chunk) || cfg.engine.qos.bulk_chunk == 0) {
-        fail(lineno, "qos_bulk_chunk needs a positive byte count");
-      }
     } else if (directive == "qos_aging_us") {
       double us = 0;
       ls >> us;
       if (us <= 0) fail(lineno, "qos_aging_us must be positive");
       cfg.engine.qos.aging = usec(us);
-    } else if (directive == "qos_latency_cutoff") {
-      ls >> cfg.engine.qos.latency_cutoff;
     } else if (directive == "qos_deadline_downgrade") {
       int on = 0;
       ls >> on;
@@ -348,16 +247,6 @@ WorldConfig parse_world_config(std::istream& is) {
       int on = 0;
       ls >> on;
       cfg.engine.timeseries.enabled = on != 0;
-    } else if (directive == "timeseries_interval_us") {
-      double us = 0;
-      ls >> us;
-      if (us <= 0) fail(lineno, "timeseries_interval_us must be positive");
-      cfg.engine.timeseries.interval = usec(us);
-    } else if (directive == "timeseries_capacity") {
-      if (!(ls >> cfg.engine.timeseries.capacity) ||
-          cfg.engine.timeseries.capacity < 4) {
-        fail(lineno, "timeseries_capacity must be >= 4");
-      }
     } else if (directive == "slo") {
       // slo <class> p99_us=200 hit_rate=0.99 window_us=10000
       //     [fast_window_us=..] [fast_burn=..] [slow_burn=..]
@@ -440,22 +329,7 @@ void save_world_config(const WorldConfig& cfg, std::ostream& os) {
   os << "offload_min_split " << cfg.engine.offload.min_split_size << "\n";
   os << "sampler_max_size " << cfg.sampler.max_size << "\n";
   os << "failover " << (cfg.engine.failover.enabled ? 1 : 0) << "\n";
-  os << "failover_slack " << cfg.engine.failover.timeout_slack << "\n";
-  os << "failover_min_timeout_us " << to_usec(cfg.engine.failover.min_timeout) << "\n";
-  os << "failover_max_attempts " << cfg.engine.failover.max_attempts << "\n";
-  os << "quarantine_us " << to_usec(cfg.engine.failover.quarantine) << "\n";
-  os << "quarantine_backoff " << cfg.engine.failover.quarantine_backoff << "\n";
-  os << "quarantine_max_us " << to_usec(cfg.engine.failover.max_quarantine) << "\n";
   os << "reliability " << (cfg.engine.reliability.enabled ? 1 : 0) << "\n";
-  os << "reliability_checksum " << (cfg.engine.reliability.checksum ? 1 : 0) << "\n";
-  os << "reliability_max_retransmits " << cfg.engine.reliability.max_retransmits << "\n";
-  os << "reliability_ack_slack " << cfg.engine.reliability.ack_timeout_slack << "\n";
-  os << "reliability_min_timeout_us " << to_usec(cfg.engine.reliability.min_ack_timeout)
-     << "\n";
-  os << "reliability_backoff " << cfg.engine.reliability.backoff << "\n";
-  os << "reliability_ack_delay_us " << to_usec(cfg.engine.reliability.ack_delay) << "\n";
-  os << "reliability_loss_streak " << cfg.engine.reliability.loss_streak_quarantine
-     << "\n";
   if (cfg.fabric.fault_seed != 0) os << "fault_seed " << cfg.fabric.fault_seed << "\n";
   for (const auto& f : cfg.fabric.faults) {
     if (!fabric::is_data_plane(f.spec.kind)) continue;  // not expressible here
@@ -476,20 +350,9 @@ void save_world_config(const WorldConfig& cfg, std::ostream& os) {
     os << "\n";
   }
   os << "recalibration " << (cfg.engine.recalibration.enabled ? 1 : 0) << "\n";
-  os << "recal_alpha " << cfg.engine.recalibration.ewma_alpha << "\n";
-  os << "recal_window " << cfg.engine.recalibration.window << "\n";
-  os << "recal_min_samples " << cfg.engine.recalibration.min_samples << "\n";
-  os << "recal_drift_threshold " << cfg.engine.recalibration.drift_threshold << "\n";
-  os << "recal_recover_threshold " << cfg.engine.recalibration.recover_threshold << "\n";
-  os << "recal_suspect_penalty " << cfg.engine.recalibration.suspect_penalty << "\n";
-  os << "recal_resample_budget " << cfg.engine.recalibration.resample_budget << "\n";
-  os << "recal_resample_interval_us "
-     << to_usec(cfg.engine.recalibration.resample_interval) << "\n";
   os << "qos " << (cfg.engine.qos.enabled ? 1 : 0) << "\n";
   os << "qos_quantum " << cfg.engine.qos.quantum << "\n";
-  os << "qos_bulk_chunk " << cfg.engine.qos.bulk_chunk << "\n";
   os << "qos_aging_us " << to_usec(cfg.engine.qos.aging) << "\n";
-  os << "qos_latency_cutoff " << cfg.engine.qos.latency_cutoff << "\n";
   os << "qos_deadline_downgrade " << (cfg.engine.qos.deadline_downgrade ? 1 : 0) << "\n";
   for (const auto& c : cfg.engine.qos.classes) {
     os << "qos_class name=" << c.name << " weight=" << c.weight
@@ -498,8 +361,6 @@ void save_world_config(const WorldConfig& cfg, std::ostream& os) {
        << " deadline_us=" << to_usec(c.default_deadline) << "\n";
   }
   os << "timeseries " << (cfg.engine.timeseries.enabled ? 1 : 0) << "\n";
-  os << "timeseries_interval_us " << to_usec(cfg.engine.timeseries.interval) << "\n";
-  os << "timeseries_capacity " << cfg.engine.timeseries.capacity << "\n";
   for (const auto& s : cfg.engine.slos) {
     os << "slo " << s.cls;
     if (s.p99_us > 0) os << " p99_us=" << s.p99_us;

@@ -88,7 +88,7 @@ Engine::Engine(fabric::Fabric* fabric, NodeId self, const sampling::Estimator* e
   trust_penalty_.assign(fabric_->rail_count(), 1.0);
   resample_armed_.assign(fabric_->rail_count(), 0);
   if (config_.timeseries.enabled) {
-    health_ = std::make_unique<telemetry::HealthSampler>(config_.timeseries);
+    health_ = std::make_unique<telemetry::HealthSampler>();
     if (!config_.slos.empty()) {
       slo_ = std::make_unique<telemetry::SloMonitor>(config_.slos);
       slo_->bind(qos_class_names());
@@ -196,12 +196,7 @@ void Engine::write_state_json(std::ostream& os) const {
   }
   os << "],\"config\":{\"failover_enabled\":"
      << (config_.failover.enabled ? "true" : "false")
-     << ",\"timeout_slack\":" << config_.failover.timeout_slack
-     << ",\"max_attempts\":" << config_.failover.max_attempts
-     << ",\"quarantine_us\":" << to_usec(config_.failover.quarantine)
      << ",\"reliability_enabled\":" << (config_.reliability.enabled ? "true" : "false")
-     << ",\"reliability_checksum\":" << (config_.reliability.checksum ? "true" : "false")
-     << ",\"max_retransmits\":" << config_.reliability.max_retransmits
      << ",\"reliable_in_flight\":" << rel_live_entries_
      << ",\"recal_attached\":" << (recal_ != nullptr ? "true" : "false") << "}}";
 }
@@ -492,7 +487,7 @@ SendHandle Engine::isendv(NodeId dst, Tag tag, std::span<const IoSlice> slices) 
   if (!all_gather && total > 0) {
     fabric::SimCores& cores = fabric_->cores(self_);
     cores.occupy(config_.scheduler_core, fabric_->now(),
-                 wire_time(total, config_.host_copy_mbps));
+                 wire_time(total, kHostCopyMbps));
   }
 
   return submit_send(std::move(send), dst, tag, staging.data(), total, SendOptions{},
@@ -982,6 +977,15 @@ void Engine::start_rendezvous(const SendHandle& send) {
   rdv_sends_[send->id] = send;
 }
 
+namespace {
+
+/// Rendezvous streaming window with QoS on: a bulk transfer is fed to the
+/// rails at most this many bytes per chunk, yielding rail slots to the
+/// strict classes between chunks (docs/QOS.md).
+constexpr std::size_t kQosBulkChunk = 256_KiB;
+
+}  // namespace
+
 void Engine::handle_cts(const fabric::Segment& seg) {
   auto it = rdv_sends_.find(seg.msg_id);
   if (it == rdv_sends_.end()) {
@@ -997,9 +1001,9 @@ void Engine::handle_cts(const fabric::Segment& seg) {
     return;
   }
   send.state = SendState::kStreaming;
-  if (qos_ != nullptr && send.len > config_.qos.bulk_chunk) {
+  if (qos_ != nullptr && send.len > kQosBulkChunk) {
     // Windowed streaming (docs/QOS.md): instead of laying out the whole
-    // message at once, hand the NICs one bulk_chunk per idle rail and come
+    // message at once, hand the NICs one kQosBulkChunk per idle rail and come
     // back when one frees up. Between chunks the scheduler runs first, so
     // LATENCY-class sends preempt bulk transfers at chunk granularity.
     qos_streams_[send.id] = QosStream{it->second, 0};
@@ -1032,8 +1036,7 @@ void Engine::pump_qos_streams() {
         if (!rail_usable(r)) continue;
         if (nics_[r]->busy_until() > now) continue;
         const sampling::RailState state{r, nics_[r]->busy_until()};
-        const SimTime done =
-            estimator_->chunk_completion(state, now, config_.qos.bulk_chunk);
+        const SimTime done = estimator_->chunk_completion(state, now, kQosBulkChunk);
         if (!found || done < best_done) {
           best = r;
           best_done = done;
@@ -1044,8 +1047,8 @@ void Engine::pump_qos_streams() {
         ++it;
         continue;
       }
-      const std::size_t bytes = std::min<std::size_t>(
-          config_.qos.bulk_chunk, send.len - it->second.next_offset);
+      const std::size_t bytes =
+          std::min<std::size_t>(kQosBulkChunk, send.len - it->second.next_offset);
       post_chunk(send, best, it->second.next_offset, bytes, /*attempt=*/0);
       count(EngineCounter::qos_stream_chunks);
       it->second.next_offset += bytes;
@@ -1229,9 +1232,9 @@ void Engine::handle_eager(const fabric::Segment& seg) {
   // Scratch parse: segments are delivered one at a time off the event queue
   // and deliver_fragment never re-enters the unpack path, so one buffer is
   // enough and the steady receive path stays allocation-free. The parse is
-  // the non-aborting variant: with the wire checksum off, a corrupted
-  // payload bit can land inside a sub-packet header, and a single wire
-  // fault must not take down the node.
+  // the non-aborting variant: with reliability (and its wire checksum) off,
+  // a corrupted payload bit can land inside a sub-packet header, and a
+  // single wire fault must not take down the node.
   if (!try_parse_subpackets(seg.payload, subpacket_scratch_)) {
     parse_reject(seg, seg.msg_id);
     return;
@@ -1246,7 +1249,7 @@ void Engine::parse_reject(const fabric::Segment& seg, std::uint64_t msg_id) {
 
 void Engine::deliver_fragment(const SubPacket& sp, const fabric::Segment& seg) {
   // Every engine of a world shares the rendezvous threshold, so an eager
-  // fragment of a larger message is a corrupted header (checksum off).
+  // fragment of a larger message is a corrupted header (reliability off).
   // Binding it would trip the posted-capacity check or allocate its claim.
   if (sp.msg_total > rdv_threshold_) {
     parse_reject(seg, sp.msg_id);
@@ -1261,7 +1264,7 @@ void Engine::deliver_fragment(const SubPacket& sp, const fabric::Segment& seg) {
   if (it != bound_recvs_.end()) {
     RecvHandle recv = it->second;
     if (sp.offset + sp.len > recv->expected) {
-      // Only reachable via payload corruption with the checksum off: a
+      // Only reachable via payload corruption with reliability off: a
       // flipped bit inside the sub-packet header moved the fragment out of
       // bounds. Dropping beats scribbling past the receive buffer.
       parse_reject(seg, sp.msg_id);
@@ -1298,7 +1301,7 @@ void Engine::deliver_fragment(const SubPacket& sp, const fabric::Segment& seg) {
     u.buffer.assign(sp.msg_total, 0);
   }
   if (sp.offset + sp.len > u.total) {
-    parse_reject(seg, sp.msg_id);  // corrupted header, checksum off (see above)
+    parse_reject(seg, sp.msg_id);  // corrupted header, reliability off (see above)
     return;
   }
   if (sp.len > 0) std::memcpy(u.buffer.data() + sp.offset, sp.bytes, sp.len);
@@ -1338,7 +1341,7 @@ void Engine::bind_recv(RecvRequest& recv, NodeId src, Tag tag, std::uint64_t msg
 }
 
 void Engine::accept_rendezvous(const RecvHandle& recv) {
-  inbound_rdv_[{recv->src, recv->matched_msg}] = InboundRdv{recv, recv->src};
+  inbound_rdv_[{recv->src, recv->matched_msg}] = InboundRdv{recv};
   const RailId rail = post_control(
       {.kind = fabric::SegKind::kCts, .dst = recv->src, .msg_id = recv->matched_msg});
   emit({.time = fabric_->now(), .kind = EventKind::kCtsSent, .msg_id = recv->matched_msg,
@@ -1400,10 +1403,8 @@ void Engine::handle_data(const fabric::Segment& seg) {
   }
   recv->bytes_received += fresh;
   if (recv->bytes_received == recv->expected) {
-    const NodeId src = it->second.src;
-    const std::uint64_t msg_id = seg.msg_id;
     inbound_rdv_.erase(it);
-    post_control({.kind = fabric::SegKind::kFin, .dst = src, .msg_id = msg_id});
+    post_control({.kind = fabric::SegKind::kFin, .dst = recv->src, .msg_id = seg.msg_id});
     complete_recv(recv);
   }
 }
@@ -1420,6 +1421,23 @@ void Engine::complete_recv(const RecvHandle& recv) {
 // ---------------------------------------------------------------------------
 // Fault tolerance: timeouts, retry/failover, quarantine (docs/FAULTS.md)
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// A DMA chunk is declared lost when it exceeds this many times its
+/// estimator-predicted completion, floored at kMinChunkTimeout.
+constexpr double kChunkTimeoutSlack = 4.0;
+constexpr SimDuration kMinChunkTimeout = 50_us;
+/// Post attempts per byte range or segment (original + retries) before the
+/// send is marked failed.
+constexpr unsigned kMaxPostAttempts = 4;
+/// Initial quarantine window after an error or timeout; each unsuccessful
+/// re-probe multiplies it by kQuarantineBackoff, up to kMaxQuarantine.
+constexpr SimDuration kQuarantine = 2_ms;
+constexpr double kQuarantineBackoff = 2.0;
+constexpr SimDuration kMaxQuarantine = 50_ms;
+
+}  // namespace
 
 void Engine::on_tx_complete(const fabric::Segment& seg) {
   if (seg.kind != fabric::SegKind::kData) return;
@@ -1457,7 +1475,7 @@ void Engine::on_tx_error(fabric::Segment&& seg) {
 
   // Eager and control segments are self-contained: re-post the whole
   // segment on the best usable rail.
-  if (seg.attempt + 1u >= config_.failover.max_attempts) {
+  if (seg.attempt + 1u >= kMaxPostAttempts) {
     count(EngineCounter::failover_exhausted);
     if (seg.kind == fabric::SegKind::kRts) {
       // The handshake can never finish; fail the send instead of hanging.
@@ -1519,9 +1537,9 @@ void Engine::track_chunk(std::uint64_t msg_id, NodeId dst, std::uint64_t offset,
   // would read as a loss and trigger spurious failovers.
   const SimDuration flight =
       predicted + fabric_->extra_path_latency(self_, dst, rail);
-  const auto slack = static_cast<SimDuration>(config_.failover.timeout_slack *
-                                              static_cast<double>(flight));
-  const SimTime deadline = decision_now + std::max(config_.failover.min_timeout, slack);
+  const auto slack =
+      static_cast<SimDuration>(kChunkTimeoutSlack * static_cast<double>(flight));
+  const SimTime deadline = decision_now + std::max(kMinChunkTimeout, slack);
   fabric_->events().at(deadline, [this, msg_id, offset, bytes, rail, attempt] {
     on_chunk_timeout(msg_id, offset, bytes, rail, attempt);
   });
@@ -1572,7 +1590,7 @@ void Engine::failover_chunk(SendRequest& send, std::uint64_t offset, std::size_t
     flight_trigger("failover", detail);
   }
 
-  if (attempt + 1u >= config_.failover.max_attempts) {
+  if (attempt + 1u >= kMaxPostAttempts) {
     count(EngineCounter::failover_exhausted);
     fail_send(send);
     live_chunks_.erase(send.id);
@@ -1620,7 +1638,7 @@ strategy::SplitResult Engine::equal_finish_split(std::span<const RailId> rails,
 void Engine::quarantine_rail(RailId rail) {
   RailHealth& h = rail_health_[rail];
   const SimTime now = fabric_->now();
-  if (h.window == 0) h.window = config_.failover.quarantine;
+  if (h.window == 0) h.window = kQuarantine;
   if (h.quarantined) {
     // Repeated trouble while quarantined pushes the lift time out.
     h.until = std::max(h.until, now + h.window);
@@ -1669,7 +1687,7 @@ void Engine::reprobe_rail(RailId rail) {
     if (!qos_streams_.empty()) arm_qos_pump();
     return;
   }
-  if (h.window >= config_.failover.max_quarantine) {
+  if (h.window >= kMaxQuarantine) {
     // Backoff saturated and the link is still down: treat the rail as
     // fail-stopped and stop probing, so the event queue can drain (an
     // endless probe chain would make run_all() spin forever). The rail
@@ -1677,10 +1695,9 @@ void Engine::reprobe_rail(RailId rail) {
     // it as a last resort.
     return;
   }
-  h.window = std::min(static_cast<SimDuration>(static_cast<double>(h.window) *
-                                               config_.failover.quarantine_backoff),
-                      config_.failover.max_quarantine);
-  if (h.window <= 0) h.window = config_.failover.quarantine;
+  h.window = std::min(
+      static_cast<SimDuration>(static_cast<double>(h.window) * kQuarantineBackoff),
+      kMaxQuarantine);
   h.until = now + h.window;
   schedule_reprobe(rail);
 }
@@ -1689,6 +1706,27 @@ void Engine::reprobe_rail(RailId rail) {
 // End-to-end reliability: CRC32C, seq windows, ACK/NACK, retransmit
 // (docs/FAULTS.md, "Data-plane faults & reliable delivery")
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// Retransmissions per sequence number before giving up, quarantining the
+/// last rail used, and triggering a postmortem.
+constexpr unsigned kMaxRetransmits = 6;
+/// A segment is presumed lost when no ACK covers it within this many times
+/// (predicted delivery + kAckDelay), floored at kMinAckTimeout; each
+/// retransmit multiplies the wait by kRetransmitBackoff.
+constexpr double kAckTimeoutSlack = 4.0;
+constexpr SimDuration kMinAckTimeout = 100_us;
+constexpr double kRetransmitBackoff = 2.0;
+/// Receiver-side ACK coalescing window: one acknowledgement covers every
+/// segment accepted within it, so a flood costs one control segment per
+/// link per window rather than one per message.
+constexpr SimDuration kAckDelay = 25_us;
+/// Consecutive inferred losses on one rail before the reliability layer
+/// hands it to the quarantine path.
+constexpr unsigned kLossStreakQuarantine = 3;
+
+}  // namespace
 
 Engine::RelTxEntry& Engine::rel_slot(RelLink& link, std::uint64_t seq) {
   if (link.ring.empty()) link.ring.resize(64);
@@ -1724,7 +1762,7 @@ void Engine::rel_release(RelTxEntry& entry) {
 void Engine::rel_stash(fabric::Segment& seg, RailId rail) {
   RelLink& link = rel_links_[seg.dst];
   seg.seq = link.next_seq++;
-  if (config_.reliability.checksum) seg.crc = reliable_crc(seg);
+  seg.crc = reliable_crc(seg);
   RelTxEntry& e = rel_slot(link, seg.seq);
   e.in_use = true;
   e.kind = seg.kind;
@@ -1753,14 +1791,12 @@ void Engine::rel_arm(NodeId dst, std::uint64_t seq, SimDuration predicted_flight
     // delivery (plus the receiver's ACK coalescing window), floored so a
     // zero-byte control segment is not declared lost by rounding.
     const auto scaled = static_cast<SimDuration>(
-        config_.reliability.ack_timeout_slack *
-        static_cast<double>(predicted_flight + config_.reliability.ack_delay));
-    e->base_timeout = std::max(config_.reliability.min_ack_timeout, scaled);
+        kAckTimeoutSlack * static_cast<double>(predicted_flight + kAckDelay));
+    e->base_timeout = std::max(kMinAckTimeout, scaled);
   }
   SimDuration wait = e->base_timeout;
   for (unsigned i = 0; i < e->retransmits; ++i) {
-    wait = static_cast<SimDuration>(static_cast<double>(wait) *
-                                    config_.reliability.backoff);
+    wait = static_cast<SimDuration>(static_cast<double>(wait) * kRetransmitBackoff);
   }
   // The event is stale if the entry was retired OR re-armed since (a
   // retransmit bumps `retransmits`, so the captured count identifies this
@@ -1782,13 +1818,12 @@ void Engine::rel_presume_lost(RelTxEntry& entry, bool count_streak) {
     count(EngineCounter::rel_drops_inferred);
     // Repeated inferred losses concentrated on one rail are a sick link, not
     // independent wire noise: hand it to the PR 2 quarantine/re-probe path.
-    if (config_.reliability.loss_streak_quarantine > 0 &&
-        ++rel_loss_streak_[entry.rail] >= config_.reliability.loss_streak_quarantine) {
+    if (++rel_loss_streak_[entry.rail] >= kLossStreakQuarantine) {
       rel_loss_streak_[entry.rail] = 0;
       quarantine_rail(entry.rail);
     }
   }
-  if (entry.retransmits >= config_.reliability.max_retransmits) {
+  if (entry.retransmits >= kMaxRetransmits) {
     rel_exhaust(entry);
     return;
   }
@@ -1858,7 +1893,7 @@ void Engine::rel_retire(NodeId dst, std::uint64_t seq) {
 
 bool Engine::rel_rx_accept(const fabric::Segment& seg) {
   // (1) Integrity: recompute the CRC over what actually arrived.
-  if (config_.reliability.checksum && reliable_crc(seg) != seg.crc) {
+  if (reliable_crc(seg) != seg.crc) {
     emit({.time = fabric_->now(), .kind = EventKind::kCorruptDetected,
           .msg_id = seg.msg_id, .rail = seg.rail, .a = static_cast<std::int64_t>(seg.seq)});
     // Corruption is detectable loss: tell the sender now instead of letting
@@ -1908,8 +1943,7 @@ void Engine::rel_arm_ack(NodeId src) {
   RelLink& link = rel_links_[src];
   if (link.ack_armed) return;
   link.ack_armed = true;
-  fabric_->events().at(fabric_->now() + config_.reliability.ack_delay,
-                       [this, src] { rel_flush_ack(src); });
+  fabric_->events().at(fabric_->now() + kAckDelay, [this, src] { rel_flush_ack(src); });
 }
 
 void Engine::rel_flush_ack(NodeId src) {

@@ -186,6 +186,10 @@ class Engine {
   qos::QosArbiter* qos() { return qos_.get(); }
   const qos::QosArbiter* qos() const { return qos_.get(); }
 
+  /// Host memcpy bandwidth charged when an iovec send must be coalesced
+  /// because some rail lacks gather/scatter support (MB/s).
+  static constexpr double kHostCopyMbps = 2500.0;
+
   /// One piece of a gathered (iovec) send.
   struct IoSlice {
     const void* data = nullptr;
@@ -287,7 +291,6 @@ class Engine {
 
   struct InboundRdv {
     RecvHandle recv;
-    NodeId src = 0;
     /// Disjoint byte ranges already landed ([start, end) keyed by start).
     /// Makes reception idempotent: a duplicate DATA chunk — the original
     /// arriving after a spurious-timeout retransmit — adds nothing.
@@ -356,7 +359,7 @@ class Engine {
   SimTime earliest_feasible_completion(std::size_t len) const;
   /// Deadline hit/miss bookkeeping on send completion.
   void note_qos_completion(const SendRequest& send);
-  /// Windowed rendezvous streaming: posts at most one bulk_chunk-sized
+  /// Windowed rendezvous streaming: posts at most one kQosBulkChunk-sized
   /// chunk per idle usable rail per sweep, so strict classes grab rail
   /// slots between chunks, then re-arms at the next NIC-idle time.
   void pump_qos_streams();
@@ -369,7 +372,7 @@ class Engine {
 
   void deliver_fragment(const SubPacket& sp, const fabric::Segment& seg);
   /// Drops a malformed eager frame or fragment: emits parse-reject. Only
-  /// reachable with the wire checksum off.
+  /// reachable with reliability (and its wire checksum) off.
   void parse_reject(const fabric::Segment& seg, std::uint64_t msg_id);
   void complete_recv(const RecvHandle& recv);
   /// First posted receive matching (src, tag), removed from the FIFO.
@@ -543,7 +546,7 @@ class Engine {
 
   // -- traffic-class QoS (docs/QOS.md) -----------------------------------
   std::unique_ptr<qos::QosArbiter> qos_;  ///< null when disabled
-  /// One windowed bulk stream: CTS arrived, chunks fed bulk_chunk at a time.
+  /// One windowed bulk stream: CTS arrived, chunks fed kQosBulkChunk at a time.
   struct QosStream {
     SendHandle send;
     std::uint64_t next_offset = 0;

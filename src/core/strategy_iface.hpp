@@ -35,59 +35,25 @@ namespace rails::core {
 
 struct SendRequest;
 
-/// Fault-tolerance knobs (docs/FAULTS.md). The defaults are inert on a
-/// healthy fabric: timeouts are armed with generous slack and simply expire
-/// unnoticed after their chunk completed, so enabling failover does not
-/// perturb fault-free timing.
+/// Fault tolerance (docs/FAULTS.md): chunk timeouts, retry/failover and
+/// rail quarantine. Its timings are constants scaled by the estimator's
+/// prediction (docs/FAULTS.md, "Constants"); they are inert on a healthy
+/// fabric, where a timer simply expires unnoticed after its chunk
+/// completed, so failover does not perturb fault-free timing.
 struct FailoverConfig {
   bool enabled = true;
-  /// A DMA chunk is declared lost when it exceeds `timeout_slack` times its
-  /// estimator-predicted completion (floored at `min_timeout`).
-  double timeout_slack = 4.0;
-  SimDuration min_timeout = 50'000;  // 50 µs
-  /// Post attempts per byte range (original + retries) before giving up and
-  /// marking the send failed.
-  unsigned max_attempts = 4;
-  /// Initial quarantine window after an error/timeout; each unsuccessful
-  /// re-probe multiplies the window by `quarantine_backoff`, capped at
-  /// `max_quarantine`.
-  SimDuration quarantine = 2'000'000;  // 2 ms
-  double quarantine_backoff = 2.0;
-  SimDuration max_quarantine = 50'000'000;  // 50 ms
 };
 
-/// End-to-end reliable-delivery knobs (docs/FAULTS.md, "Data-plane faults &
+/// End-to-end reliable delivery (docs/FAULTS.md, "Data-plane faults &
 /// reliable delivery"). Default-off: a disabled engine takes no reliability
 /// branch at all, keeping headline metrics bit-identical to pre-reliability
 /// builds. Enabled at zero fault rate, the layer costs one coalesced ACK
-/// per link per `ack_delay` (virtual time) plus a CRC32C over each
+/// per link per ACK-delay window (virtual time) plus a CRC32C over each
 /// sequenced segment's header and payload, computed once on send and once
 /// on receive (host time; per payload byte, hardware-accelerated where the
 /// CPU has carry-less multiply — docs/PERF.md, "Wire checksum").
 struct ReliabilityConfig {
   bool enabled = false;
-  /// Compute/verify the CRC32C wire checksum (header + payload). Off, a
-  /// corrupted payload is delivered undetected — useful only for measuring
-  /// the checksum's own cost.
-  bool checksum = true;
-  /// Retransmissions per sequence number before giving up, quarantining the
-  /// last rail used, and triggering a postmortem.
-  unsigned max_retransmits = 6;
-  /// A segment is presumed lost when no ACK covers it within
-  /// `ack_timeout_slack` x (predicted delivery + ack_delay), floored at
-  /// `min_ack_timeout`; each retransmit multiplies the wait by `backoff`
-  /// (the PR 2 prediction-scaled-timeout idiom, applied end-to-end).
-  double ack_timeout_slack = 4.0;
-  SimDuration min_ack_timeout = 100'000;  // 100 µs
-  double backoff = 2.0;
-  /// Receiver-side ACK coalescing window: acknowledgements piggyback state
-  /// for every segment accepted within it, so a flood costs one control
-  /// segment per link per window rather than one per message.
-  SimDuration ack_delay = 25'000;  // 25 µs
-  /// Consecutive inferred losses on one rail before the reliability layer
-  /// escalates to the PR 2 quarantine path (0 disables the streak trigger;
-  /// retry-budget exhaustion still quarantines).
-  unsigned loss_streak_quarantine = 3;
 };
 
 struct EngineConfig {
@@ -97,9 +63,6 @@ struct EngineConfig {
   strategy::OffloadConfig offload;
   /// Overrides the sampled eager/rendezvous threshold when non-zero.
   std::size_t rdv_threshold_override = 0;
-  /// Host memcpy bandwidth charged when an iovec send must be coalesced
-  /// because some rail lacks gather/scatter support (MB/s).
-  double host_copy_mbps = 2500.0;
   /// Timeout/retry/quarantine behaviour on rail faults.
   FailoverConfig failover;
   /// End-to-end ACK/retransmit + wire-checksum layer (docs/FAULTS.md).

@@ -47,8 +47,8 @@ void parse_subpackets(std::span<const std::uint8_t> payload, std::vector<SubPack
 /// fragment length pointing past the payload, or a fragment whose
 /// offset+len overruns its declared msg_total. Receivers facing a hostile
 /// data plane (see fabric/fault.hpp kCorrupt) must use this variant: with
-/// the wire checksum off, a flipped bit inside a sub-packet header is
-/// otherwise indistinguishable from a malformed frame.
+/// reliability (and its wire checksum) off, a flipped bit inside a
+/// sub-packet header is otherwise indistinguishable from a malformed frame.
 bool try_parse_subpackets(std::span<const std::uint8_t> payload,
                           std::vector<SubPacket>& out);
 

@@ -33,10 +33,14 @@
 //               to the sender until an ACK timeout infers it.
 //  * kCorrupt — with probability `rate` a random payload bit is flipped in
 //               flight (header-only segments have their stored CRC damaged
-//               instead). Undetectable unless the wire checksum is on.
+//               instead). Undetectable unless reliability is on: its
+//               CRC32C rejects the copy and NACKs it for retransmission.
 //  * kDup     — with probability `rate` the receiver sees the segment twice
 //               (the second copy slightly later), as after a link-layer
-//               retransmit whose original was not actually lost.
+//               retransmit whose original was not actually lost. With
+//               reliability off only rendezvous tolerates the copy; a
+//               duplicated eager message binds the next posted receive
+//               with the same (src, tag) (docs/FAULTS.md).
 //  * kReorder — each segment's delivery is postponed by a uniform-random
 //               0..`reorder_window` multiples of the rail's wire latency
 //               (gated on `rate`), letting later posts overtake it.

@@ -16,10 +16,10 @@ constexpr double kDeficitCapRounds = 4.0;
 
 }  // namespace
 
-QosArbiter::QosArbiter(const QosConfig& cfg, std::size_t auto_cutoff)
+QosArbiter::QosArbiter(const QosConfig& cfg, std::size_t cutoff)
     : cfg_(cfg),
       specs_(cfg.classes.empty() ? builtin_classes() : cfg.classes),
-      cutoff_(cfg.latency_cutoff != 0 ? cfg.latency_cutoff : auto_cutoff) {
+      cutoff_(cutoff) {
   RAILS_CHECK_MSG(!specs_.empty(), "QoS needs at least one traffic class");
   RAILS_CHECK_MSG(cfg_.quantum > 0, "QoS quantum must be positive");
   for (const ClassSpec& spec : specs_) {

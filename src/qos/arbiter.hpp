@@ -90,9 +90,9 @@ class QosArbiter {
   using BackpressureFn = std::function<void(ClassId, bool paused)>;
   using GrantSink = std::function<void(core::SendHandle)>;
 
-  /// `auto_cutoff` backs the default-by-size classification when
-  /// cfg.latency_cutoff is 0 (the engine passes its rendezvous threshold).
-  QosArbiter(const QosConfig& cfg, std::size_t auto_cutoff);
+  /// `cutoff` is the size boundary of the default classification; the
+  /// engine passes its eager/rendezvous threshold.
+  QosArbiter(const QosConfig& cfg, std::size_t cutoff);
 
   std::size_t class_count() const { return specs_.size(); }
   const ClassSpec& spec(ClassId cls) const;

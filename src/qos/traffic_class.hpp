@@ -62,19 +62,9 @@ struct QosConfig {
   bool enabled = false;
   /// DRR quantum: bytes of deficit credited per weight unit per round.
   std::size_t quantum = 64_KiB;
-  /// Rendezvous streaming window: with QoS on, a bulk transfer is fed to
-  /// the rails at most this many bytes per chunk, yielding rail slots to
-  /// the strict classes between chunks.
-  std::size_t bulk_chunk = 256_KiB;
   /// Starvation protection: a message waiting longer than this is granted
   /// in the strict pass regardless of its class's deficit.
   SimDuration aging = usec(1000);
-  /// Size boundary of the default classification: len >= cutoff lands in
-  /// BULK, below in LATENCY. 0 = use the engine's eager/rendezvous
-  /// threshold (so the boundary matches protocol_for's `>` exactly: a
-  /// message exactly at the threshold is the largest still-eager size and
-  /// deterministically classifies as BULK).
-  std::size_t latency_cutoff = 0;
   /// Infeasible deadline at submit: downgrade to BACKGROUND (true) instead
   /// of rejecting the send (false).
   bool deadline_downgrade = false;

@@ -27,8 +27,8 @@ Recalibrator::Recalibrator(Estimator* estimator, RecalibrationConfig config)
     : estimator_(estimator), config_(std::move(config)) {
   RAILS_CHECK(estimator_ != nullptr);
   RAILS_CHECK_MSG(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0,
-                  "recal_alpha must be in (0, 1]");
-  RAILS_CHECK_MSG(config_.window > 0, "recal_window must be positive");
+                  "recalibration ewma_alpha must be in (0, 1]");
+  RAILS_CHECK_MSG(config_.window > 0, "recalibration window must be positive");
   RAILS_CHECK_MSG(config_.drift_threshold > config_.recover_threshold,
                   "drift threshold must exceed the recover threshold");
   rails_.resize(estimator_->rail_count());

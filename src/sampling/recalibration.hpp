@@ -49,6 +49,9 @@ enum class TrustState : std::uint8_t {
 
 const char* to_string(TrustState state);
 
+/// Only `enabled` is a cluster-config directive; deployments run the other
+/// fields at their defaults, which the unit tests shorten to drive the
+/// state machine through its transitions quickly.
 struct RecalibrationConfig {
   bool enabled = false;
   /// EWMA smoothing factor for the signed relative bias, in (0, 1].

@@ -8,6 +8,12 @@ namespace rails::telemetry {
 
 namespace {
 
+/// Health tick period on the virtual clock.
+constexpr SimDuration kInterval = 100_us;
+/// Points retained per series; on overflow adjacent pairs are compacted and
+/// the effective stride doubles.
+constexpr std::size_t kSeriesCapacity = 512;
+
 const char* agg_name(SeriesAgg agg) {
   switch (agg) {
     case SeriesAgg::kMean: return "mean";
@@ -125,9 +131,7 @@ double percentile_from_buckets(
 
 // -- HealthSampler -----------------------------------------------------------
 
-HealthSampler::HealthSampler(const TimeseriesConfig& cfg) : cfg_(cfg) {
-  if (cfg_.interval <= 0) cfg_.interval = usec(100);
-}
+SimDuration HealthSampler::interval() const { return kInterval; }
 
 void HealthSampler::add_source(Source::Kind kind, std::string series_name,
                                std::string metric, SeriesAgg agg, double scale,
@@ -139,7 +143,7 @@ void HealthSampler::add_source(Source::Kind kind, std::string series_name,
   s.scale = scale;
   s.cls = cls;
   sources_.push_back(std::move(s));
-  series_.emplace_back(std::move(series_name), agg, cfg_.capacity);
+  series_.emplace_back(std::move(series_name), agg, kSeriesCapacity);
 }
 
 void HealthSampler::attach(MetricsRegistry* registry,
@@ -220,9 +224,7 @@ void HealthSampler::resolve(Source& s) {
 const std::vector<ClassTick>& HealthSampler::sample(SimTime now) {
   if (registry_ == nullptr) return class_ticks_;
   const double interval_ms =
-      static_cast<double>(now > last_tick_time_ ? now - last_tick_time_
-                                                : cfg_.interval) /
-      1e6;
+      static_cast<double>(now > last_tick_time_ ? now - last_tick_time_ : kInterval) / 1e6;
 
   // Refresh the per-class latency-histogram deltas first; the percentile
   // sources below read from class_ticks_.
@@ -326,7 +328,7 @@ const Series* HealthSampler::find(std::string_view name) const {
 }
 
 void HealthSampler::write_json(std::ostream& os) const {
-  os << "{\"interval_us\":" << to_usec(cfg_.interval) << ",\"ticks\":" << ticks_
+  os << "{\"interval_us\":" << to_usec(kInterval) << ",\"ticks\":" << ticks_
      << ",\"series\":[";
   bool first = true;
   for (const Series& s : series_) {

@@ -42,15 +42,10 @@
 
 namespace rails::telemetry {
 
-/// Health-plane knobs, carried inside EngineConfig. Default-off: a disabled
-/// engine arms no tick and takes no sampling branch at all.
+/// Health-plane switch, carried inside EngineConfig. Default-off: a
+/// disabled engine arms no tick and takes no sampling branch at all.
 struct TimeseriesConfig {
   bool enabled = false;
-  /// Sampling period on the virtual clock.
-  SimDuration interval = usec(100);
-  /// Points retained per series; on overflow adjacent pairs are compacted
-  /// and the effective stride doubles. Rounded up to an even count >= 4.
-  std::size_t capacity = 512;
 };
 
 /// How two adjacent points merge when a full Series compacts.
@@ -126,10 +121,8 @@ struct ClassTick {
 
 class HealthSampler {
  public:
-  explicit HealthSampler(const TimeseriesConfig& cfg);
-
-  const TimeseriesConfig& config() const { return cfg_; }
-  SimDuration interval() const { return cfg_.interval; }
+  /// Sampling period on the virtual clock.
+  SimDuration interval() const;
 
   /// Resolves the curated handle set against `registry` and lays out one
   /// Series per source. `class_names` are the QoS classes in ClassId order
@@ -187,7 +180,6 @@ class HealthSampler {
                   std::string metric2 = {});
   void resolve(Source& s);
 
-  TimeseriesConfig cfg_;
   MetricsRegistry* registry_ = nullptr;
   std::vector<std::string> class_names_;
   std::uint32_t rail_count_ = 0;

@@ -1,5 +1,6 @@
 #include "core/config.hpp"
 
+#include <filesystem>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -80,40 +81,22 @@ TEST(ClusterConfig, RecalibrationDirectivesRoundTrip) {
   std::istringstream is(R"(
 nodes 2
 recalibration 1
-recal_alpha 0.5
-recal_window 48
-recal_min_samples 9
-recal_drift_threshold 0.3
-recal_recover_threshold 0.05
-recal_suspect_penalty 1.5
-recal_resample_budget 3
-recal_resample_interval_us 750
 rail preset myri10g
 rail preset qsnet2
 )");
   const WorldConfig cfg = parse_world_config(is);
   EXPECT_TRUE(cfg.engine.recalibration.enabled);
-  EXPECT_DOUBLE_EQ(cfg.engine.recalibration.ewma_alpha, 0.5);
-  EXPECT_EQ(cfg.engine.recalibration.window, 48u);
-  EXPECT_EQ(cfg.engine.recalibration.min_samples, 9u);
-  EXPECT_DOUBLE_EQ(cfg.engine.recalibration.drift_threshold, 0.3);
-  EXPECT_DOUBLE_EQ(cfg.engine.recalibration.recover_threshold, 0.05);
-  EXPECT_DOUBLE_EQ(cfg.engine.recalibration.suspect_penalty, 1.5);
-  EXPECT_EQ(cfg.engine.recalibration.resample_budget, 3u);
-  EXPECT_EQ(cfg.engine.recalibration.resample_interval, usec(750.0));
 
   std::stringstream ss;
   save_world_config(cfg, ss);
   const WorldConfig again = parse_world_config(ss);
   EXPECT_TRUE(again.engine.recalibration.enabled);
-  EXPECT_DOUBLE_EQ(again.engine.recalibration.ewma_alpha, 0.5);
-  EXPECT_EQ(again.engine.recalibration.window, 48u);
-  EXPECT_EQ(again.engine.recalibration.min_samples, 9u);
-  EXPECT_DOUBLE_EQ(again.engine.recalibration.drift_threshold, 0.3);
-  EXPECT_DOUBLE_EQ(again.engine.recalibration.recover_threshold, 0.05);
-  EXPECT_DOUBLE_EQ(again.engine.recalibration.suspect_penalty, 1.5);
-  EXPECT_EQ(again.engine.recalibration.resample_budget, 3u);
-  EXPECT_EQ(again.engine.recalibration.resample_interval, usec(750.0));
+  // The detector's tuning is not part of the file format: a loaded config
+  // runs the built-in defaults.
+  const sampling::RecalibrationConfig defaults;
+  EXPECT_DOUBLE_EQ(again.engine.recalibration.ewma_alpha, defaults.ewma_alpha);
+  EXPECT_EQ(again.engine.recalibration.window, defaults.window);
+  EXPECT_EQ(again.engine.recalibration.resample_interval, defaults.resample_interval);
 }
 
 TEST(ClusterConfig, QosDirectivesRoundTrip) {
@@ -121,9 +104,7 @@ TEST(ClusterConfig, QosDirectivesRoundTrip) {
 nodes 2
 qos 1
 qos_quantum 32768
-qos_bulk_chunk 131072
 qos_aging_us 750
-qos_latency_cutoff 16384
 qos_deadline_downgrade 1
 qos_class name=latency weight=8 strict=1 capacity=512 deadline_us=500
 qos_class name=gold weight=3 capacity=2048 high=1536 low=256
@@ -134,9 +115,7 @@ rail preset qsnet2
   const WorldConfig cfg = parse_world_config(is);
   EXPECT_TRUE(cfg.engine.qos.enabled);
   EXPECT_EQ(cfg.engine.qos.quantum, 32768u);
-  EXPECT_EQ(cfg.engine.qos.bulk_chunk, 131072u);
   EXPECT_EQ(cfg.engine.qos.aging, usec(750.0));
-  EXPECT_EQ(cfg.engine.qos.latency_cutoff, 16384u);
   EXPECT_TRUE(cfg.engine.qos.deadline_downgrade);
   ASSERT_EQ(cfg.engine.qos.classes.size(), 3u);  // declared set replaces built-ins
   EXPECT_EQ(cfg.engine.qos.classes[0].name, "latency");
@@ -156,9 +135,7 @@ rail preset qsnet2
   const WorldConfig again = parse_world_config(ss);
   EXPECT_TRUE(again.engine.qos.enabled);
   EXPECT_EQ(again.engine.qos.quantum, 32768u);
-  EXPECT_EQ(again.engine.qos.bulk_chunk, 131072u);
   EXPECT_EQ(again.engine.qos.aging, usec(750.0));
-  EXPECT_EQ(again.engine.qos.latency_cutoff, 16384u);
   EXPECT_TRUE(again.engine.qos.deadline_downgrade);
   ASSERT_EQ(again.engine.qos.classes.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -182,37 +159,19 @@ TEST(ClusterConfig, ReliabilityDirectivesRoundTrip) {
   std::istringstream is(R"(
 nodes 2
 reliability 1
-reliability_checksum 0
-reliability_max_retransmits 4
-reliability_ack_slack 3.5
-reliability_min_timeout_us 80
-reliability_backoff 1.5
-reliability_ack_delay_us 10
-reliability_loss_streak 5
+failover 0
 rail preset myri10g
 rail preset qsnet2
 )");
   const WorldConfig cfg = parse_world_config(is);
   EXPECT_TRUE(cfg.engine.reliability.enabled);
-  EXPECT_FALSE(cfg.engine.reliability.checksum);
-  EXPECT_EQ(cfg.engine.reliability.max_retransmits, 4u);
-  EXPECT_DOUBLE_EQ(cfg.engine.reliability.ack_timeout_slack, 3.5);
-  EXPECT_EQ(cfg.engine.reliability.min_ack_timeout, usec(80.0));
-  EXPECT_DOUBLE_EQ(cfg.engine.reliability.backoff, 1.5);
-  EXPECT_EQ(cfg.engine.reliability.ack_delay, usec(10.0));
-  EXPECT_EQ(cfg.engine.reliability.loss_streak_quarantine, 5u);
+  EXPECT_FALSE(cfg.engine.failover.enabled);
 
   std::stringstream ss;
   save_world_config(cfg, ss);
   const WorldConfig again = parse_world_config(ss);
   EXPECT_TRUE(again.engine.reliability.enabled);
-  EXPECT_FALSE(again.engine.reliability.checksum);
-  EXPECT_EQ(again.engine.reliability.max_retransmits, 4u);
-  EXPECT_DOUBLE_EQ(again.engine.reliability.ack_timeout_slack, 3.5);
-  EXPECT_EQ(again.engine.reliability.min_ack_timeout, usec(80.0));
-  EXPECT_DOUBLE_EQ(again.engine.reliability.backoff, 1.5);
-  EXPECT_EQ(again.engine.reliability.ack_delay, usec(10.0));
-  EXPECT_EQ(again.engine.reliability.loss_streak_quarantine, 5u);
+  EXPECT_FALSE(again.engine.failover.enabled);
 }
 
 TEST(ClusterConfig, FaultDirectivesRoundTrip) {
@@ -353,6 +312,31 @@ TEST(ClusterConfig, MeshExampleConfigBuildsWorkingWorld) {
   EXPECT_GT(world.measure_bandwidth(512_KiB, 1), 500.0);
 }
 
+TEST(ClusterConfig, EveryShippedConfigBuildsAWorldAndRoundTrips) {
+  // Every example under configs/ must load, build a World, and survive
+  // save -> parse -> save unchanged, so an edit to the format or to a file
+  // cannot leave a shipped config unloadable.
+  std::size_t checked = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::string(RAILS_REPO_CONFIG_DIR))) {
+    if (entry.path().extension() != ".rails") continue;
+    SCOPED_TRACE(entry.path().filename().string());
+    const WorldConfig cfg = load_world_config(entry.path().string());
+    core::World world(cfg);
+    EXPECT_EQ(world.fabric().node_count(), cfg.fabric.node_count);
+    EXPECT_EQ(world.fabric().rail_count(), cfg.fabric.rails.size());
+
+    std::stringstream first;
+    save_world_config(cfg, first);
+    const std::string saved = first.str();
+    std::stringstream second;
+    save_world_config(parse_world_config(first), second);
+    EXPECT_EQ(second.str(), saved);
+    ++checked;
+  }
+  EXPECT_GE(checked, 7u);
+}
+
 TEST(ClusterConfigDeath, TopologyBadKind) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   std::istringstream is("topology ring 8\nrail preset myri10g\n");
@@ -377,6 +361,8 @@ TEST(ClusterConfigDeath, UnknownDirective) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   std::istringstream is("bogus 7\nrail preset myri10g\n");
   EXPECT_DEATH(parse_world_config(is), "malformed");
+  std::istringstream late("rail preset myri10g\nbogus 7\n");
+  EXPECT_DEATH(parse_world_config(late), "line 2: unknown directive 'bogus'");
 }
 
 TEST(ClusterConfigDeath, UnknownPreset) {
@@ -388,12 +374,6 @@ TEST(ClusterConfigDeath, UnknownPreset) {
 TEST(ClusterConfigDeath, NoRails) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   std::istringstream is("nodes 2\n");
-  EXPECT_DEATH(parse_world_config(is), "malformed");
-}
-
-TEST(ClusterConfigDeath, RecalAlphaOutOfRange) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  std::istringstream is("recal_alpha 1.5\nrail preset myri10g\n");
   EXPECT_DEATH(parse_world_config(is), "malformed");
 }
 
@@ -445,19 +425,11 @@ TEST(ClusterConfigDeath, FaultWithoutAnyKind) {
   EXPECT_DEATH(parse_world_config(is), "malformed");
 }
 
-TEST(ClusterConfigDeath, ReliabilityZeroRetransmits) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  std::istringstream is("reliability_max_retransmits 0\nrail preset myri10g\n");
-  EXPECT_DEATH(parse_world_config(is), "malformed");
-}
-
 TEST(ClusterConfig, HealthPlaneDirectivesRoundTrip) {
   std::istringstream is(R"(
 nodes 2
 qos 1
 timeseries 1
-timeseries_interval_us 250
-timeseries_capacity 128
 slo latency hit_rate=0.995 window_us=8000 fast_window_us=2000
 slo gold p99_us=1500 hit_rate=0.95 window_us=12000 fast_burn=10 slow_burn=4 patience=5 min_events=16
 rail preset myri10g
@@ -465,8 +437,6 @@ rail preset qsnet2
 )");
   const WorldConfig cfg = parse_world_config(is);
   EXPECT_TRUE(cfg.engine.timeseries.enabled);
-  EXPECT_EQ(cfg.engine.timeseries.interval, usec(250.0));
-  EXPECT_EQ(cfg.engine.timeseries.capacity, 128u);
   ASSERT_EQ(cfg.engine.slos.size(), 2u);
   EXPECT_EQ(cfg.engine.slos[0].cls, "latency");
   EXPECT_DOUBLE_EQ(cfg.engine.slos[0].hit_rate, 0.995);
@@ -484,8 +454,6 @@ rail preset qsnet2
   save_world_config(cfg, ss);
   const WorldConfig again = parse_world_config(ss);
   EXPECT_TRUE(again.engine.timeseries.enabled);
-  EXPECT_EQ(again.engine.timeseries.interval, usec(250.0));
-  EXPECT_EQ(again.engine.timeseries.capacity, 128u);
   ASSERT_EQ(again.engine.slos.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(again.engine.slos[i].cls, cfg.engine.slos[i].cls);
@@ -522,20 +490,8 @@ TEST(ClusterConfig, SloExampleConfigRoundTrips) {
   save_world_config(cfg, ss);
   const WorldConfig again = parse_world_config(ss);
   EXPECT_EQ(again.engine.slos.size(), cfg.engine.slos.size());
-  EXPECT_EQ(again.engine.timeseries.capacity, cfg.engine.timeseries.capacity);
+  EXPECT_EQ(again.engine.timeseries.enabled, cfg.engine.timeseries.enabled);
   EXPECT_EQ(again.engine.qos.classes.size(), cfg.engine.qos.classes.size());
-}
-
-TEST(ClusterConfigDeath, TimeseriesIntervalNonPositive) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  std::istringstream is("timeseries_interval_us 0\nrail preset myri10g\n");
-  EXPECT_DEATH(parse_world_config(is), "malformed");
-}
-
-TEST(ClusterConfigDeath, TimeseriesCapacityTooSmall) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  std::istringstream is("timeseries_capacity 2\nrail preset myri10g\n");
-  EXPECT_DEATH(parse_world_config(is), "malformed");
 }
 
 TEST(ClusterConfigDeath, SloWithoutObjective) {

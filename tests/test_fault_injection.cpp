@@ -640,7 +640,6 @@ TEST(SendBufferLifetime, CorruptFaultNeverWritesTheSendBuffer) {
   // copy of the chunk, not in the application's buffer it borrows.
   WorldConfig cfg = paper_testbed("hetero-split");
   cfg.engine.reliability.enabled = false;
-  cfg.engine.reliability.checksum = false;
   core::World world(std::move(cfg));
   fabric::FaultSpec corrupt;
   corrupt.kind = fabric::FaultKind::kCorrupt;

@@ -119,7 +119,7 @@ TEST(PercentileFromBuckets, SplitsAcrossBuckets) {
 // -- HealthSampler -----------------------------------------------------------
 
 TEST(HealthSampler, DetachedSamplerIsInert) {
-  HealthSampler sampler(TimeseriesConfig{});
+  HealthSampler sampler;
   sampler.attach(nullptr, {}, 0);
   const auto& ticks = sampler.sample(usec(100));
   EXPECT_TRUE(ticks.empty());
@@ -130,9 +130,7 @@ TEST(HealthSampler, DetachedSamplerIsInert) {
 TEST(HealthSampler, DifferencesCountersIntoRates) {
   MetricsRegistry registry;
   Counter* sends = registry.counter("engine.sends");
-  TimeseriesConfig cfg;
-  cfg.enabled = true;
-  HealthSampler sampler(cfg);
+  HealthSampler sampler;
   sampler.attach(&registry, {}, 0);
 
   sends->inc(10);
@@ -153,9 +151,7 @@ TEST(HealthSampler, PerClassTicksCarryHitsMissesAndWindowedPercentiles) {
   Counter* hits = registry.counter("qos.gold.deadline_hits");
   Counter* misses = registry.counter("qos.gold.deadline_misses");
   Histogram* lat = registry.histogram("qos.gold.latency_ns");
-  TimeseriesConfig cfg;
-  cfg.enabled = true;
-  HealthSampler sampler(cfg);
+  HealthSampler sampler;
   sampler.attach(&registry, {"gold"}, 0);
 
   hits->inc(3);
@@ -181,9 +177,7 @@ TEST(HealthSampler, PerClassTicksCarryHitsMissesAndWindowedPercentiles) {
 TEST(HealthSampler, WriteJsonOmitsEmptySeries) {
   MetricsRegistry registry;
   registry.counter("engine.sends");
-  TimeseriesConfig cfg;
-  cfg.enabled = true;
-  HealthSampler sampler(cfg);
+  HealthSampler sampler;
   sampler.attach(&registry, {}, 0);
   sampler.sample(usec(100));
   std::ostringstream os;

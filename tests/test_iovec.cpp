@@ -93,8 +93,7 @@ TEST(Iovec, CoalescingChargedWithoutGatherSupport) {
   };
   const SimDuration free_gather = run(gather);
   const SimDuration coalesced = run(copy_world);
-  const SimDuration expected_copy =
-      wire_time(tx.size(), gather.engine(0).config().host_copy_mbps);
+  const SimDuration expected_copy = wire_time(tx.size(), Engine::kHostCopyMbps);
   EXPECT_EQ(coalesced - free_gather, expected_copy);
   EXPECT_EQ(rx, tx);
 }

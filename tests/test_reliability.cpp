@@ -202,13 +202,12 @@ TEST(Reliability, CorruptFaultNeverWritesTheParkedBytes) {
 }
 
 TEST(Reliability, ParseRejectsAreRecordedUnderTheirOwnKind) {
-  // With the wire checksum off, a bit flipped inside a sub-packet header
-  // reaches the unpacker, which drops the frame. That drop is a parse
-  // reject, not a CRC-detected corruption: each flight record kind must
-  // match its own counter.
-  WorldConfig cfg = reliable_testbed("hetero-split");
-  cfg.engine.reliability.checksum = false;
-  World world(std::move(cfg));
+  // With reliability (and its wire checksum) off, a bit flipped inside a
+  // sub-packet header reaches the unpacker, which drops the frame. That
+  // drop is a parse reject, not a CRC-detected corruption: each flight
+  // record kind must match its own counter.
+  World world(paper_testbed("hetero-split"));
+  ASSERT_FALSE(world.engine(0).config().reliability.enabled);
   telemetry::MetricsRegistry registry;
   trace::FlightRecorder recorder(1 << 16);
   for (NodeId n = 0; n < 2; ++n) {
@@ -331,9 +330,7 @@ TEST(Reliability, LossStreakHandsTheSickRailToQuarantine) {
 }
 
 TEST(Reliability, RetryBudgetExhaustionFailsTheSendInsteadOfHanging) {
-  WorldConfig cfg = reliable_testbed("hetero-split");
-  cfg.engine.reliability.max_retransmits = 2;
-  World world(std::move(cfg));
+  World world(reliable_testbed("hetero-split"));
   trace::FlightRecorder recorder;
   world.engine(0).set_flight_recorder(&recorder);
   // Every rail out of node 0 drops everything: no handshake can ever land,
