@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <ostream>
 
 #include "common/check.hpp"
@@ -204,7 +205,7 @@ void Engine::write_state_json(std::ostream& os) const {
 // -- health plane (docs/OBSERVABILITY.md) ------------------------------------
 
 bool Engine::health_work_pending() const {
-  return !pending_eager_.empty() || !rdv_sends_.empty() || !qos_streams_.empty() ||
+  return pending_count_ > 0 || !rdv_sends_.empty() || !qos_streams_.empty() ||
          !inbound_rdv_.empty() || !unexpected_.empty() || rel_live_entries_ > 0 ||
          (qos_ != nullptr && qos_->backlog());
 }
@@ -451,7 +452,7 @@ SendHandle Engine::submit_send(SendHandle send, NodeId dst, Tag tag, const void*
     if (qos_ != nullptr) {
       qos_->enqueue(send->qos_class, send, send->submit_time);
     } else {
-      pending_eager_.push_back(send);
+      enqueue_eager(send);
     }
     // The application returns immediately; the scheduler runs as a separate
     // activation at the same virtual instant. Deferring to an event lets a
@@ -554,57 +555,97 @@ void Engine::progress() {
   // the NIC-idle re-arms below, which is what enforces the weight shares
   // under saturation.
   if (qos_ != nullptr) drain_qos();
-  if (pending_eager_.empty()) {
+  if (pending_count_ == 0) {
     if (qos_ != nullptr && qos_->backlog()) schedule_retry();
     return;
   }
   RAILS_CHECK_MSG(strategy_ != nullptr, "traffic submitted before a strategy was installed");
   count(EngineCounter::progress_calls);
 
-  // Interrogate the strategy once per destination group, preserving the
-  // first-appearance order of destinations and the submission order within
-  // each group. Single pass over the pack list: each destination's group
-  // index is memoized in dst_group_, stamped with group_epoch_ so resetting
-  // the table between activations is O(1) (no per-node clearing), and the
-  // group vectors themselves are recycled (clear keeps capacity).
-  if (dst_epoch_.size() < fabric_->node_count()) {
-    dst_epoch_.resize(fabric_->node_count(), 0);
-    dst_group_.resize(fabric_->node_count(), 0);
-  }
-  if (++group_epoch_ == 0) {
-    // Wrap: stamps from 2^32 activations ago could alias the fresh epoch.
-    std::fill(dst_epoch_.begin(), dst_epoch_.end(), 0);
-    group_epoch_ = 1;
-  }
-  groups_used_ = 0;
-  for (const auto& s : pending_eager_) {
-    std::uint32_t g;
-    if (dst_epoch_[s->dst] == group_epoch_) {
-      g = dst_group_[s->dst];
-    } else {
-      g = static_cast<std::uint32_t>(groups_used_++);
-      if (groups_used_ > group_sends_.size()) group_sends_.emplace_back();
-      group_sends_[g].clear();
-      dst_epoch_[s->dst] = group_epoch_;
-      dst_group_[s->dst] = g;
+  // Interrogate the strategy once per destination group, oldest group
+  // first, with each group in submission order, until a plan reports that
+  // no later group could emit either. A wake-up therefore costs the groups
+  // it can emit plus one, not the whole pack list. Visited groups that
+  // keep sends go back into the ready order after the loop, so each group
+  // is planned at most once per activation.
+  revisit_.clear();
+  while (!ready_.empty()) {
+    std::pop_heap(ready_.begin(), ready_.end(), std::greater<>{});
+    const NodeId dst = ready_.back().second;
+    ready_.pop_back();
+    group_scratch_.clear();
+    for (std::uint32_t e = dst_fifos_[dst].head; e != kNoEntry; e = pack_entries_[e].next) {
+      group_scratch_.push_back(pack_entries_[e].send.get());
     }
-    group_sends_[g].push_back(s.get());
+    const bool blocked = plan_group(group_scratch_);
+    retire_posted(dst);
+    if (dst_fifos_[dst].head != kNoEntry) revisit_.push_back(dst);
+    if (blocked) break;
   }
-  for (std::size_t g = 0; g < groups_used_; ++g) {
-    plan_group(std::span<const SendRequest* const>(group_sends_[g]));
+  for (const NodeId dst : revisit_) {
+    ready_.emplace_back(pack_entries_[dst_fifos_[dst].head].seq, dst);
+    std::push_heap(ready_.begin(), ready_.end(), std::greater<>{});
   }
 
-  // Drop fully posted sends from the pack list.
-  std::erase_if(pending_eager_, [](const SendHandle& s) {
-    RAILS_CHECK_MSG(s->bytes_posted == 0 || s->bytes_posted == s->len,
-                    "strategy left a send partially posted");
-    return s->bytes_posted == s->len;
-  });
-
-  if (!pending_eager_.empty() || (qos_ != nullptr && qos_->backlog())) schedule_retry();
+  if (pending_count_ > 0 || (qos_ != nullptr && qos_->backlog())) schedule_retry();
 }
 
-void Engine::plan_group(std::span<const SendRequest* const> group) {
+void Engine::enqueue_eager(SendHandle send) {
+  const NodeId dst = send->dst;
+  if (dst_fifos_.size() <= dst) {
+    dst_fifos_.resize(fabric_->node_count());
+    ready_.reserve(fabric_->node_count());
+  }
+  std::uint32_t e = free_entry_;
+  if (e != kNoEntry) {
+    free_entry_ = pack_entries_[e].next;
+  } else {
+    e = static_cast<std::uint32_t>(pack_entries_.size());
+    pack_entries_.emplace_back();
+  }
+  PackEntry& entry = pack_entries_[e];
+  entry.send = std::move(send);
+  entry.seq = next_pack_seq_++;
+  entry.next = kNoEntry;
+  DstFifo& fifo = dst_fifos_[dst];
+  if (fifo.head == kNoEntry) {
+    // A destination's oldest send is the newest in the pack list when its
+    // FIFO was empty, so it joins the ready order last.
+    fifo.head = e;
+    ready_.emplace_back(entry.seq, dst);
+    std::push_heap(ready_.begin(), ready_.end(), std::greater<>{});
+  } else {
+    pack_entries_[fifo.tail].next = e;
+  }
+  fifo.tail = e;
+  ++pending_count_;
+}
+
+void Engine::retire_posted(NodeId dst) {
+  DstFifo& fifo = dst_fifos_[dst];
+  std::uint32_t prev = kNoEntry;
+  std::uint32_t e = fifo.head;
+  while (e != kNoEntry) {
+    PackEntry& entry = pack_entries_[e];
+    const std::uint32_t next = entry.next;
+    const SendRequest& send = *entry.send;
+    RAILS_CHECK_MSG(send.bytes_posted == 0 || send.bytes_posted == send.len,
+                    "strategy left a send partially posted");
+    if (send.bytes_posted == send.len) {
+      (prev == kNoEntry ? fifo.head : pack_entries_[prev].next) = next;
+      if (fifo.tail == e) fifo.tail = prev;
+      entry.send.reset();
+      entry.next = free_entry_;
+      free_entry_ = e;
+      --pending_count_;
+    } else {
+      prev = e;
+    }
+    e = next;
+  }
+}
+
+bool Engine::plan_group(std::span<const SendRequest* const> group) {
   const StrategyContext ctx = make_context();
   count(EngineCounter::plan_eager);
 
@@ -628,7 +669,7 @@ void Engine::plan_group(std::span<const SendRequest* const> group) {
   if (!cacheable) {
     EagerSchedule schedule = strategy_->plan_eager(ctx, group);
     for (const EagerEmission& emission : schedule.emissions) post_emission(emission);
-    return;
+    return schedule.blocked;
   }
 
   std::uint64_t usable_mask = 0;
@@ -689,7 +730,7 @@ void Engine::plan_group(std::span<const SendRequest* const> group) {
       }
       post_emission(emission_scratch_);
     }
-    return;
+    return entry.blocked;
   }
 
   count(EngineCounter::strategy_cache_misses);
@@ -699,6 +740,7 @@ void Engine::plan_group(std::span<const SendRequest* const> group) {
   // mutates bytes_posted, not the keyed fields; request pointers recycle,
   // so indices are the only stable reference).
   entry.epoch = decision_epoch_;
+  entry.blocked = schedule.blocked;
   entry.usable_mask = usable_mask;
   entry.idle_rail_mask = idle_rail_mask;
   entry.idle_core_mask = idle_core_mask;
@@ -731,13 +773,14 @@ void Engine::plan_group(std::span<const SendRequest* const> group) {
   if (!storable) entry.epoch = 0;  // plan referenced a request outside the group
 
   for (const EagerEmission& emission : schedule.emissions) post_emission(emission);
+  return schedule.blocked;
 }
 
 void Engine::drain_qos() {
   RAILS_PERF_SCOPE(perf::Layer::kArbiter);
   qos_->grant(fabric_->now(), [this](SendHandle send) {
     count(EngineCounter::qos_grants);
-    pending_eager_.push_back(std::move(send));
+    enqueue_eager(std::move(send));
   });
 }
 
@@ -1681,7 +1724,7 @@ void Engine::reprobe_rail(RailId rail) {
     h.quarantined = false;
     h.window = 0;  // healthy again: reset the backoff
     invalidate_decisions();  // the usable-rail set just grew
-    if (!pending_eager_.empty() || (qos_ != nullptr && qos_->backlog())) {
+    if (pending_count_ > 0 || (qos_ != nullptr && qos_->backlog())) {
       arm_progress(now);
     }
     if (!qos_streams_.empty()) arm_qos_pump();

@@ -48,7 +48,7 @@ namespace rails::core {
   X(eager_msgs, "engine.eager_msgs")                                           \
   X(rdv_msgs, "engine.rdv_msgs")                                               \
   X(progress_calls, "engine.progress_calls")   /* scheduler activations */    \
-  X(plan_eager, "strategy.<name>.plan_eager")  /* per destination group */    \
+  X(plan_eager, "strategy.<name>.plan_eager")  /* per group visited */        \
   X(plan_rendezvous, "strategy.<name>.plan_rendezvous")                        \
   X(eager_segments, "engine.eager_segments")   /* eager segments posted */    \
   X(aggregated_packets, "engine.aggregated_packets") /* shared a segment */   \
@@ -67,10 +67,10 @@ namespace rails::core {
   X(reprobes, "engine.reprobes")                                               \
   X(reprobe_successes, "engine.reprobe_successes")                             \
   X(duplicate_chunks, "engine.duplicate_chunks") /* receiver-side dups */     \
+  X(parse_rejects, "engine.parse_rejects") /* malformed frame dropped */      \
   /* end-to-end reliability (docs/FAULTS.md) */                                \
   X(rel_segments, "engine.reliability.segments") /* sequenced segs posted */  \
   X(rel_corruptions, "engine.reliability.corruptions")                         \
-  X(rel_parse_rejects, "engine.reliability.parse_rejects") /* frame dropped */ \
   X(rel_drops_inferred, "engine.reliability.drops_inferred")                   \
   X(rel_retransmits, "engine.reliability.retransmits")                         \
   X(rel_dup_suppressed, "engine.reliability.dup_suppressed")                   \
@@ -251,7 +251,7 @@ class Engine {
   void force_recalibrate(RailId rail);
 
   /// Number of sends still sitting in the pack list (tests/diagnostics).
-  std::size_t pending_sends() const { return pending_eager_.size(); }
+  std::size_t pending_sends() const { return pending_count_; }
 
   /// True when `rail` is currently quarantined (excluded from strategy
   /// decisions until a re-probe finds the link up again).
@@ -317,13 +317,19 @@ class Engine {
   void handle_data(const fabric::Segment& seg);
   void handle_fin(const fabric::Segment& seg);
 
-  /// Interrogates the strategy for the queued eager sends and posts the
-  /// returned emissions. Re-armed at the next NIC-idle time when the
-  /// strategy defers.
+  /// Interrogates the strategy for the queued eager sends, one destination
+  /// group at a time in pack-list order, and posts the returned emissions.
+  /// Stops at the first blocked plan. Re-armed at the next NIC-idle time
+  /// while sends remain.
   void progress();
   /// Interrogates the strategy for one destination group, consulting the
-  /// decision cache first (docs/PERF.md). Posts the resulting emissions.
-  void plan_group(std::span<const SendRequest* const> group);
+  /// decision cache first (docs/PERF.md). Posts the resulting emissions and
+  /// returns the plan's `blocked` flag.
+  bool plan_group(std::span<const SendRequest* const> group);
+  /// Appends `send` to the pack list: the tail of its destination's FIFO.
+  void enqueue_eager(SendHandle send);
+  /// Unlinks the fully posted sends from `dst`'s FIFO.
+  void retire_posted(NodeId dst);
   void schedule_retry();
   /// Earliest time a rail the strategy can use goes idle (at least now + 1).
   SimTime next_rail_idle() const;
@@ -536,7 +542,6 @@ class Engine {
   /// a timeout event that finds no entry (or a newer attempt) is stale.
   std::map<std::uint64_t, std::map<std::uint64_t, unsigned>> live_chunks_;
 
-  std::vector<SendHandle> pending_eager_;          ///< the pack list
   std::map<std::uint64_t, SendHandle> rdv_sends_;  ///< RTS sent, keyed by msg id
 
   // -- end-to-end reliability (docs/FAULTS.md) ---------------------------
@@ -597,13 +602,31 @@ class Engine {
   // Persistent buffers recycled across activations so the steady-state
   // submit -> schedule -> emit path touches no allocator.
 
-  /// Single-pass destination grouping: dst -> group index, stamped with
-  /// group_epoch_ so clearing between activations is O(1).
-  std::vector<std::vector<const SendRequest*>> group_sends_;
-  std::size_t groups_used_ = 0;
-  std::vector<std::uint32_t> dst_group_;
-  std::vector<std::uint32_t> dst_epoch_;
-  std::uint32_t group_epoch_ = 0;
+  /// The pack list (docs/PERF.md, "Submit-path scratch"): one FIFO of
+  /// queued eager sends per destination, linked through a slab of entries
+  /// (free entries chain through `next`). `seq` is an entry's pack-list
+  /// position: the order it was submitted, or granted by the QoS arbiter.
+  static constexpr std::uint32_t kNoEntry = ~std::uint32_t{0};
+  struct PackEntry {
+    SendHandle send;
+    std::uint64_t seq = 0;
+    std::uint32_t next = kNoEntry;
+  };
+  struct DstFifo {
+    std::uint32_t head = kNoEntry;
+    std::uint32_t tail = kNoEntry;
+  };
+  std::vector<PackEntry> pack_entries_;
+  std::uint32_t free_entry_ = kNoEntry;
+  std::vector<DstFifo> dst_fifos_;  ///< by node id; sized on first enqueue
+  /// The ready order: destinations with queued sends, as a min-heap on the
+  /// seq of each one's oldest send. Popping it visits groups in exactly
+  /// the order a scan of one flat pack list would meet them.
+  std::vector<std::pair<std::uint64_t, NodeId>> ready_;
+  std::vector<NodeId> revisit_;                 ///< visited, sends left
+  std::vector<const SendRequest*> group_scratch_;  ///< the span planned
+  std::uint64_t next_pack_seq_ = 0;
+  std::size_t pending_count_ = 0;
 
   /// Rail sets of earliest_feasible_completion / failover_chunk and the
   /// solver inputs equal_finish_split builds from them (mutable: the
@@ -636,6 +659,7 @@ class Engine {
   };
   struct DecisionEntry {
     std::uint64_t epoch = 0;  ///< 0 = empty slot
+    bool blocked = false;     ///< the plan's EagerSchedule::blocked
     std::uint64_t usable_mask = 0;
     std::uint64_t idle_rail_mask = 0;
     std::uint64_t idle_core_mask = 0;

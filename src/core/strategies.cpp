@@ -92,6 +92,24 @@ std::vector<EagerEmission> pack_onto_rail(const StrategyContext& ctx, RailId rai
   return emissions;
 }
 
+/// True when some usable rail is idle: the only rails a strategy that never
+/// posts onto a busy rail can feed.
+bool usable_rail_idle(const StrategyContext& ctx) {
+  for (RailId r = 0; r < ctx.rail_count(); ++r) {
+    if (ctx.rail_usable(r) && ctx.nics[r]->idle(ctx.now)) return true;
+  }
+  return false;
+}
+
+/// A multicore split posts chunks onto busy rails from idle remote cores,
+/// so the multicore strategies are blocked only while no remote core is
+/// idle either.
+EagerSchedule unless_remote_core_idle(const StrategyContext& ctx, EagerSchedule schedule) {
+  schedule.blocked = schedule.blocked &&
+                     ctx.cores->idle_count(ctx.now, ctx.config->scheduler_core) == 0;
+  return schedule;
+}
+
 /// Completion-time estimate for aggregating `bytes` on `rail` right now.
 SimTime eager_completion(const StrategyContext& ctx, RailId rail, std::size_t bytes) {
   const sampling::RailState state{rail, ctx.rail_busy_until(rail)};
@@ -112,8 +130,11 @@ EagerSchedule SingleRail::plan_eager(const StrategyContext& ctx,
                                      std::span<const SendRequest* const> pending) {
   EagerSchedule schedule;
   // Defer while the rail is busy: queued packets keep aggregating, exactly
-  // like NewMadeleine's pack list.
-  if (!ctx.nics[rail_]->idle(ctx.now)) return schedule;
+  // like NewMadeleine's pack list. No other group can use the rail either.
+  if (!ctx.nics[rail_]->idle(ctx.now)) {
+    schedule.blocked = true;
+    return schedule;
+  }
   schedule.emissions = pack_onto_rail(ctx, rail_, pending);
   return schedule;
 }
@@ -137,7 +158,10 @@ EagerSchedule GreedyBalance::plan_eager(const StrategyContext& ctx,
   for (RailId r = 0; r < ctx.rail_count(); ++r) {
     if (ctx.rail_usable(r) && ctx.nics[r]->idle(ctx.now)) idle.push_back(r);
   }
-  if (idle.empty()) return schedule;
+  if (idle.empty()) {
+    schedule.blocked = true;
+    return schedule;
+  }
 
   std::size_t next = 0;
   for (const SendRequest* send : pending) {
@@ -196,7 +220,10 @@ EagerSchedule AggregateFastest::plan_eager(const StrategyContext& ctx,
       best = r;
     }
   }
-  if (!any_idle) return schedule;  // keep aggregating until a NIC frees up
+  if (!any_idle) {  // keep aggregating until a NIC frees up
+    schedule.blocked = true;
+    return schedule;
+  }
   schedule.emissions = pack_onto_rail(ctx, best, pending);
   return schedule;
 }
@@ -234,8 +261,12 @@ EagerSchedule PatientAggregate::plan_eager(const StrategyContext& ctx,
     }
   }
   // "delaying a transfer while some NICs that especially fit the considered
-  // transfer are busy": if the winner is busy, wait for it.
-  if (!ctx.nics[best]->idle(ctx.now)) return schedule;
+  // transfer are busy": if the winner is busy, wait for it. Another group's
+  // winner may be idle, so only a fully busy node blocks the activation.
+  if (!ctx.nics[best]->idle(ctx.now)) {
+    schedule.blocked = !usable_rail_idle(ctx);
+    return schedule;
+  }
   schedule.emissions = pack_onto_rail(ctx, best, pending);
   return schedule;
 }
@@ -319,11 +350,11 @@ EagerSchedule MulticoreHeteroSplit::plan_eager(const StrategyContext& ctx,
   // (§III-D: "this mechanism appears to be useful to send medium-sized
   // eager messages").
   if (pending.size() != 1 || ctx.rail_count() < 2) {
-    return AggregateFastest::plan_eager(ctx, pending);
+    return unless_remote_core_idle(ctx, AggregateFastest::plan_eager(ctx, pending));
   }
   const SendRequest* send = pending.front();
   if (send->len < ctx.config->offload.min_split_size) {
-    return AggregateFastest::plan_eager(ctx, pending);
+    return unless_remote_core_idle(ctx, AggregateFastest::plan_eager(ctx, pending));
   }
 
   // Cores available for remote submission (the scheduler core is excluded:
@@ -335,7 +366,9 @@ EagerSchedule MulticoreHeteroSplit::plan_eager(const StrategyContext& ctx,
   const strategy::EagerPlan plan =
       strategy::plan_eager(rails, send->len, idle_cores, ctx.config->offload);
 
-  if (!plan.split) return AggregateFastest::plan_eager(ctx, pending);
+  if (!plan.split) {
+    return unless_remote_core_idle(ctx, AggregateFastest::plan_eager(ctx, pending));
+  }
 
   // Assign one distinct idle core per chunk, nearest-first.
   std::vector<CoreId> assigned;
@@ -397,7 +430,9 @@ EagerSchedule BatchSpread::plan_eager(const StrategyContext& ctx,
   }
   const std::size_t bins =
       std::min({idle_rails.size(), idle_cores.size(), pending.size()});
-  if (bins < 2) return AggregateFastest::plan_eager(ctx, pending);
+  if (bins < 2) {
+    return unless_remote_core_idle(ctx, AggregateFastest::plan_eager(ctx, pending));
+  }
 
   // Rank the idle rails by eager speed for an average-sized aggregate and
   // keep the `bins` fastest.
@@ -447,7 +482,7 @@ EagerSchedule BatchSpread::plan_eager(const StrategyContext& ctx,
         aggregate_time, ctx.estimator->duration(r, total, fabric::Protocol::kEager));
   }
   if (aggregate_time <= spread_time) {
-    return AggregateFastest::plan_eager(ctx, pending);
+    return unless_remote_core_idle(ctx, AggregateFastest::plan_eager(ctx, pending));
   }
 
   // Emit one aggregated segment per bin, each from its own idle core. The

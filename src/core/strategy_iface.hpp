@@ -157,6 +157,15 @@ struct EagerEmission {
 /// emission stay queued; the engine re-interrogates when a NIC frees up.
 struct EagerSchedule {
   std::vector<EagerEmission> emissions;
+  /// Set when no other destination group could emit anything in the same
+  /// context either (typically: no usable rail is idle, and the strategy
+  /// never posts onto a busy one). The engine then ends the activation
+  /// without interrogating the remaining groups, so a wake-up costs the
+  /// groups it can emit plus one. Setting it wrongly changes results:
+  /// clear it whenever the decision depends on the group itself (a busy
+  /// winner that another group might not pick) or when busy rails can
+  /// still be fed (a multicore split needs only idle remote cores).
+  bool blocked = false;
   bool empty() const { return emissions.empty(); }
 };
 
@@ -165,8 +174,9 @@ class Strategy {
   virtual ~Strategy() = default;
   virtual std::string name() const = 0;
 
-  /// Plans emission of the queued eager sends (all to the same engine; the
-  /// engine groups by destination before interrogating).
+  /// Plans emission of the queued eager sends to one destination, in
+  /// pack-list order (the engine interrogates group by group, oldest
+  /// group first, until a plan comes back `blocked`).
   virtual EagerSchedule plan_eager(const StrategyContext& ctx,
                                    std::span<const SendRequest* const> pending) = 0;
 

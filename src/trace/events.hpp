@@ -31,9 +31,9 @@
   X(kChunkTimeout, "chunk-timeout", chunk_timeouts, kFlight)                    \
   X(kQuarantine, "quarantine", quarantines, kFlight)                            \
   X(kReprobe, "reprobe", reprobes, kFlight)                                     \
+  X(kParseReject, "parse-reject", parse_rejects, kFlight)                       \
   /* end-to-end reliability */                                                  \
   X(kCorruptDetected, "corrupt-detected", rel_corruptions, kFlight)             \
-  X(kParseReject, "parse-reject", rel_parse_rejects, kFlight)                   \
   X(kRetransmit, "retransmit", rel_retransmits, kFlight)                        \
   X(kRetryExhausted, "retry-exhausted", rel_retry_exhausted, kFlight)           \
   X(kDupSuppressed, "dup-suppressed", rel_dup_suppressed, kFlight)              \

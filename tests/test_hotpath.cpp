@@ -9,6 +9,7 @@
 // rails::perf::t_alloc_count counts every operator-new on this thread —
 // the same counter the rails-bench allocs_per_msg metric and the benchdiff
 // allocation gate are built on.
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "fabric/buffer_pool.hpp"
 #include "fabric/event_queue.hpp"
 #include "fabric/fault.hpp"
+#include "common/rng.hpp"
 #include "fabric/presets.hpp"
 #include "topo/topology.hpp"
 #include "perf/profiler.hpp"
@@ -462,6 +464,188 @@ TEST(HotPathAlloc, RoutedBurstAt256NodesStaysAllocationFree) {
   EXPECT_EQ(world.fabric().events().handler_spills(), spills_before);
   EXPECT_EQ(world.fabric().events().handler_spills(), 0u);
   EXPECT_GT(world.fabric().forwarded_segments(), 0u);
+}
+
+TEST(EagerGrouping, PartlyPostedGroupFallsBehindOlderDestinations) {
+  // greedy-balance deals one whole message to each idle rail and skips a
+  // send that does not fit the rail it is dealt: the 40 KiB send dealt to
+  // the IB DDR rail (32 KiB segment cap) stays queued while the rest of its
+  // group posts. Its group's place in the pack list then moves to that
+  // send, behind destination 3, whose older send waited for a rail. When
+  // Myri-10G frees up first, that older send takes it.
+  WorldConfig cfg = paper_testbed("greedy-balance");
+  cfg.fabric.node_count = 4;
+  cfg.fabric.rails = {fabric::myri10g(), fabric::ib_ddr()};
+  cfg.engine.rdv_threshold_override = 48 * 1024;
+  World world(cfg);
+  trace::Tracer tracer;
+  world.engine(0).set_tracer(&tracer);
+
+  std::vector<std::uint8_t> tx(40 * 1024, 0x5c);
+  Engine& e = world.engine(0);
+  const auto a1 = e.isend(1, 0, tx.data(), 64);
+  const auto b1 = e.isend(2, 1, tx.data(), 16 * 1024);  // holds IB DDR
+  const auto c1 = e.isend(3, 2, tx.data(), 64);
+  const auto a2 = e.isend(1, 3, tx.data(), 40 * 1024);
+  world.fabric().events().run_all();
+
+  std::vector<std::uint64_t> emitted;
+  for (const auto& ev : tracer.of_kind(trace::EventKind::kEagerEmit)) {
+    emitted.push_back(ev.msg_id);
+  }
+  EXPECT_EQ(emitted, (std::vector<std::uint64_t>{a1->id, b1->id, c1->id, a2->id}));
+  EXPECT_EQ(e.pending_sends(), 0u);
+}
+
+/// FNV-1a over every kEagerEmit of a seeded 8-destination burst of mixed
+/// sizes, submitted in waves so that later waves meet partly drained
+/// FIFOs and busy rails.
+std::uint64_t burst_emit_digest(const std::string& strategy) {
+  WorldConfig cfg = paper_testbed(strategy);
+  cfg.fabric.node_count = 9;
+  cfg.engine.rdv_threshold_override = 48 * 1024;
+  World world(cfg);
+  trace::Tracer tracer;
+  world.engine(0).set_tracer(&tracer);
+
+  constexpr std::size_t kSizes[] = {8, 64, 512, 2048, 8192, 24 * 1024, 32 * 1024};
+  std::vector<std::uint8_t> tx(32 * 1024, 0x6d);
+  std::vector<SendHandle> sends;
+  Xoshiro256 rng(25);
+  for (unsigned i = 0; i < 96; ++i) {
+    const SimTime when = (i / 8) * 4000;  // 12 waves, 4 us apart
+    const auto dst = static_cast<NodeId>(1 + rng.below(8));
+    const std::size_t len = kSizes[rng.below(std::size(kSizes))];
+    world.fabric().events().at(when, [&world, &tx, &sends, dst, len, i] {
+      sends.push_back(world.engine(0).isend(dst, static_cast<Tag>(i), tx.data(), len));
+    });
+  }
+  world.fabric().events().run_all();
+  for (const auto& s : sends) EXPECT_TRUE(s->done()) << strategy;
+  EXPECT_EQ(sends.size(), 96u);
+
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  for (const auto& ev : tracer.of_kind(trace::EventKind::kEagerEmit)) {
+    mix(ev.time);
+    mix(ev.msg_id);
+    mix(ev.rail);
+  }
+  return h;
+}
+
+TEST(EagerGrouping, SeededBurstEmitsExactlyAsPinnedForEveryStrategy) {
+  // Digests of the emission order (time, message, rail) taken from the
+  // flat pack list that the per-destination FIFOs replaced: the wake-up
+  // early exit and the ready order must not move a single emission.
+  const std::pair<const char*, std::uint64_t> pinned[] = {
+      {"single-rail:0", 0x5388b0d3c925c1d7ull},
+      {"greedy-balance", 0xdfa3d80d3cd2bc04ull},
+      {"aggregate-fastest", 0x1d964d4d3cef4274ull},
+      {"patient-aggregate", 0x7623c39450e2ddbfull},
+      {"iso-split", 0x1d964d4d3cef4274ull},
+      {"fixed-ratio-split", 0x1d964d4d3cef4274ull},
+      {"hetero-split", 0x1d964d4d3cef4274ull},
+      {"multicore-hetero-split", 0x8364aee4bcc53705ull},
+      {"batch-spread", 0x8364aee4bcc53705ull},
+  };
+  for (const auto& [strategy, digest] : pinned) {
+    const std::uint64_t got = burst_emit_digest(strategy);
+    EXPECT_EQ(got, digest) << strategy;
+  }
+}
+
+// --- wake-up cost on a 256-node all-to-all -----------------------------------
+
+WorldConfig torus_alltoall_world(const std::string& strategy) {
+  WorldConfig cfg = paper_testbed(strategy);
+  cfg.fabric.node_count = 256;
+  cfg.fabric.net = topo::TopologySpec::torus(16, 16);
+  cfg.fabric.event_sharding = true;
+  cfg.fabric.rails = {fabric::seastar_torus(), fabric::seastar_torus()};
+  return cfg;
+}
+
+/// One 2 KiB all-to-all, every send issued at t = 0 (node s sends to
+/// s + 1, s + 2, ... in turn). `recvs` must have room for 256 * 255
+/// handles. Returns the virtual time the last receive completed.
+SimTime run_alltoall(World& world, std::vector<RecvHandle>& recvs) {
+  constexpr NodeId kNodes = 256;
+  constexpr std::size_t kSize = 2048;
+  static std::vector<std::uint8_t> tx(kSize, 0x3c);
+  static std::vector<std::uint8_t> rx(kSize);
+  recvs.clear();
+  for (NodeId dst = 0; dst < kNodes; ++dst) {
+    for (NodeId src = 0; src < kNodes; ++src) {
+      if (src != dst) recvs.push_back(world.engine(dst).irecv(src, 0, rx.data(), kSize));
+    }
+  }
+  for (NodeId src = 0; src < kNodes; ++src) {
+    for (NodeId k = 1; k < kNodes; ++k) {
+      (void)world.engine(src).isend((src + k) % kNodes, 0, tx.data(), kSize);
+    }
+  }
+  world.fabric().events().run_all();
+  SimTime last = 0;
+  for (const auto& r : recvs) {
+    EXPECT_TRUE(r->done());
+    last = std::max(last, r->complete_time);
+  }
+  return last;
+}
+
+TEST(WakeUpBound, AllToAllPlansAtMostIdleRailsPlusOneGroupsPerWakeUp) {
+  // The optimizer wakes when a NIC goes idle and fills the idle rails: a
+  // wake-up plans the groups it can emit (at most one per idle rail for
+  // these strategies) plus the one whose plan reports `blocked`, however
+  // many of a node's 255 destinations are still queued. The completion
+  // times are the flat pack list's, to the nanosecond.
+  perf::Profiler::set_enabled(false);
+  const std::pair<const char*, SimTime> pinned[] = {
+      {"hetero-split", 1346635},
+      {"aggregate-fastest", 1346635},
+  };
+  for (const auto& [strategy, completion] : pinned) {
+    World world(torus_alltoall_world(strategy));
+    std::vector<RecvHandle> recvs;
+    recvs.reserve(256 * 255);
+    const SimTime last = run_alltoall(world, recvs);
+    EXPECT_EQ(last, completion) << strategy;
+    for (NodeId n = 0; n < 256; ++n) {
+      const EngineStats& st = world.engine(n).stats();
+      ASSERT_GT(st.progress_calls, 0u);
+      EXPECT_LE(st.plan_eager, 3 * st.progress_calls)
+          << strategy << " node " << n << ": " << st.plan_eager << " plans in "
+          << st.progress_calls << " wake-ups";
+    }
+  }
+}
+
+TEST(HotPathAlloc, ColdTorusWorldAllToAllStaysWithinBudget) {
+  // A fresh 256-node World whose process-wide pools (request slabs,
+  // payload buffers) are already warm from an earlier World: what one
+  // all-to-all still allocates is the per-engine state each node grows on
+  // first use (docs/PERF.md, "Cold-world allocations").
+  perf::Profiler::set_enabled(false);
+  std::vector<RecvHandle> recvs;
+  recvs.reserve(256 * 255);
+  {
+    World warm(torus_alltoall_world("hetero-split"));
+    run_alltoall(warm, recvs);
+    recvs.clear();
+  }
+  World world(torus_alltoall_world("hetero-split"));
+  const std::uint64_t before = allocs_so_far();
+  run_alltoall(world, recvs);
+  const double per_msg =
+      static_cast<double>(allocs_so_far() - before) / static_cast<double>(256 * 255);
+  // Measured 0.181 (g++ 12, libstdc++): every engine's pack-list slab,
+  // ready order, posted-receive list and scratch vectors growing to their
+  // working size once (docs/PERF.md).
+  EXPECT_LE(per_msg, 0.19) << per_msg << " allocations per message in a cold World";
 }
 
 // --- strategy-decision cache -------------------------------------------------

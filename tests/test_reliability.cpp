@@ -227,7 +227,7 @@ TEST(Reliability, ParseRejectsAreRecordedUnderTheirOwnKind) {
     world.engine(0).isend(1, tag, tx.data(), tx.size());
     world.fabric().events().run_all();
   }
-  const std::uint64_t rejects = world.engine(1).stats().rel_parse_rejects;
+  const std::uint64_t rejects = world.engine(1).stats().parse_rejects;
   ASSERT_GT(rejects, 0u);
 
   std::uint64_t corrupt_records = 0;
@@ -242,7 +242,7 @@ TEST(Reliability, ParseRejectsAreRecordedUnderTheirOwnKind) {
       registry.find_counter("engine.reliability.corruptions");
   ASSERT_NE(corruptions, nullptr);
   EXPECT_EQ(corrupt_records, corruptions->value());
-  EXPECT_EQ(reject_records, world.engine(0).stats().rel_parse_rejects + rejects);
+  EXPECT_EQ(reject_records, world.engine(0).stats().parse_rejects + rejects);
   for (NodeId n = 0; n < 2; ++n) {
     world.engine(n).set_flight_recorder(nullptr);
     world.engine(n).set_metrics(nullptr);

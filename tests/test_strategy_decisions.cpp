@@ -101,7 +101,32 @@ TEST_F(DecisionHarness, AggregateFastestDefersWhenAllRailsBusy) {
   AggregateFastest strategy;
   const auto s1 = make_send(1000);
   const std::vector<const SendRequest*> pending = {&s1};
-  EXPECT_TRUE(strategy.plan_eager(ctx(), pending).empty());
+  const auto schedule = strategy.plan_eager(ctx(), pending);
+  EXPECT_TRUE(schedule.empty());
+  EXPECT_TRUE(schedule.blocked) << "no group can emit with every rail busy";
+}
+
+TEST_F(DecisionHarness, MulticoreIsBlockedOnlyWithoutIdleRemoteCores) {
+  // With every rail busy, a lone medium send still splits onto the busy
+  // rails from idle remote cores, so a multicore strategy that defers a
+  // small send is not blocked until the remote cores are busy too.
+  occupy_rail(0, 100.0);
+  occupy_rail(1, 100.0);
+  const auto tiny = make_send(8);
+  const std::vector<const SendRequest*> one = {&tiny};
+  MulticoreHeteroSplit multicore;
+  const auto medium = make_send(16_KiB);
+  const std::vector<const SendRequest*> lone = {&medium};
+  EXPECT_EQ(multicore.plan_eager(ctx(), lone).emissions.size(), 2u);
+  const auto deferred = multicore.plan_eager(ctx(), one);
+  EXPECT_TRUE(deferred.empty());
+  EXPECT_FALSE(deferred.blocked);
+  for (CoreId core = 1; core < world_.fabric().cores(0).count(); ++core) {
+    world_.fabric().cores(0).occupy(core, world_.fabric().now(), usec(1000.0));
+  }
+  const auto stuck = multicore.plan_eager(ctx(), lone);
+  EXPECT_TRUE(stuck.empty());
+  EXPECT_TRUE(stuck.blocked);
 }
 
 TEST_F(DecisionHarness, GreedyAssignsRoundRobinOverIdleRails) {
