@@ -82,9 +82,6 @@ namespace rails::core {
   X(recal_resamples, "engine.recal.resamples")                                 \
   X(trust_demotions, "engine.recal.demotions")                                 \
   X(trust_promotions, "engine.recal.promotions")                               \
-  /* hot-path memoization (docs/PERF.md) */                                    \
-  X(strategy_cache_hits, "strategy.<name>.cache_hits") /* plans replayed */   \
-  X(strategy_cache_misses, "strategy.<name>.cache_misses") /* computed */      \
   /* traffic-class QoS (docs/QOS.md); per-class rows live in the arbiter */    \
   X(qos_grants, "engine.qos.grants")           /* sends released */           \
   X(qos_stream_chunks, "engine.qos.stream_chunks") /* windowed bulk chunks */
@@ -103,6 +100,9 @@ struct EngineStats {
 #define RAILS_STATS_FIELD(field, name) std::vector<std::uint64_t> field;
   RAILS_ENGINE_RAIL_COUNTERS(RAILS_STATS_FIELD)
 #undef RAILS_STATS_FIELD
+  // Always 0, no registry row; railbench still reads them (ROADMAP item 1 removes them).
+  std::uint64_t strategy_cache_hits = 0;
+  std::uint64_t strategy_cache_misses = 0;
 };
 
 /// Row ids of the counter tables, in table order.
@@ -322,9 +322,8 @@ class Engine {
   /// Stops at the first blocked plan. Re-armed at the next NIC-idle time
   /// while sends remain.
   void progress();
-  /// Interrogates the strategy for one destination group, consulting the
-  /// decision cache first (docs/PERF.md). Posts the resulting emissions and
-  /// returns the plan's `blocked` flag.
+  /// Interrogates the strategy for one destination group, posts the
+  /// resulting emissions and returns the plan's `blocked` flag.
   bool plan_group(std::span<const SendRequest* const> group);
   /// Appends `send` to the pack list: the tail of its destination's FIFO.
   void enqueue_eager(SendHandle send);
@@ -598,7 +597,7 @@ class Engine {
   std::vector<double> trust_penalty_;      ///< per-rail penalties for contexts
   std::vector<std::uint8_t> resample_armed_;  ///< dedups sweep events per rail
 
-  // -- hot-path scratch & memoization (docs/PERF.md) ---------------------
+  // -- hot-path scratch (docs/PERF.md) -----------------------------------
   // Persistent buffers recycled across activations so the steady-state
   // submit -> schedule -> emit path touches no allocator.
 
@@ -636,41 +635,6 @@ class Engine {
   mutable std::vector<strategy::SolverRail> solver_scratch_;
 
   std::vector<SubPacket> subpacket_scratch_;  ///< eager unpack scratch
-  EagerEmission emission_scratch_;            ///< cached-plan materialization
-
-  /// Memoized eager strategy decisions. An entry replays its emission plan
-  /// (as group-relative indices) when the exact (sizes, qos classes) run
-  /// recurs under the same usable/idle rail and idle core sets within the
-  /// same decision epoch. The epoch advances on every event that could
-  /// change what a strategy would decide — quarantine, re-probe, failover,
-  /// trust transition, profile correction/resample, strategy swap — so a
-  /// stale plan can never be replayed. Keys store the exact size run (no
-  /// bucketing), so a hit reproduces the uncached decision bit-for-bit.
-  struct CachedPiece {
-    std::uint32_t send_idx = 0;  ///< index into the destination group
-    std::uint64_t offset = 0;
-    std::uint64_t len = 0;
-  };
-  struct CachedEmission {
-    RailId rail = 0;
-    bool offloaded = false;
-    CoreId offload_core = 0;
-    std::vector<CachedPiece> pieces;
-  };
-  struct DecisionEntry {
-    std::uint64_t epoch = 0;  ///< 0 = empty slot
-    bool blocked = false;     ///< the plan's EagerSchedule::blocked
-    std::uint64_t usable_mask = 0;
-    std::uint64_t idle_rail_mask = 0;
-    std::uint64_t idle_core_mask = 0;
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> key;  ///< (len, class)
-    std::vector<CachedEmission> emissions;
-  };
-  static constexpr std::size_t kDecisionSlots = 64;
-  std::vector<DecisionEntry> decision_cache_;
-  std::uint64_t decision_epoch_ = 1;
-  /// Drops every cached decision (O(1): entries with a stale epoch are dead).
-  void invalidate_decisions() { ++decision_epoch_; }
 };
 
 }  // namespace rails::core

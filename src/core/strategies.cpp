@@ -1,6 +1,7 @@
 #include "core/strategies.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/check.hpp"
 #include "core/message.hpp"
@@ -15,14 +16,13 @@ namespace {
 /// Quarantined rails are excluded — the engine guarantees at least one rail
 /// stays usable (docs/FAULTS.md). A SUSPECT rail's trust penalty inflates
 /// its cost curve so the solver hands it proportionally smaller chunks
-/// (docs/CALIBRATION.md).
-std::vector<strategy::SolverRail> solver_rails(
-    const StrategyContext& ctx, std::vector<strategy::ProfileCost>& costs,
-    const sampling::PerfProfile& (*table)(const sampling::RailProfile&)) {
+/// (docs/CALIBRATION.md). `rails` points into `costs`.
+void solver_rails(const StrategyContext& ctx, std::vector<strategy::ProfileCost>& costs,
+                  std::vector<strategy::SolverRail>& rails,
+                  const sampling::PerfProfile& (*table)(const sampling::RailProfile&)) {
   costs.clear();
   costs.reserve(ctx.rail_count());
-  std::vector<strategy::SolverRail> rails;
-  rails.reserve(ctx.rail_count());
+  rails.clear();
   for (RailId r = 0; r < ctx.rail_count(); ++r) {
     costs.emplace_back(&table(ctx.estimator->profile(r)), ctx.rail_trust_penalty(r));
   }
@@ -30,7 +30,6 @@ std::vector<strategy::SolverRail> solver_rails(
     if (!ctx.rail_usable(r)) continue;
     rails.push_back({r, &costs[r], ctx.rail_ready_offset(r)});
   }
-  return rails;
 }
 
 /// Rails the strategy may plan onto (usable mask applied).
@@ -51,24 +50,14 @@ const sampling::PerfProfile& eager_table(const sampling::RailProfile& rp) {
 }
 
 /// Packs `pending` (in order) into as few segments as fit on `rail`,
-/// splitting an oversized send across several segments if needed.
-std::vector<EagerEmission> pack_onto_rail(const StrategyContext& ctx, RailId rail,
-                                          std::span<const SendRequest* const> pending) {
+/// splitting an oversized send across several segments if needed, and adds
+/// them to `plan`, each submitted from `core` when one is given.
+void pack_onto_rail(EagerPlanBuilder& plan, const StrategyContext& ctx, RailId rail,
+                    std::span<const SendRequest* const> pending,
+                    std::optional<CoreId> core = std::nullopt) {
   const std::size_t cap = ctx.nics[rail]->model().params().max_eager;
-  std::vector<EagerEmission> emissions;
-  EagerEmission current;
-  current.rail = rail;
+  bool open = false;  // an emission with at least one piece is being filled
   std::size_t used = 0;
-
-  auto flush = [&] {
-    if (!current.pieces.empty()) {
-      emissions.push_back(std::move(current));
-      current = EagerEmission{};
-      current.rail = rail;
-      used = 0;
-    }
-  };
-
   for (const SendRequest* send : pending) {
     std::size_t offset = 0;
     // A zero-byte message still occupies one framed header.
@@ -77,19 +66,22 @@ std::vector<EagerEmission> pack_onto_rail(const StrategyContext& ctx, RailId rai
       std::size_t room = cap > used + SubPacket::kHeaderBytes
                              ? cap - used - SubPacket::kHeaderBytes
                              : 0;
-      if (room == 0 && !current.pieces.empty()) {
-        flush();
+      if (room == 0 && open) {
+        open = false;
+        used = 0;
         continue;
       }
       const std::size_t take = std::min(remaining, room);
       RAILS_CHECK_MSG(take > 0 || remaining == 0, "rail segment cap too small");
-      current.pieces.push_back({send, offset, take});
+      if (!open) {
+        plan.open(rail, core);
+        open = true;
+      }
+      plan.add({send, offset, take});
       used += framed_size(take);
       offset += take;
     } while (offset < send->len);
   }
-  flush();
-  return emissions;
 }
 
 /// True when some usable rail is idle: the only rails a strategy that never
@@ -128,15 +120,12 @@ std::string SingleRail::name() const {
 
 EagerSchedule SingleRail::plan_eager(const StrategyContext& ctx,
                                      std::span<const SendRequest* const> pending) {
-  EagerSchedule schedule;
   // Defer while the rail is busy: queued packets keep aggregating, exactly
   // like NewMadeleine's pack list. No other group can use the rail either.
-  if (!ctx.nics[rail_]->idle(ctx.now)) {
-    schedule.blocked = true;
-    return schedule;
-  }
-  schedule.emissions = pack_onto_rail(ctx, rail_, pending);
-  return schedule;
+  if (!ctx.nics[rail_]->idle(ctx.now)) return {.emissions = {}, .blocked = true};
+  plan_.begin();
+  pack_onto_rail(plan_, ctx, rail_, pending);
+  return plan_.finish();
 }
 
 strategy::SplitResult SingleRail::plan_rendezvous(const StrategyContext&, std::size_t len) {
@@ -151,32 +140,27 @@ strategy::SplitResult SingleRail::plan_rendezvous(const StrategyContext&, std::s
 
 EagerSchedule GreedyBalance::plan_eager(const StrategyContext& ctx,
                                         std::span<const SendRequest* const> pending) {
-  EagerSchedule schedule;
   // Collect the rails currently idle; hand the queued messages to them
   // round-robin, one message per emission (no aggregation, no split).
-  std::vector<RailId> idle;
+  idle_.clear();
   for (RailId r = 0; r < ctx.rail_count(); ++r) {
-    if (ctx.rail_usable(r) && ctx.nics[r]->idle(ctx.now)) idle.push_back(r);
+    if (ctx.rail_usable(r) && ctx.nics[r]->idle(ctx.now)) idle_.push_back(r);
   }
-  if (idle.empty()) {
-    schedule.blocked = true;
-    return schedule;
-  }
+  if (idle_.empty()) return {.emissions = {}, .blocked = true};
 
+  plan_.begin();
   std::size_t next = 0;
   for (const SendRequest* send : pending) {
-    const RailId rail = idle[next % idle.size()];
+    const RailId rail = idle_[next % idle_.size()];
     ++next;
     if (send->len + SubPacket::kHeaderBytes >
         ctx.nics[rail]->model().params().max_eager) {
       continue;  // cannot fit whole on this rail; wait for another round
     }
-    EagerEmission e;
-    e.rail = rail;
-    e.pieces.push_back({send, 0, send->len});
-    schedule.emissions.push_back(std::move(e));
+    plan_.open(rail);
+    plan_.add({send, 0, send->len});
   }
-  return schedule;
+  return plan_.finish();
 }
 
 strategy::SplitResult GreedyBalance::plan_rendezvous(const StrategyContext& ctx,
@@ -203,7 +187,6 @@ strategy::SplitResult GreedyBalance::plan_rendezvous(const StrategyContext& ctx,
 
 EagerSchedule AggregateFastest::plan_eager(const StrategyContext& ctx,
                                            std::span<const SendRequest* const> pending) {
-  EagerSchedule schedule;
   std::size_t total = 0;
   for (const SendRequest* send : pending) total += send->len;
 
@@ -220,18 +203,18 @@ EagerSchedule AggregateFastest::plan_eager(const StrategyContext& ctx,
       best = r;
     }
   }
-  if (!any_idle) {  // keep aggregating until a NIC frees up
-    schedule.blocked = true;
-    return schedule;
-  }
-  schedule.emissions = pack_onto_rail(ctx, best, pending);
-  return schedule;
+  // Keep aggregating until a NIC frees up.
+  if (!any_idle) return {.emissions = {}, .blocked = true};
+  plan_.begin();
+  pack_onto_rail(plan_, ctx, best, pending);
+  return plan_.finish();
 }
 
 strategy::SplitResult AggregateFastest::plan_rendezvous(const StrategyContext& ctx,
                                                         std::size_t len) {
   std::vector<strategy::ProfileCost> costs;
-  const auto rails = solver_rails(ctx, costs, rdv_chunk_table);
+  std::vector<strategy::SolverRail> rails;
+  solver_rails(ctx, costs, rails, rdv_chunk_table);
   const std::size_t best = strategy::best_single_rail(rails, len);
   strategy::SplitResult result;
   result.chunks = {{rails[best].rail, 0, len}};
@@ -245,7 +228,6 @@ strategy::SplitResult AggregateFastest::plan_rendezvous(const StrategyContext& c
 
 EagerSchedule PatientAggregate::plan_eager(const StrategyContext& ctx,
                                            std::span<const SendRequest* const> pending) {
-  EagerSchedule schedule;
   std::size_t total = 0;
   for (const SendRequest* send : pending) total += send->len;
 
@@ -264,11 +246,11 @@ EagerSchedule PatientAggregate::plan_eager(const StrategyContext& ctx,
   // transfer are busy": if the winner is busy, wait for it. Another group's
   // winner may be idle, so only a fully busy node blocks the activation.
   if (!ctx.nics[best]->idle(ctx.now)) {
-    schedule.blocked = !usable_rail_idle(ctx);
-    return schedule;
+    return {.emissions = {}, .blocked = !usable_rail_idle(ctx)};
   }
-  schedule.emissions = pack_onto_rail(ctx, best, pending);
-  return schedule;
+  plan_.begin();
+  pack_onto_rail(plan_, ctx, best, pending);
+  return plan_.finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -335,7 +317,8 @@ strategy::SplitResult HeteroSplit::plan_rendezvous(const StrategyContext& ctx,
     return iso.plan_rendezvous(ctx, len);
   }
   std::vector<strategy::ProfileCost> costs;
-  const auto rails = solver_rails(ctx, costs, rdv_chunk_table);
+  std::vector<strategy::SolverRail> rails;
+  solver_rails(ctx, costs, rails, rdv_chunk_table);
   return strategy::solve_equal_finish(rails, len);
 }
 
@@ -361,52 +344,32 @@ EagerSchedule MulticoreHeteroSplit::plan_eager(const StrategyContext& ctx,
   // every chunk is handed to a remote core, Fig. 7).
   const unsigned idle_cores =
       ctx.cores->idle_count(ctx.now, ctx.config->scheduler_core);
-  std::vector<strategy::ProfileCost> costs;
-  const auto rails = solver_rails(ctx, costs, eager_table);
-  const strategy::EagerPlan plan =
-      strategy::plan_eager(rails, send->len, idle_cores, ctx.config->offload);
+  solver_rails(ctx, costs_, rails_, eager_table);
+  strategy::plan_eager(rails_, send->len, idle_cores, ctx.config->offload,
+                       /*preempt=*/false, split_scratch_, split_);
+  const strategy::EagerPlan& plan = split_;
 
   if (!plan.split) {
     return unless_remote_core_idle(ctx, AggregateFastest::plan_eager(ctx, pending));
   }
 
-  // Assign one distinct idle core per chunk, nearest-first.
-  std::vector<CoreId> assigned;
-  EagerSchedule schedule;
-  for (const strategy::Chunk& chunk : plan.chunks) {
-    EagerEmission e;
-    e.rail = chunk.rail;
-    std::optional<CoreId> exclude;  // pick_offload_core skips `near` itself
-    CoreId core = ctx.config->scheduler_core;
-    for (CoreId candidate :
-         ctx.cores->topology().neighbours_by_distance(ctx.config->scheduler_core)) {
-      if (!ctx.cores->idle(candidate, ctx.now)) continue;
-      if (std::find(assigned.begin(), assigned.end(), candidate) != assigned.end()) {
-        continue;
-      }
-      core = candidate;
-      break;
-    }
-    (void)exclude;
-    RAILS_CHECK_MSG(core != ctx.config->scheduler_core,
-                    "offload planned without an idle remote core");
-    assigned.push_back(core);
-    e.offload_core = core;
-    e.pieces.push_back({send, chunk.offset, chunk.bytes});
-    schedule.emissions.push_back(std::move(e));
+  // One distinct idle remote core per chunk, nearest first.
+  const std::vector<CoreId>& cores = idle_remote_cores(ctx);
+  RAILS_CHECK_MSG(plan.chunks.size() <= cores.size(),
+                  "offload planned without an idle remote core");
+  plan_.begin();
+  for (std::size_t i = 0; i < plan.chunks.size(); ++i) {
+    plan_.open(plan.chunks[i].rail, cores[i]);
+    plan_.add({send, plan.chunks[i].offset, plan.chunks[i].bytes});
   }
-  return schedule;
+  return plan_.finish();
 }
 
-bool MulticoreHeteroSplit::eager_plan_cacheable(
-    const StrategyContext& ctx, std::span<const SendRequest* const> pending) const {
-  // The delegation cases reduce to AggregateFastest (cacheable); the split
-  // case feeds busy offsets into the solver, so it is pure only when every
-  // usable rail is idle (offsets all zero). Core choice depends only on the
-  // idle-core set, which is part of the engine's cache key.
-  if (pending.size() != 1 || ctx.rail_count() < 2) return true;
-  if (pending.front()->len < ctx.config->offload.min_split_size) return true;
-  return ctx.all_usable_idle();
+const std::vector<CoreId>& MulticoreHeteroSplit::idle_remote_cores(
+    const StrategyContext& ctx) {
+  ctx.cores->topology().neighbours_by_distance(ctx.config->scheduler_core, idle_cores_);
+  std::erase_if(idle_cores_, [&](CoreId c) { return !ctx.cores->idle(c, ctx.now); });
+  return idle_cores_;
 }
 
 // ---------------------------------------------------------------------------
@@ -419,17 +382,13 @@ EagerSchedule BatchSpread::plan_eager(const StrategyContext& ctx,
   if (pending.size() < 2) return MulticoreHeteroSplit::plan_eager(ctx, pending);
 
   // Candidate rails: idle ones. Candidate cores: idle remote cores.
-  std::vector<RailId> idle_rails;
+  idle_rails_.clear();
   for (RailId r = 0; r < ctx.rail_count(); ++r) {
-    if (ctx.rail_usable(r) && ctx.nics[r]->idle(ctx.now)) idle_rails.push_back(r);
+    if (ctx.rail_usable(r) && ctx.nics[r]->idle(ctx.now)) idle_rails_.push_back(r);
   }
-  std::vector<CoreId> idle_cores;
-  for (CoreId c :
-       ctx.cores->topology().neighbours_by_distance(ctx.config->scheduler_core)) {
-    if (ctx.cores->idle(c, ctx.now)) idle_cores.push_back(c);
-  }
+  const std::vector<CoreId>& idle_cores = idle_remote_cores(ctx);
   const std::size_t bins =
-      std::min({idle_rails.size(), idle_cores.size(), pending.size()});
+      std::min({idle_rails_.size(), idle_cores.size(), pending.size()});
   if (bins < 2) {
     return unless_remote_core_idle(ctx, AggregateFastest::plan_eager(ctx, pending));
   }
@@ -438,46 +397,49 @@ EagerSchedule BatchSpread::plan_eager(const StrategyContext& ctx,
   // keep the `bins` fastest.
   std::size_t total = 0;
   for (const SendRequest* send : pending) total += send->len;
-  std::sort(idle_rails.begin(), idle_rails.end(), [&](RailId a, RailId b) {
+  std::sort(idle_rails_.begin(), idle_rails_.end(), [&](RailId a, RailId b) {
     return ctx.estimator->duration(a, total / bins, fabric::Protocol::kEager) <
            ctx.estimator->duration(b, total / bins, fabric::Protocol::kEager);
   });
-  idle_rails.resize(bins);
+  idle_rails_.resize(bins);
 
   // LPT partition: longest message first onto the bin with the earliest
   // predicted finish (per-rail curves make the bins speed-aware).
-  std::vector<const SendRequest*> order(pending.begin(), pending.end());
-  std::sort(order.begin(), order.end(),
-            [](const SendRequest* a, const SendRequest* b) { return a->len > b->len; });
-  std::vector<std::size_t> bin_bytes(bins, 0);
-  std::vector<std::vector<const SendRequest*>> bin_sends(bins);
-  for (const SendRequest* send : order) {
+  order_.resize(pending.size());
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+    return pending[a]->len > pending[b]->len;
+  });
+  bins_.assign(bins, Bin{});
+  bin_of_.resize(pending.size());
+  for (const std::size_t i : order_) {
     std::size_t best = 0;
     SimDuration best_time = kSimTimeNever;
     for (std::size_t b = 0; b < bins; ++b) {
       const SimDuration t = ctx.estimator->duration(
-          idle_rails[b], bin_bytes[b] + send->len, fabric::Protocol::kEager);
+          idle_rails_[b], bins_[b].bytes + pending[i]->len, fabric::Protocol::kEager);
       if (t < best_time) {
         best_time = t;
         best = b;
       }
     }
-    bin_bytes[best] += send->len;
-    bin_sends[best].push_back(send);
+    bins_[best].bytes += pending[i]->len;
+    ++bins_[best].sends;
+    bin_of_[i] = best;
   }
 
   // Predict: parallel spread (TO + slowest bin) vs one aggregated segment on
   // the fastest rail from the scheduler core.
   SimDuration spread_time = 0;
   for (std::size_t b = 0; b < bins; ++b) {
-    if (bin_sends[b].empty()) continue;
+    if (bins_[b].sends == 0) continue;
     spread_time = std::max(spread_time, ctx.estimator->duration(
-                                            idle_rails[b], bin_bytes[b],
+                                            idle_rails_[b], bins_[b].bytes,
                                             fabric::Protocol::kEager));
   }
   spread_time += ctx.config->offload.signal_cost;
   SimDuration aggregate_time = kSimTimeNever;
-  for (RailId r : idle_rails) {
+  for (RailId r : idle_rails_) {
     aggregate_time = std::min(
         aggregate_time, ctx.estimator->duration(r, total, fabric::Protocol::kEager));
   }
@@ -488,32 +450,16 @@ EagerSchedule BatchSpread::plan_eager(const StrategyContext& ctx,
   // Emit one aggregated segment per bin, each from its own idle core. The
   // original submission order is preserved inside every bin (LPT only
   // decides placement; ordering within a rail follows the pack list).
-  EagerSchedule schedule;
+  plan_.begin();
   for (std::size_t b = 0; b < bins; ++b) {
-    if (bin_sends[b].empty()) continue;
-    std::vector<const SendRequest*> in_order;
-    for (const SendRequest* send : pending) {
-      if (std::find(bin_sends[b].begin(), bin_sends[b].end(), send) !=
-          bin_sends[b].end()) {
-        in_order.push_back(send);
-      }
+    in_order_.clear();
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (bin_of_[i] == b) in_order_.push_back(pending[i]);
     }
-    auto emissions = pack_onto_rail(ctx, idle_rails[b],
-                                    std::span<const SendRequest* const>(in_order));
-    for (auto& e : emissions) {
-      e.offload_core = idle_cores[b];
-      schedule.emissions.push_back(std::move(e));
-    }
+    if (in_order_.empty()) continue;
+    pack_onto_rail(plan_, ctx, idle_rails_[b], in_order_, idle_cores[b]);
   }
-  return schedule;
-}
-
-bool BatchSpread::eager_plan_cacheable(
-    const StrategyContext& ctx, std::span<const SendRequest* const> pending) const {
-  // A batch decides via idle rails, idle cores, and estimator durations —
-  // all in the cache key. A single message takes the multicore-split path.
-  if (pending.size() >= 2) return true;
-  return MulticoreHeteroSplit::eager_plan_cacheable(ctx, pending);
+  return plan_.finish();
 }
 
 // ---------------------------------------------------------------------------

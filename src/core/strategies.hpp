@@ -22,8 +22,10 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "core/strategy_iface.hpp"
+#include "strategy/rail_cost.hpp"
 
 namespace rails::core {
 
@@ -36,11 +38,6 @@ class SingleRail final : public Strategy {
   strategy::SplitResult plan_rendezvous(const StrategyContext& ctx,
                                         std::size_t len) override;
   RailId control_rail(const StrategyContext&) const override { return rail_; }
-  // Emits iff rail_ is idle, then packs by size alone.
-  bool eager_plan_cacheable(const StrategyContext&,
-                            std::span<const SendRequest* const>) const override {
-    return true;
-  }
 
  private:
   RailId rail_;
@@ -53,11 +50,9 @@ class GreedyBalance final : public Strategy {
                            std::span<const SendRequest* const> pending) override;
   strategy::SplitResult plan_rendezvous(const StrategyContext& ctx,
                                         std::size_t len) override;
-  // Round-robin over the idle set; the cursor is local to each call.
-  bool eager_plan_cacheable(const StrategyContext&,
-                            std::span<const SendRequest* const>) const override {
-    return true;
-  }
+
+ private:
+  std::vector<RailId> idle_;  ///< plan scratch: the idle usable rails
 };
 
 class AggregateFastest : public Strategy {
@@ -67,12 +62,6 @@ class AggregateFastest : public Strategy {
                            std::span<const SendRequest* const> pending) override;
   strategy::SplitResult plan_rendezvous(const StrategyContext& ctx,
                                         std::size_t len) override;
-  // Compares completions across idle rails only: `now` cancels, so the
-  // winner is a function of the idle set, the sizes, and the profiles.
-  bool eager_plan_cacheable(const StrategyContext&,
-                            std::span<const SendRequest* const>) const override {
-    return true;
-  }
 };
 
 class IsoSplit final : public AggregateFastest {
@@ -99,12 +88,6 @@ class PatientAggregate : public AggregateFastest {
   std::string name() const override { return "patient-aggregate"; }
   EagerSchedule plan_eager(const StrategyContext& ctx,
                            std::span<const SendRequest* const> pending) override;
-  // Busy-time magnitudes pick the winner, so only the all-idle case is a
-  // pure function of the masks.
-  bool eager_plan_cacheable(const StrategyContext& ctx,
-                            std::span<const SendRequest* const>) const override {
-    return ctx.all_usable_idle();
-  }
 };
 
 class HeteroSplit : public AggregateFastest {
@@ -119,8 +102,19 @@ class MulticoreHeteroSplit : public HeteroSplit {
   std::string name() const override { return "multicore-hetero-split"; }
   EagerSchedule plan_eager(const StrategyContext& ctx,
                            std::span<const SendRequest* const> pending) override;
-  bool eager_plan_cacheable(const StrategyContext& ctx,
-                            std::span<const SendRequest* const> pending) const override;
+
+ protected:
+  /// The idle cores other than the scheduler's, nearest first. The list
+  /// is plan scratch: it stays valid until the next call.
+  const std::vector<CoreId>& idle_remote_cores(const StrategyContext& ctx);
+
+ private:
+  // Split-plan scratch, reused across calls.
+  std::vector<strategy::ProfileCost> costs_;
+  std::vector<strategy::SolverRail> rails_;  ///< points into costs_
+  strategy::EagerPlanScratch split_scratch_;
+  strategy::EagerPlan split_;
+  std::vector<CoreId> idle_cores_;
 };
 
 /// Batch spreading (§II: "data packets can be spread across the available
@@ -134,8 +128,18 @@ class BatchSpread final : public MulticoreHeteroSplit {
   std::string name() const override { return "batch-spread"; }
   EagerSchedule plan_eager(const StrategyContext& ctx,
                            std::span<const SendRequest* const> pending) override;
-  bool eager_plan_cacheable(const StrategyContext& ctx,
-                            std::span<const SendRequest* const> pending) const override;
+
+ private:
+  // Plan scratch, reused across calls.
+  struct Bin {
+    std::size_t bytes = 0;
+    std::size_t sends = 0;
+  };
+  std::vector<RailId> idle_rails_;
+  std::vector<std::size_t> order_;   ///< pending indices, longest first
+  std::vector<std::size_t> bin_of_;  ///< bin of each pending send
+  std::vector<Bin> bins_;
+  std::vector<const SendRequest*> in_order_;  ///< one bin's sends
 };
 
 /// Factory by name ("single-rail:0", "greedy-balance", "iso-split", ...).

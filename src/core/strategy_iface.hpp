@@ -73,11 +73,6 @@ struct EngineConfig {
   /// (docs/QOS.md). Default-off: a disabled engine is byte-for-byte the
   /// pre-QoS engine.
   qos::QosConfig qos;
-  /// Memoize eager strategy decisions keyed on (sizes, qos classes,
-  /// usable/idle rail sets, idle cores, decision epoch); invalidated on
-  /// failover/quarantine/trust/profile transitions (docs/PERF.md). Only
-  /// consulted when the strategy declares the decision cacheable.
-  bool strategy_cache = true;
   /// Health-plane time-series sampler (docs/OBSERVABILITY.md). Default-off:
   /// a disabled engine arms no health tick and samples nothing.
   telemetry::TimeseriesConfig timeseries;
@@ -122,14 +117,6 @@ struct StrategyContext {
   double rail_trust_penalty(RailId rail) const {
     return trust_penalty.empty() ? 1.0 : trust_penalty[rail];
   }
-  /// True when no usable rail has work in flight — busy offsets are all
-  /// zero, so busy-aware plans collapse to functions of the idle sets.
-  bool all_usable_idle() const {
-    for (RailId r = 0; r < rail_count(); ++r) {
-      if (rail_usable(r) && rail_busy_until(r) > now) return false;
-    }
-    return true;
-  }
 };
 
 /// One piece of one application message inside an eager emission.
@@ -144,7 +131,7 @@ struct EagerPiece {
 struct EagerEmission {
   RailId rail = 0;
   std::optional<CoreId> offload_core;
-  std::vector<EagerPiece> pieces;
+  std::span<const EagerPiece> pieces;
 
   std::size_t payload_bytes() const {
     std::size_t n = 0;
@@ -155,8 +142,11 @@ struct EagerEmission {
 
 /// Result of plan_eager: emissions to post now. Sends not referenced by any
 /// emission stay queued; the engine re-interrogates when a NIC frees up.
+/// The emissions and their pieces view the planning strategy's scratch
+/// (EagerPlanBuilder): they stay valid until the next plan_eager on the
+/// same strategy.
 struct EagerSchedule {
-  std::vector<EagerEmission> emissions;
+  std::span<const EagerEmission> emissions;
   /// Set when no other destination group could emit anything in the same
   /// context either (typically: no usable rail is idle, and the strategy
   /// never posts onto a busy one). The engine then ends the activation
@@ -167,6 +157,37 @@ struct EagerSchedule {
   /// still be fed (a multicore split needs only idle remote cores).
   bool blocked = false;
   bool empty() const { return emissions.empty(); }
+};
+
+/// Storage a strategy builds its eager plans in, reused across calls so a
+/// steady-state plan touches no allocator (docs/PERF.md, "Plan scratch").
+/// Pieces are added to the emission opened last; finish() returns views
+/// into this storage, which the next begin() overwrites.
+class EagerPlanBuilder {
+ public:
+  void begin() {
+    pieces_.clear();
+    emissions_.clear();
+    starts_.clear();
+  }
+  void open(RailId rail, std::optional<CoreId> offload_core = std::nullopt) {
+    emissions_.push_back({rail, offload_core, {}});
+    starts_.push_back(pieces_.size());
+  }
+  void add(const EagerPiece& piece) { pieces_.push_back(piece); }
+  EagerSchedule finish() {
+    const std::span<const EagerPiece> all(pieces_);
+    for (std::size_t i = 0; i < emissions_.size(); ++i) {
+      const std::size_t end = i + 1 < starts_.size() ? starts_[i + 1] : all.size();
+      emissions_[i].pieces = all.subspan(starts_[i], end - starts_[i]);
+    }
+    return {.emissions = emissions_};
+  }
+
+ private:
+  std::vector<EagerPiece> pieces_;
+  std::vector<EagerEmission> emissions_;
+  std::vector<std::size_t> starts_;  ///< first piece of each emission
 };
 
 class Strategy {
@@ -189,15 +210,14 @@ class Strategy {
   /// the lowest predicted completion for a zero-byte eager message.
   virtual RailId control_rail(const StrategyContext& ctx) const;
 
-  /// Declares that plan_eager's decision for this context is a pure
-  /// function of (pending sizes, usable mask, idle-rail mask, idle-core
-  /// mask, sampled profiles) — i.e. it consults no busy-time magnitudes and
-  /// no internal mutable state — so the engine may replay a memoized
-  /// emission plan instead of re-interrogating. Conservative default: no.
+  // No engine caller; kept for railbench's TracedStrategy (ROADMAP item 1 removes it).
   virtual bool eager_plan_cacheable(const StrategyContext&,
                                     std::span<const SendRequest* const>) const {
     return false;
   }
+
+ protected:
+  EagerPlanBuilder plan_;  ///< scratch the returned EagerSchedule views
 };
 
 }  // namespace rails::core

@@ -53,4 +53,17 @@ EagerPlan plan_eager(std::span<const SolverRail> rails, std::size_t size,
                      unsigned idle_cores, const OffloadConfig& config = {},
                      bool preempt = false);
 
+/// Storage plan_eager works in: the solver's split and the rail subset it
+/// re-solves over when cores are scarcer than rails.
+struct EagerPlanScratch {
+  SplitResult split;
+  std::vector<SolverRail> subset;
+};
+
+/// The same plan, written into `out`, with every vector reused from `out`
+/// and `scratch`, so a caller that plans repeatedly does not allocate.
+void plan_eager(std::span<const SolverRail> rails, std::size_t size, unsigned idle_cores,
+                const OffloadConfig& config, bool preempt, EagerPlanScratch& scratch,
+                EagerPlan& out);
+
 }  // namespace rails::strategy

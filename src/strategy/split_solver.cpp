@@ -42,38 +42,36 @@ SimTime finish(const SolverRail& r, std::size_t bytes) {
   return r.ready_offset + r.cost->duration(bytes);
 }
 
-SplitResult finalize(std::vector<Chunk> chunks, std::span<const SolverRail> rails,
-                     unsigned iterations) {
-  SplitResult result;
+/// Turns the per-rail byte counts in `result.chunks` into the result, in
+/// place: keeps non-empty chunks, assigns consecutive offsets, and computes
+/// makespan and imbalance from the rails actually used.
+void finalize(SplitResult& result, std::span<const SolverRail> rails, unsigned iterations) {
   result.iterations = iterations;
-  // Keep non-empty chunks, assign consecutive offsets, compute makespan and
-  // imbalance from the rails actually used.
+  result.makespan = 0;
+  result.finish_times.clear();
   SimDuration earliest = std::numeric_limits<SimDuration>::max();
   std::size_t offset = 0;
-  std::vector<RailId> distinct;
-  for (const Chunk& c : chunks) {
+  std::size_t kept = 0;
+  bool several_rails = false;
+  for (const Chunk& c : result.chunks) {
     if (c.bytes == 0) continue;
-    Chunk out = c;
-    out.offset = offset;
-    offset += out.bytes;
     const SolverRail* rail = nullptr;
     for (const auto& r : rails) {
       if (r.rail == c.rail) rail = &r;
     }
     RAILS_CHECK(rail != nullptr);
-    const SimDuration f = finish(*rail, out.bytes);
+    const SimDuration f = finish(*rail, c.bytes);
     result.makespan = std::max(result.makespan, f);
     earliest = std::min(earliest, f);
-    if (std::find(distinct.begin(), distinct.end(), c.rail) == distinct.end()) {
-      distinct.push_back(c.rail);
-    }
-    result.chunks.push_back(out);
+    several_rails = several_rails || (kept > 0 && c.rail != result.chunks[0].rail);
+    result.chunks[kept++] = {c.rail, offset, c.bytes};
+    offset += c.bytes;
     result.finish_times.push_back(f);
   }
+  result.chunks.resize(kept);
   // Imbalance is a cross-rail quantity: when pruning zero-byte chunks leaves
   // everything on one rail, there is nothing to be imbalanced against.
-  result.imbalance = distinct.size() > 1 ? result.makespan - earliest : 0;
-  return result;
+  result.imbalance = several_rails ? result.makespan - earliest : 0;
 }
 
 }  // namespace
@@ -126,11 +124,20 @@ SplitResult dichotomy_split(const SolverRail& a, const SolverRail& b, std::size_
     ratio = (lo + hi) / 2.0;
   }
 
-  std::vector<Chunk> chunks = {{a.rail, 0, bytes_a}, {b.rail, 0, total - bytes_a}};
-  return finalize(std::move(chunks), rails, used);
+  SplitResult result;
+  result.chunks = {{a.rail, 0, bytes_a}, {b.rail, 0, total - bytes_a}};
+  finalize(result, rails, used);
+  return result;
 }
 
 SplitResult solve_equal_finish(std::span<const SolverRail> rails, std::size_t total) {
+  SplitResult result;
+  solve_equal_finish(rails, total, result);
+  return result;
+}
+
+void solve_equal_finish(std::span<const SolverRail> rails, std::size_t total,
+                        SplitResult& out) {
   RAILS_PERF_SCOPE(perf::Layer::kStrategy);
   RAILS_CHECK(!rails.empty());
   RAILS_CHECK(total > 0);
@@ -164,18 +171,18 @@ SplitResult solve_equal_finish(std::span<const SolverRail> rails, std::size_t to
   // Allocate each rail's capacity at the optimal deadline, then trim the
   // surplus (capacity(deadline) may exceed `total` by quantisation) from the
   // largest chunks first: removing bytes only lowers a rail's finish time.
-  std::vector<Chunk> chunks;
-  chunks.reserve(rails.size());
+  out.chunks.clear();
+  out.chunks.reserve(rails.size());
   std::size_t allocated = 0;
   for (const auto& r : rails) {
     std::size_t bytes = 0;
     if (deadline > r.ready_offset) bytes = r.cost->max_bytes_within(deadline - r.ready_offset);
     bytes = std::min(bytes, total - allocated);
     allocated += bytes;
-    chunks.push_back({r.rail, 0, bytes});
+    out.chunks.push_back({r.rail, 0, bytes});
   }
   RAILS_CHECK_MSG(allocated == total, "equal-finish solver under-allocated");
-  return finalize(std::move(chunks), rails, iterations);
+  finalize(out, rails, iterations);
 }
 
 }  // namespace rails::strategy

@@ -57,6 +57,10 @@ SplitResult dichotomy_split(const SolverRail& a, const SolverRail& b, std::size_
 /// capacity covers `total` is the optimum. Surplus capacity at the final T is
 /// trimmed proportionally so chunk offsets exactly tile the message.
 SplitResult solve_equal_finish(std::span<const SolverRail> rails, std::size_t total);
+/// The same split, written into `out` so a caller that plans repeatedly
+/// reuses its vectors' storage.
+void solve_equal_finish(std::span<const SolverRail> rails, std::size_t total,
+                        SplitResult& out);
 
 /// Convenience: predicted completion of sending everything on one rail.
 SimDuration single_rail_time(const SolverRail& rail, std::size_t total);

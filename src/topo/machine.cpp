@@ -7,6 +7,12 @@ namespace rails {
 std::vector<CoreId> MachineTopology::neighbours_by_distance(CoreId from) const {
   std::vector<CoreId> out;
   out.reserve(core_count() - 1);
+  neighbours_by_distance(from, out);
+  return out;
+}
+
+void MachineTopology::neighbours_by_distance(CoreId from, std::vector<CoreId>& out) const {
+  out.clear();
   const std::uint32_t home = socket_of(from);
   // Same-socket cores first.
   for (CoreId c = 0; c < core_count(); ++c) {
@@ -19,7 +25,6 @@ std::vector<CoreId> MachineTopology::neighbours_by_distance(CoreId from) const {
       out.push_back(c);
     }
   }
-  return out;
 }
 
 std::string MachineTopology::describe() const {

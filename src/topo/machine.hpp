@@ -32,6 +32,8 @@ struct MachineTopology {
   /// Cores ordered by signalling cost from `from`: same socket first (skipping
   /// `from` itself), then remote sockets.
   std::vector<CoreId> neighbours_by_distance(CoreId from) const;
+  /// The same order, written into `out` so a caller can reuse its storage.
+  void neighbours_by_distance(CoreId from, std::vector<CoreId>& out) const;
 
   /// The paper's evaluation machine: dual-socket, dual-core Opteron.
   static MachineTopology opteron_2x2() { return MachineTopology{2, 2}; }
