@@ -18,7 +18,7 @@ using namespace rails;
 
 int main() {
   const auto profiles = sampling::sample_rails(
-      {fabric::myri10g(), fabric::qsnet2()}, {1, 64u * 1024u, 1, 1});
+      {fabric::myri10g(), fabric::qsnet2()}, {1, 64u * 1024u, 1});
   const strategy::ProfileCost myri(&profiles[0].eager);
   const strategy::ProfileCost qs(&profiles[1].eager);
   const std::vector<strategy::SolverRail> rails = {{0, &myri, 0}, {1, &qs, 0}};

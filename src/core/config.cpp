@@ -217,10 +217,6 @@ WorldConfig parse_world_config(std::istream& is) {
       ls >> us;
       if (us <= 0) fail(lineno, "qos_aging_us must be positive");
       cfg.engine.qos.aging = usec(us);
-    } else if (directive == "qos_deadline_downgrade") {
-      int on = 0;
-      ls >> on;
-      cfg.engine.qos.deadline_downgrade = on != 0;
     } else if (directive == "qos_class") {
       // First qos_class line replaces the built-in set; classes are indexed
       // in declaration order.
@@ -234,8 +230,6 @@ WorldConfig parse_world_config(std::istream& is) {
         else if (key == "weight") spec.weight = std::stod(value);
         else if (key == "strict") spec.strict_priority = value != "0";
         else if (key == "capacity") spec.queue_capacity = std::stoul(value);
-        else if (key == "high") spec.high_watermark = std::stoul(value);
-        else if (key == "low") spec.low_watermark = std::stoul(value);
         else if (key == "deadline_us") spec.default_deadline = usec(std::stod(value));
         else fail(lineno, "unknown qos_class parameter '" + key + "'");
       }
@@ -353,11 +347,9 @@ void save_world_config(const WorldConfig& cfg, std::ostream& os) {
   os << "qos " << (cfg.engine.qos.enabled ? 1 : 0) << "\n";
   os << "qos_quantum " << cfg.engine.qos.quantum << "\n";
   os << "qos_aging_us " << to_usec(cfg.engine.qos.aging) << "\n";
-  os << "qos_deadline_downgrade " << (cfg.engine.qos.deadline_downgrade ? 1 : 0) << "\n";
   for (const auto& c : cfg.engine.qos.classes) {
     os << "qos_class name=" << c.name << " weight=" << c.weight
        << " strict=" << (c.strict_priority ? 1 : 0) << " capacity=" << c.queue_capacity
-       << " high=" << c.high_watermark << " low=" << c.low_watermark
        << " deadline_us=" << to_usec(c.default_deadline) << "\n";
   }
   os << "timeseries " << (cfg.engine.timeseries.enabled ? 1 : 0) << "\n";

@@ -396,32 +396,17 @@ SendHandle Engine::submit_send(SendHandle send, NodeId dst, Tag tag, const void*
     send->qos_class = qos_->resolve(opts.traffic_class, len);
     // Deadline admission (docs/QOS.md): compare the estimator's earliest
     // feasible completion against the requested (or class-default) deadline
-    // at submit time — an infeasible send is refused or downgraded here
-    // instead of timing out on the wire.
+    // at submit time — an infeasible send is refused here instead of timing
+    // out on the wire.
     SimTime deadline = opts.deadline;
     if (deadline == 0) {
       const SimDuration d = qos_->spec(send->qos_class).default_deadline;
       if (d > 0) deadline = send->submit_time + d;
     }
     if (deadline != 0 && earliest_feasible_completion(len) > deadline) {
-      if (config_.qos.deadline_downgrade) {
-        const auto downgraded = std::min<std::uint32_t>(
-            qos::kBackground, static_cast<std::uint32_t>(qos_->class_count() - 1));
-        // A bounded send that the capacity check below would shed must leave
-        // no admission accounting behind: check the class it would actually
-        // occupy BEFORE mutating the downgrade counters.
-        if (bounded && len <= rdv_threshold_ && !qos_->has_capacity(downgraded)) {
-          qos_->note_rejected_full(downgraded);
-          return nullptr;
-        }
-        qos_->note_admission_downgrade(send->qos_class);
-        send->qos_class = downgraded;
-        deadline = 0;  // downgraded sends run best-effort
-      } else {
-        qos_->note_admission_reject(send->qos_class);
-        send->state = SendState::kRejected;
-        return send;
-      }
+      qos_->note_admission_reject(send->qos_class);
+      send->state = SendState::kRejected;
+      return send;
     }
     send->deadline = deadline;
     // try_send bound: shed load while the class queue is at capacity (only
@@ -500,12 +485,18 @@ RecvHandle Engine::irecv(NodeId src, Tag tag, void* data, std::size_t capacity) 
   emit({.time = recv->post_time, .kind = EventKind::kRecvPosted, .msg_id = recv->id,
         .tag = tag, .a = static_cast<std::int64_t>(capacity)});
 
-  // Unexpected eager data first (FIFO by message id within the source).
+  // The oldest unexpected message that matches, eager or rendezvous: key
+  // order is send order within each source.
   for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
     if (src != kAnySource && it->first.first != src) continue;
     if (tag != kAnyTag && it->second.tag != tag) continue;
-    UnexpectedEager& u = it->second;
+    Unexpected& u = it->second;
     bind_recv(*recv, it->first.first, u.tag, it->first.second, u.total);
+    if (u.rts) {
+      unexpected_.erase(it);
+      accept_rendezvous(recv);
+      return recv;
+    }
     recv->bytes_received = u.received;
     if (u.received > 0) std::memcpy(recv->data, u.buffer.data(), u.buffer.size());
     const bool complete = u.received == u.total;
@@ -518,16 +509,6 @@ RecvHandle Engine::irecv(NodeId src, Tag tag, void* data, std::size_t capacity) 
       bound_recvs_.emplace_back(MsgKey{recv->src, recv->matched_msg}, recv);
       unexpected_.erase(it);
     }
-    return recv;
-  }
-
-  // Then unexpected rendezvous requests (FIFO by arrival).
-  for (auto it = unexpected_rts_.begin(); it != unexpected_rts_.end(); ++it) {
-    if (src != kAnySource && it->src != src) continue;
-    if (tag != kAnyTag && it->tag != tag) continue;
-    bind_recv(*recv, it->src, it->tag, it->msg_id, it->total);
-    unexpected_rts_.erase(it);
-    accept_rendezvous(recv);
     return recv;
   }
 
@@ -1208,13 +1189,13 @@ void Engine::deliver_fragment(const SubPacket& sp, const fabric::Segment& seg) {
   }
 
   // Unexpected: buffer until a matching receive is posted.
-  UnexpectedEager& u = unexpected_[key];
+  Unexpected& u = unexpected_[key];
   if (u.buffer.empty() && u.total == 0) {
     u.tag = sp.tag;
     u.total = sp.msg_total;
     u.buffer.assign(sp.msg_total, 0);
   }
-  if (sp.offset + sp.len > u.total) {
+  if (u.rts || sp.offset + sp.len > u.total) {
     parse_reject(seg, sp.msg_id);  // corrupted header, reliability off (see above)
     return;
   }
@@ -1226,22 +1207,17 @@ void Engine::handle_rts(const fabric::Segment& seg) {
   // Duplicate RTS (wire dup, or sender retry racing the original): the
   // handshake is already in flight or already queued — matching it again
   // would bind a second receive to the same message.
-  if (inbound_rdv_.count({seg.src, seg.msg_id}) != 0) {
+  const MsgKey key{seg.src, seg.msg_id};
+  if (inbound_rdv_.count(key) != 0 || unexpected_.count(key) != 0) {
     count(EngineCounter::stale_control);
     return;
-  }
-  for (const UnexpectedRts& u : unexpected_rts_) {
-    if (u.src == seg.src && u.msg_id == seg.msg_id) {
-      count(EngineCounter::stale_control);
-      return;
-    }
   }
   if (RecvHandle recv = match_posted(seg.src, seg.tag)) {
     bind_recv(*recv, seg.src, seg.tag, seg.msg_id, seg.total_len);
     accept_rendezvous(recv);
     return;
   }
-  unexpected_rts_.push_back(UnexpectedRts{seg.src, seg.msg_id, seg.tag, seg.total_len});
+  unexpected_.emplace(key, Unexpected{.rts = true, .tag = seg.tag, .total = seg.total_len});
 }
 
 void Engine::bind_recv(RecvRequest& recv, NodeId src, Tag tag, std::uint64_t msg_id,

@@ -168,7 +168,7 @@ class Engine {
     std::uint32_t traffic_class = qos::kAutoClass;
     /// Absolute completion deadline (virtual time); 0 = none. With QoS on,
     /// a deadline the estimator deems infeasible is rejected (handle state
-    /// kRejected) or downgraded, per QosConfig::deadline_downgrade.
+    /// kRejected).
     SimTime deadline = 0;
   };
 
@@ -275,18 +275,14 @@ class Engine {
  private:
   using MsgKey = std::pair<NodeId, std::uint64_t>;  // (source node, msg id)
 
-  struct UnexpectedEager {
+  /// A message that arrived before its receive was posted: eager bytes
+  /// (possibly still partial), or a rendezvous request waiting for its CTS.
+  struct Unexpected {
+    bool rts = false;
     Tag tag = 0;
     std::size_t total = 0;
-    std::size_t received = 0;
-    std::vector<std::uint8_t> buffer;
-  };
-
-  struct UnexpectedRts {
-    NodeId src = 0;
-    std::uint64_t msg_id = 0;
-    Tag tag = 0;
-    std::size_t total = 0;
+    std::size_t received = 0;            ///< eager only
+    std::vector<std::uint8_t> buffer{};  ///< eager only
   };
 
   struct InboundRdv {
@@ -563,8 +559,9 @@ class Engine {
   /// vector is warm (a std::map node did, every message).
   std::vector<std::pair<MsgKey, RecvHandle>> bound_recvs_;
   std::map<MsgKey, InboundRdv> inbound_rdv_;       ///< CTS sent, data flowing
-  std::map<MsgKey, UnexpectedEager> unexpected_;   ///< early eager fragments
-  std::vector<UnexpectedRts> unexpected_rts_;      ///< early RTS, FIFO
+  /// Early eager fragments and RTS in one store. Message ids grow in send
+  /// order, so key order is each source's send order (non-overtaking).
+  std::map<MsgKey, Unexpected> unexpected_;
 
   /// The one bump per counted event: the EngineStats field of the row, then
   /// the registry counter resolved from the same row (when attached).

@@ -84,15 +84,6 @@ void pack_onto_rail(EagerPlanBuilder& plan, const StrategyContext& ctx, RailId r
   }
 }
 
-/// True when some usable rail is idle: the only rails a strategy that never
-/// posts onto a busy rail can feed.
-bool usable_rail_idle(const StrategyContext& ctx) {
-  for (RailId r = 0; r < ctx.rail_count(); ++r) {
-    if (ctx.rail_usable(r) && ctx.nics[r]->idle(ctx.now)) return true;
-  }
-  return false;
-}
-
 /// A multicore split posts chunks onto busy rails from idle remote cores,
 /// so the multicore strategies are blocked only while no remote core is
 /// idle either.
@@ -220,37 +211,6 @@ strategy::SplitResult AggregateFastest::plan_rendezvous(const StrategyContext& c
   result.chunks = {{rails[best].rail, 0, len}};
   result.makespan = strategy::single_rail_time(rails[best], len);
   return result;
-}
-
-// ---------------------------------------------------------------------------
-// PatientAggregate
-// ---------------------------------------------------------------------------
-
-EagerSchedule PatientAggregate::plan_eager(const StrategyContext& ctx,
-                                           std::span<const SendRequest* const> pending) {
-  std::size_t total = 0;
-  for (const SendRequest* send : pending) total += send->len;
-
-  // Best predicted completion over every rail, busy offsets included.
-  RailId best = 0;
-  SimTime best_done = kSimTimeNever;
-  for (RailId r = 0; r < ctx.rail_count(); ++r) {
-    if (!ctx.rail_usable(r)) continue;
-    const SimTime done = eager_completion(ctx, r, total);
-    if (done < best_done) {
-      best_done = done;
-      best = r;
-    }
-  }
-  // "delaying a transfer while some NICs that especially fit the considered
-  // transfer are busy": if the winner is busy, wait for it. Another group's
-  // winner may be idle, so only a fully busy node blocks the activation.
-  if (!ctx.nics[best]->idle(ctx.now)) {
-    return {.emissions = {}, .blocked = !usable_rail_idle(ctx)};
-  }
-  plan_.begin();
-  pack_onto_rail(plan_, ctx, best, pending);
-  return plan_.finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -473,7 +433,6 @@ std::unique_ptr<Strategy> make_strategy(const std::string& name) {
   }
   if (name == "greedy-balance") return std::make_unique<GreedyBalance>();
   if (name == "aggregate-fastest") return std::make_unique<AggregateFastest>();
-  if (name == "patient-aggregate") return std::make_unique<PatientAggregate>();
   if (name == "iso-split") return std::make_unique<IsoSplit>();
   if (name == "fixed-ratio-split") return std::make_unique<FixedRatioSplit>();
   if (name == "hetero-split") return std::make_unique<HeteroSplit>();

@@ -78,18 +78,6 @@ class FixedRatioSplit final : public AggregateFastest {
                                         std::size_t len) override;
 };
 
-/// §II-B: "It could also be worth delaying a transfer while some NICs that
-/// especially fit the considered transfer are busy." PatientAggregate picks
-/// the rail with the best *busy-aware* predicted completion over ALL rails;
-/// when that rail is still busy it defers (the engine re-interrogates when
-/// a NIC frees up) instead of settling for an idle-but-slower rail.
-class PatientAggregate : public AggregateFastest {
- public:
-  std::string name() const override { return "patient-aggregate"; }
-  EagerSchedule plan_eager(const StrategyContext& ctx,
-                           std::span<const SendRequest* const> pending) override;
-};
-
 class HeteroSplit : public AggregateFastest {
  public:
   std::string name() const override { return "hetero-split"; }

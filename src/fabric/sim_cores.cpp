@@ -1,7 +1,5 @@
 #include "fabric/sim_cores.hpp"
 
-#include <algorithm>
-
 namespace rails::fabric {
 
 std::uint32_t SimCores::idle_count(SimTime now, std::optional<CoreId> except) const {
@@ -11,24 +9,6 @@ std::uint32_t SimCores::idle_count(SimTime now, std::optional<CoreId> except) co
     if (idle(c, now)) ++n;
   }
   return n;
-}
-
-CoreId SimCores::pick_offload_core(SimTime now, CoreId near,
-                                   std::optional<CoreId> except) const {
-  // Same-socket cores are preferred when equally idle; neighbours_by_distance
-  // already yields that order, so a stable scan keeping the earliest-free
-  // core naturally breaks ties in favour of proximity.
-  CoreId best = near;
-  SimTime best_free = kSimTimeNever;
-  for (CoreId c : topo_.neighbours_by_distance(near)) {
-    if (except && *except == c) continue;
-    const SimTime free_at = std::max(busy_until_[c], now);
-    if (free_at < best_free) {
-      best_free = free_at;
-      best = c;
-    }
-  }
-  return best;
 }
 
 }  // namespace rails::fabric

@@ -43,10 +43,6 @@ class SimCores {
     return busy_until_[core];
   }
 
-  /// Earliest-idle core other than `except`, preferring cores on the same
-  /// socket as `near` (cheaper signalling), breaking ties by lowest id.
-  CoreId pick_offload_core(SimTime now, CoreId near, std::optional<CoreId> except) const;
-
   void reset() { std::fill(busy_until_.begin(), busy_until_.end(), 0); }
 
  private:

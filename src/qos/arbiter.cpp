@@ -49,16 +49,25 @@ std::size_t QosArbiter::cost(const core::SendHandle& send) {
   return std::max<std::size_t>(send->len, 1);
 }
 
-std::size_t QosArbiter::high_mark(ClassId cls) const {
-  const ClassSpec& s = specs_[cls];
-  if (s.high_watermark != 0) return s.high_watermark;
-  return std::max<std::size_t>(1, s.queue_capacity * 3 / 4);
+void QosArbiter::WaitRing::push_back(Waiting w) {
+  if (size_ == slots_.size()) {
+    // Full: unroll into a ring twice the size, oldest first.
+    std::vector<Waiting> grown(std::max<std::size_t>(8, 2 * slots_.size()));
+    for (std::size_t i = 0; i < size_; ++i) {
+      grown[i] = std::move(slots_[(head_ + i) % slots_.size()]);
+    }
+    slots_ = std::move(grown);
+    head_ = 0;
+  }
+  slots_[(head_ + size_) % slots_.size()] = std::move(w);
+  ++size_;
 }
 
-std::size_t QosArbiter::low_mark(ClassId cls) const {
-  const ClassSpec& s = specs_[cls];
-  if (s.low_watermark != 0) return s.low_watermark;
-  return s.queue_capacity / 4;
+QosArbiter::Waiting QosArbiter::WaitRing::pop_front() {
+  Waiting w = std::move(slots_[head_]);
+  head_ = (head_ + 1) % slots_.size();
+  --size_;
+  return w;
 }
 
 bool QosArbiter::has_capacity(ClassId cls) const {
@@ -74,32 +83,22 @@ void QosArbiter::note_rejected_full(ClassId cls) {
 }
 
 void QosArbiter::enqueue(ClassId cls, core::SendHandle send, SimTime now) {
-  bool pause = false;
-  {
-    RAILS_PERF_LOCK(mu_, perf::Layer::kArbiter);
-    RAILS_CHECK(cls < states_.size());
-    ClassState& cs = states_[cls];
-    cs.queue.push_back(Waiting{std::move(send), now});
-    ++cs.counters.enqueued;
-    cs.counters.depth_hwm = std::max(cs.counters.depth_hwm,
-                                     static_cast<std::uint64_t>(cs.queue.size()));
-    if (cs.m_depth != nullptr) {
-      cs.m_depth->set(static_cast<std::int64_t>(cs.queue.size()));
-    }
-    if (!cs.paused && cs.queue.size() >= high_mark(cls)) {
-      cs.paused = true;
-      pause = true;
-    }
+  RAILS_PERF_LOCK(mu_, perf::Layer::kArbiter);
+  RAILS_CHECK(cls < states_.size());
+  ClassState& cs = states_[cls];
+  cs.queue.push_back(Waiting{std::move(send), now});
+  ++cs.counters.enqueued;
+  cs.counters.depth_hwm = std::max(cs.counters.depth_hwm,
+                                   static_cast<std::uint64_t>(cs.queue.size()));
+  if (cs.m_depth != nullptr) {
+    cs.m_depth->set(static_cast<std::int64_t>(cs.queue.size()));
   }
-  // The callback runs unlocked so it may query the arbiter (or submit).
-  if (pause && backpressure_ != nullptr) backpressure_(cls, true);
 }
 
 void QosArbiter::pop_grant(ClassId cls, bool aged,
                            std::vector<core::SendHandle>& granted) {
   ClassState& cs = states_[cls];
-  Waiting w = std::move(cs.queue.front());
-  cs.queue.pop_front();
+  Waiting w = cs.queue.pop_front();
   count(cls, QosCounter::granted);
   count(cls, QosCounter::granted_bytes, w.send->len);
   if (aged) count(cls, QosCounter::aged_grants);
@@ -113,8 +112,6 @@ void QosArbiter::grant(SimTime now, const GrantSink& sink) {
   // a callback sees empty scratch and degrades to allocating, not aliasing.
   std::vector<core::SendHandle> granted = std::move(granted_scratch_);
   granted.clear();
-  std::vector<ClassId> resumed = std::move(resumed_scratch_);
-  resumed.clear();
   {
     RAILS_PERF_LOCK(mu_, perf::Layer::kArbiter);
     // Strict pass: strict-priority classes drain fully; elsewhere only
@@ -151,21 +148,10 @@ void QosArbiter::grant(SimTime now, const GrantSink& sink) {
       }
       if (cs.queue.empty()) cs.deficit = 0;
     }
-    for (ClassId cls = 0; cls < states_.size(); ++cls) {
-      ClassState& cs = states_[cls];
-      if (cs.paused && cs.queue.size() <= low_mark(cls)) {
-        cs.paused = false;
-        resumed.push_back(cls);
-      }
-    }
-  }
-  if (backpressure_ != nullptr) {
-    for (const ClassId cls : resumed) backpressure_(cls, false);
   }
   for (core::SendHandle& send : granted) sink(std::move(send));
   granted.clear();
   granted_scratch_ = std::move(granted);
-  resumed_scratch_ = std::move(resumed);
 }
 
 bool QosArbiter::backlog() const {
@@ -188,16 +174,6 @@ std::size_t QosArbiter::deficit(ClassId cls) const {
   return states_[cls].deficit;
 }
 
-bool QosArbiter::paused(ClassId cls) const {
-  RAILS_PERF_LOCK(mu_, perf::Layer::kArbiter);
-  RAILS_CHECK(cls < states_.size());
-  return states_[cls].paused;
-}
-
-void QosArbiter::set_backpressure(BackpressureFn fn) {
-  backpressure_ = std::move(fn);
-}
-
 void QosArbiter::note_completion(ClassId cls, bool had_deadline, bool deadline_hit,
                                  SimDuration latency) {
   RAILS_PERF_LOCK(mu_, perf::Layer::kArbiter);
@@ -215,12 +191,6 @@ void QosArbiter::note_admission_reject(ClassId cls) {
   RAILS_PERF_LOCK(mu_, perf::Layer::kArbiter);
   RAILS_CHECK(cls < states_.size());
   count(cls, QosCounter::admission_rejects);
-}
-
-void QosArbiter::note_admission_downgrade(ClassId cls) {
-  RAILS_PERF_LOCK(mu_, perf::Layer::kArbiter);
-  RAILS_CHECK(cls < states_.size());
-  count(cls, QosCounter::admission_downgrades);
 }
 
 ClassCounters QosArbiter::counters(ClassId cls) const {
@@ -253,15 +223,14 @@ void QosArbiter::write_json(std::ostream& os) const {
     os << "{\"class\":\"" << specs_[cls].name << "\",\"weight\":" << specs_[cls].weight
        << ",\"strict\":" << (specs_[cls].strict_priority ? "true" : "false")
        << ",\"depth\":" << cs.queue.size() << ",\"depth_hwm\":" << c.depth_hwm
-       << ",\"deficit\":" << cs.deficit << ",\"paused\":" << (cs.paused ? "true" : "false")
+       << ",\"deficit\":" << cs.deficit
        << ",\"enqueued\":" << c.enqueued << ",\"granted\":" << c.granted
        << ",\"granted_bytes\":" << c.granted_bytes
        << ",\"rejected_full\":" << c.rejected_full
        << ",\"aged_grants\":" << c.aged_grants
        << ",\"deadline_hits\":" << c.deadline_hits
        << ",\"deadline_misses\":" << c.deadline_misses
-       << ",\"admission_rejects\":" << c.admission_rejects
-       << ",\"admission_downgrades\":" << c.admission_downgrades << '}';
+       << ",\"admission_rejects\":" << c.admission_rejects << '}';
   }
   os << ']';
 }

@@ -20,18 +20,15 @@
 // drain everything immediately — the arbiter is work-conserving.
 //
 // Bounded queues give backpressure: has_capacity()/enqueue() implement
-// try_send, and watermark callbacks fire on the high/low crossings so
-// producers shed load instead of growing memory without bound.
+// try_send, so producers shed load instead of growing memory without bound.
 //
 // Thread safety: every method is serialised on an internal mutex and the
-// watermark/grant callbacks are invoked with the lock released, so real
-// threads (tests under TSan) may produce concurrently with a draining
-// consumer. The DES engine is single-threaded; the lock is
-// uncontended there.
+// grant callback is invoked with the lock released, so real threads (tests
+// under TSan) may produce concurrently with a draining consumer. The DES
+// engine is single-threaded; the lock is uncontended there.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <iterator>
@@ -56,8 +53,7 @@ namespace rails::qos {
   X(aged_grants)          /* grants escalated by starvation aging */           \
   X(deadline_hits)                                                             \
   X(deadline_misses)                                                           \
-  X(admission_rejects)                                                         \
-  X(admission_downgrades)
+  X(admission_rejects)
 
 /// Per-class accounting, snapshot via QosArbiter::counters().
 struct ClassCounters {
@@ -86,8 +82,6 @@ inline constexpr QosCounterRow kQosCounters[] = {
 
 class QosArbiter {
  public:
-  /// `paused` = true on the high-watermark crossing, false on the low.
-  using BackpressureFn = std::function<void(ClassId, bool paused)>;
   using GrantSink = std::function<void(core::SendHandle)>;
 
   /// `cutoff` is the size boundary of the default classification; the
@@ -108,27 +102,21 @@ class QosArbiter {
   void note_rejected_full(ClassId cls);
 
   /// Admits one send (never refuses — callers wanting the bound use
-  /// has_capacity first). Fires the high-watermark callback on crossing.
+  /// has_capacity first).
   void enqueue(ClassId cls, core::SendHandle send, SimTime now);
 
   /// One arbitration round; invokes `sink` once per granted send, in grant
-  /// order. Fires low-watermark callbacks for queues that drained below.
+  /// order.
   void grant(SimTime now, const GrantSink& sink);
 
   bool backlog() const;
   std::size_t depth(ClassId cls) const;
   /// Current DRR deficit in bytes (diagnostics / railsctl qos).
   std::size_t deficit(ClassId cls) const;
-  /// True between a high-watermark crossing and the next low crossing.
-  bool paused(ClassId cls) const;
-
-  void set_backpressure(BackpressureFn fn);
-
   /// Completion/admission bookkeeping fed back by the engine.
   void note_completion(ClassId cls, bool had_deadline, bool deadline_hit,
                        SimDuration latency);
   void note_admission_reject(ClassId cls);
-  void note_admission_downgrade(ClassId cls);
 
   ClassCounters counters(ClassId cls) const;
 
@@ -143,10 +131,24 @@ class QosArbiter {
     core::SendHandle send;
     SimTime enqueued = 0;
   };
+  /// A class's FIFO: a ring over storage it keeps, so once it has grown to
+  /// the class's peak depth a steady stream never allocates.
+  class WaitRing {
+   public:
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    const Waiting& front() const { return slots_[head_]; }
+    void push_back(Waiting w);
+    Waiting pop_front();
+
+   private:
+    std::vector<Waiting> slots_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
   struct ClassState {
-    std::deque<Waiting> queue;
+    WaitRing queue;
     std::size_t deficit = 0;
-    bool paused = false;
     ClassCounters counters;
     telemetry::Gauge* m_depth = nullptr;
     telemetry::Histogram* m_latency = nullptr;
@@ -162,8 +164,6 @@ class QosArbiter {
 
   /// Byte cost of one grant (zero-length sends still cost one unit).
   static std::size_t cost(const core::SendHandle& send);
-  std::size_t high_mark(ClassId cls) const;
-  std::size_t low_mark(ClassId cls) const;
   /// Pops the queue head into `granted`. Caller holds mu_.
   void pop_grant(ClassId cls, bool aged, std::vector<core::SendHandle>& granted);
 
@@ -173,10 +173,8 @@ class QosArbiter {
   mutable std::mutex mu_;
   std::vector<ClassState> states_;
   telemetry::CounterMirror counters_;  ///< slot = class * rows + row
-  BackpressureFn backpressure_;
   /// grant()-round staging, recycled between rounds (capacity kept).
   std::vector<core::SendHandle> granted_scratch_;
-  std::vector<ClassId> resumed_scratch_;
 };
 
 }  // namespace rails::qos

@@ -33,7 +33,7 @@ inline constexpr ClassId kBackground = 2;  ///< best-effort; lowest share
 /// that never heard of traffic classes keep their behaviour).
 inline constexpr ClassId kAutoClass = ~ClassId{0};
 
-/// One traffic class: scheduling weight, queue bound, watermarks.
+/// One traffic class: scheduling weight, queue bound, default deadline.
 struct ClassSpec {
   std::string name;
   /// DRR share among the non-strict classes (> 0). Per arbitration round a
@@ -44,13 +44,8 @@ struct ClassSpec {
   /// boundaries.
   bool strict_priority = false;
   /// Bound of the per-class submit queue (messages). try_isend refuses
-  /// beyond it; plain isend still enqueues (and trips the high watermark).
+  /// beyond it; plain isend still enqueues.
   std::size_t queue_capacity = 1024;
-  /// Backpressure watermarks (messages). 0 = derive from the capacity
-  /// (high = 3/4, low = 1/4). The pause callback fires when the depth
-  /// reaches `high`, the resume callback when it falls back to `low`.
-  std::size_t high_watermark = 0;
-  std::size_t low_watermark = 0;
   /// Applied to sends submitted without an explicit deadline (0 = none):
   /// deadline = submit time + default_deadline, admission-checked like any
   /// deadline-tagged send.
@@ -65,9 +60,6 @@ struct QosConfig {
   /// Starvation protection: a message waiting longer than this is granted
   /// in the strict pass regardless of its class's deficit.
   SimDuration aging = usec(1000);
-  /// Infeasible deadline at submit: downgrade to BACKGROUND (true) instead
-  /// of rejecting the send (false).
-  bool deadline_downgrade = false;
   /// Classes in ClassId order. Empty = the three built-ins.
   std::vector<ClassSpec> classes;
 };

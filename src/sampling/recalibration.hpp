@@ -89,7 +89,7 @@ struct RecalibrationConfig {
   /// Scheduler-core time charged per sweep (the probe burst is not free).
   SimDuration resample_host_cost = 5'000;  // 5 us
   /// Reduced ladder used by background sweeps (full init ladder is 8 MiB).
-  SamplerConfig resample_sampler{1024, 2u * 1024u * 1024u, 1, 1};
+  SamplerConfig resample_sampler{1024, 2u * 1024u * 1024u, 1};
 };
 
 class Recalibrator {

@@ -6,7 +6,6 @@
 
 #include "common/check.hpp"
 #include "common/log.hpp"
-#include "common/stats.hpp"
 #include "fabric/fabric.hpp"
 
 namespace rails::sampling {
@@ -110,25 +109,18 @@ RailProfile sample_rail(const fabric::NetworkModelParams& params,
   for (std::size_t size : sizes) {
     // A scratch fabric per (protocol, size) point keeps every measurement
     // cold-start clean: no residual NIC busy time from the previous sample.
+    // The DES is deterministic, so one measurement per point is exact.
     if (size <= params.max_eager) {
-      SampleSet reps;
-      for (unsigned r = 0; r < config.repetitions; ++r) {
-        fabric::Fabric fab({2, {params}});
-        reps.add(static_cast<double>(measure_eager(fab, size)));
-      }
-      rp.eager.add(size, static_cast<SimDuration>(reps.median()));
+      fabric::Fabric fab({2, {params}});
+      rp.eager.add(size, measure_eager(fab, size));
       // The host share is not observable from arrival times alone; it comes
       // from the same place a real driver gets it (the post's completion),
       // modeled here via the NIC preview.
       rp.eager_host.add(size, model.eager(size).host);
     }
     {
-      SampleSet reps;
-      for (unsigned r = 0; r < config.repetitions; ++r) {
-        fabric::Fabric fab({2, {params}});
-        reps.add(static_cast<double>(measure_rendezvous(fab, size)));
-      }
-      rp.rendezvous.add(size, static_cast<SimDuration>(reps.median()));
+      fabric::Fabric fab({2, {params}});
+      rp.rendezvous.add(size, measure_rendezvous(fab, size));
       rp.rdv_chunk.add(size, model.rendezvous(size, /*include_handshake=*/false).total);
     }
   }

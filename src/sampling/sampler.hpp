@@ -38,10 +38,6 @@ struct SamplerConfig {
   /// Number of sampled sizes per power-of-two decade; 1 keeps exactly the
   /// powers of two the paper uses, larger values refine the grid.
   unsigned steps_per_octave = 1;
-  /// Repetitions per size; the median is recorded (the DES is deterministic,
-  /// so 1 suffices there, but the knob matters for the threaded backend and
-  /// for the sampling-granularity ablation).
-  unsigned repetitions = 1;
 };
 
 /// Samples one network technology by running segments through a scratch

@@ -44,27 +44,12 @@ double BoundedReservoir::percentile(double p) const {
   return samples_[std::min(idx, samples_.size() - 1)];
 }
 
-PredictionTracker::PredictionTracker(std::size_t rail_count, std::size_t reservoir_cap,
-                                     std::size_t recent_window)
-    : reservoir_cap_(reservoir_cap), recent_window_(recent_window) {
+PredictionTracker::PredictionTracker(std::size_t rail_count) {
   RAILS_CHECK(rail_count >= 1);
-  RAILS_CHECK(reservoir_cap >= 1 && recent_window >= 1);
   rails_.reserve(rail_count);
   for (std::size_t r = 0; r < rail_count; ++r) {
-    rails_.emplace_back(reservoir_cap, kReservoirSeed ^ (r * 0x9e3779b97f4a7c15ULL),
-                        recent_window);
+    rails_.emplace_back(kReservoirSeed ^ (r * 0x9e3779b97f4a7c15ULL));
   }
-}
-
-void PredictionTracker::push_recent(PerRail& pr, double rel, double bias) {
-  if (pr.recent_rel.size() < recent_window_) {
-    pr.recent_rel.push_back(rel);
-    pr.recent_bias.push_back(bias);
-    return;
-  }
-  pr.recent_rel[pr.recent_pos] = rel;
-  pr.recent_bias[pr.recent_pos] = bias;
-  pr.recent_pos = (pr.recent_pos + 1) % recent_window_;
 }
 
 void PredictionTracker::record(RailId rail, SimDuration predicted, SimDuration actual) {
@@ -78,17 +63,11 @@ void PredictionTracker::record(RailId rail, SimDuration predicted, SimDuration a
   pr.bias.add(signed_err);
   pr.abs_error_ns.add(std::abs(static_cast<double>(actual - predicted)));
   pr.rel_samples.add(rel);
-  push_recent(pr, rel, signed_err);
 }
 
 std::size_t PredictionTracker::samples(RailId rail) const {
   RAILS_CHECK(rail < rails_.size());
   return rails_[rail].rel_error.count();
-}
-
-std::size_t PredictionTracker::reservoir_size(RailId rail) const {
-  RAILS_CHECK(rail < rails_.size());
-  return rails_[rail].rel_samples.size();
 }
 
 std::size_t PredictionTracker::total_samples() const {
@@ -109,46 +88,6 @@ PredictionTracker::RailAccuracy PredictionTracker::accuracy(RailId rail) const {
   out.mean_bias = pr.bias.mean();
   out.mean_abs_error_us = pr.abs_error_ns.mean() / 1e3;
   return out;
-}
-
-PredictionTracker::RecentAccuracy PredictionTracker::recent_accuracy(RailId rail) const {
-  RAILS_CHECK(rail < rails_.size());
-  const PerRail& pr = rails_[rail];
-  RecentAccuracy out;
-  out.samples = pr.recent_rel.size();
-  if (out.samples == 0) return out;
-  double rel_sum = 0, bias_sum = 0;
-  for (const double v : pr.recent_rel) rel_sum += v;
-  for (const double v : pr.recent_bias) bias_sum += v;
-  out.mean_rel_error = rel_sum / static_cast<double>(out.samples);
-  out.mean_bias = bias_sum / static_cast<double>(out.samples);
-  std::vector<double> sorted(pr.recent_rel);
-  std::sort(sorted.begin(), sorted.end());
-  const auto idx = static_cast<std::size_t>(
-      0.95 * static_cast<double>(sorted.size() - 1) + 0.5);
-  out.p95_rel_error = sorted[std::min(idx, sorted.size() - 1)];
-  return out;
-}
-
-void PredictionTracker::merge(const PredictionTracker& other) {
-  RAILS_CHECK_MSG(rails_.size() == other.rails_.size(),
-                  "prediction trackers disagree on the rail count");
-  for (std::size_t r = 0; r < rails_.size(); ++r) {
-    rails_[r].rel_error.merge(other.rails_[r].rel_error);
-    rails_[r].bias.merge(other.rails_[r].bias);
-    rails_[r].abs_error_ns.merge(other.rails_[r].abs_error_ns);
-    for (const double s : other.rails_[r].rel_samples.samples()) {
-      rails_[r].rel_samples.add(s);
-    }
-    // Replay the other side's recent window in chronological order so the
-    // merged window ends with its newest residuals.
-    const PerRail& opr = other.rails_[r];
-    const std::size_t n = opr.recent_rel.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t idx = n < other.recent_window_ ? i : (opr.recent_pos + i) % n;
-      push_recent(rails_[r], opr.recent_rel[idx], opr.recent_bias[idx]);
-    }
-  }
 }
 
 void PredictionTracker::dump(std::ostream& os) const {

@@ -34,7 +34,6 @@ class BoundedReservoir {
   std::uint64_t seen() const { return seen_; }               ///< ever offered
   bool exact() const { return seen_ <= cap_; }
   double percentile(double p) const;  ///< over the stored samples, lazy sort
-  const std::vector<double>& samples() const { return samples_; }
 
  private:
   std::size_t cap_ = 0;
@@ -46,15 +45,13 @@ class BoundedReservoir {
 
 class PredictionTracker {
  public:
-  explicit PredictionTracker(std::size_t rail_count, std::size_t reservoir_cap = 4096,
-                             std::size_t recent_window = 256);
+  /// Residuals each rail's percentile store keeps (exact below, sampled
+  /// beyond).
+  static constexpr std::size_t kReservoirCap = 4096;
+
+  explicit PredictionTracker(std::size_t rail_count);
 
   std::size_t rail_count() const { return rails_.size(); }
-  std::size_t reservoir_capacity() const { return reservoir_cap_; }
-  std::size_t recent_window() const { return recent_window_; }
-  /// Residual samples currently *stored* for `rail` (bounded by the cap,
-  /// unlike samples() which counts everything ever recorded).
-  std::size_t reservoir_size(RailId rail) const;
 
   /// Records one completed transfer on `rail`: the duration the estimator
   /// promised vs the duration the fabric delivered (both measured from the
@@ -75,23 +72,6 @@ class PredictionTracker {
 
   RailAccuracy accuracy(RailId rail) const;
 
-  /// Accuracy over only the last `recent_window()` samples — what the drift
-  /// detector cares about: a regime change shows here long before it moves
-  /// the lifetime means.
-  struct RecentAccuracy {
-    std::size_t samples = 0;
-    double mean_rel_error = 0.0;
-    double p95_rel_error = 0.0;
-    double mean_bias = 0.0;
-  };
-
-  RecentAccuracy recent_accuracy(RailId rail) const;
-
-  /// Folds per-worker trackers together (RunningStats::merge idiom). Rail
-  /// counts must match. Lifetime stats merge exactly; reservoir percentiles
-  /// and the recent window are approximate once either side passed its cap.
-  void merge(const PredictionTracker& other);
-
   /// Table view, one row per rail.
   void dump(std::ostream& os) const;
 
@@ -102,27 +82,15 @@ class PredictionTracker {
 
  private:
   struct PerRail {
-    explicit PerRail(std::size_t cap, std::uint64_t seed, std::size_t window)
-        : rel_samples(cap, seed) {
-      recent_rel.reserve(window);
-      recent_bias.reserve(window);
-    }
+    explicit PerRail(std::uint64_t seed) : rel_samples(kReservoirCap, seed) {}
     RunningStats rel_error;      ///< |actual-predicted| / actual
     RunningStats bias;           ///< (actual-predicted) / actual
     RunningStats abs_error_ns;   ///< |actual-predicted|
     /// Bounded percentile store (exact below the cap, reservoir beyond);
     /// mutable because percentile() sorts lazily and accuracy() is const.
     mutable BoundedReservoir rel_samples;
-    // Ring buffers of the most recent residuals (recent_accuracy view).
-    std::vector<double> recent_rel;
-    std::vector<double> recent_bias;
-    std::size_t recent_pos = 0;
   };
 
-  void push_recent(PerRail& pr, double rel, double bias);
-
-  std::size_t reservoir_cap_;
-  std::size_t recent_window_;
   std::vector<PerRail> rails_;
 };
 

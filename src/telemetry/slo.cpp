@@ -243,7 +243,6 @@ std::vector<ScorecardRow> Scorecard::collect(
     row.deadline_misses = counter("deadline_misses");
     row.shed = counter("rejected_full");
     row.rejects = counter("admission_rejects");
-    row.downgrades = counter("admission_downgrades");
     const std::uint64_t total = row.deadline_hits + row.deadline_misses;
     row.hit_rate = total == 0 ? 1.0
                               : static_cast<double>(row.deadline_hits) /
@@ -272,20 +271,19 @@ std::vector<ScorecardRow> Scorecard::collect(
 void Scorecard::render(std::ostream& os, const std::vector<ScorecardRow>& rows) {
   char line[224];
   std::snprintf(line, sizeof(line),
-                "%-12s %9s %12s %7s %9s %8s %9s %9s %6s %7s %6s\n", "class",
+                "%-12s %9s %12s %7s %9s %8s %9s %9s %6s %6s\n", "class",
                 "granted", "bytes", "share", "hit_rate", "p50_us", "p99_us",
-                "shed", "rej", "downgr", "depth");
+                "shed", "rej", "depth");
   os << line;
   for (const ScorecardRow& r : rows) {
     std::snprintf(line, sizeof(line),
                   "%-12s %9llu %12llu %6.1f%% %9.4f %8.1f %9.1f %9llu %6llu "
-                  "%7llu %6lld\n",
+                  "%6lld\n",
                   r.cls.c_str(), static_cast<unsigned long long>(r.granted),
                   static_cast<unsigned long long>(r.granted_bytes),
                   r.goodput_share * 100.0, r.hit_rate, r.p50_us, r.p99_us,
                   static_cast<unsigned long long>(r.shed),
                   static_cast<unsigned long long>(r.rejects),
-                  static_cast<unsigned long long>(r.downgrades),
                   static_cast<long long>(r.queue_depth));
     os << line;
   }
@@ -304,7 +302,6 @@ void Scorecard::write_json(std::ostream& os, const std::vector<ScorecardRow>& ro
        << ",\"hit_rate\":" << r.hit_rate << ",\"p50_us\":" << r.p50_us
        << ",\"p99_us\":" << r.p99_us << ",\"shed\":" << r.shed
        << ",\"admission_rejects\":" << r.rejects
-       << ",\"admission_downgrades\":" << r.downgrades
        << ",\"queue_depth\":" << r.queue_depth << "}";
   }
   os << "]";

@@ -131,7 +131,7 @@ class SloMonitor {
 };
 
 /// Per-class SLO scorecard over *cumulative* registry counters: deadline
-/// hit rate, whole-run p50/p99, goodput share, shed/downgrade counts. By
+/// hit rate, whole-run p50/p99, goodput share, shed/reject counts. By
 /// construction every cell reconciles exactly with the qos.<class>.*
 /// metrics it is read from (bench/tenant_storm shape-checks this).
 struct ScorecardRow {
@@ -146,7 +146,6 @@ struct ScorecardRow {
   double p99_us = 0;
   std::uint64_t shed = 0;        ///< try_isend refusals (rejected_full)
   std::uint64_t rejects = 0;     ///< deadline admission rejects
-  std::uint64_t downgrades = 0;  ///< deadline admission downgrades
   std::int64_t queue_depth = 0;
 };
 

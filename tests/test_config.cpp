@@ -105,9 +105,8 @@ nodes 2
 qos 1
 qos_quantum 32768
 qos_aging_us 750
-qos_deadline_downgrade 1
 qos_class name=latency weight=8 strict=1 capacity=512 deadline_us=500
-qos_class name=gold weight=3 capacity=2048 high=1536 low=256
+qos_class name=gold weight=3 capacity=2048
 qos_class name=background weight=0.5 capacity=64
 rail preset myri10g
 rail preset qsnet2
@@ -116,7 +115,6 @@ rail preset qsnet2
   EXPECT_TRUE(cfg.engine.qos.enabled);
   EXPECT_EQ(cfg.engine.qos.quantum, 32768u);
   EXPECT_EQ(cfg.engine.qos.aging, usec(750.0));
-  EXPECT_TRUE(cfg.engine.qos.deadline_downgrade);
   ASSERT_EQ(cfg.engine.qos.classes.size(), 3u);  // declared set replaces built-ins
   EXPECT_EQ(cfg.engine.qos.classes[0].name, "latency");
   EXPECT_DOUBLE_EQ(cfg.engine.qos.classes[0].weight, 8.0);
@@ -126,8 +124,7 @@ rail preset qsnet2
   EXPECT_EQ(cfg.engine.qos.classes[1].name, "gold");
   EXPECT_DOUBLE_EQ(cfg.engine.qos.classes[1].weight, 3.0);
   EXPECT_FALSE(cfg.engine.qos.classes[1].strict_priority);
-  EXPECT_EQ(cfg.engine.qos.classes[1].high_watermark, 1536u);
-  EXPECT_EQ(cfg.engine.qos.classes[1].low_watermark, 256u);
+  EXPECT_EQ(cfg.engine.qos.classes[1].queue_capacity, 2048u);
   EXPECT_DOUBLE_EQ(cfg.engine.qos.classes[2].weight, 0.5);
 
   std::stringstream ss;
@@ -136,7 +133,6 @@ rail preset qsnet2
   EXPECT_TRUE(again.engine.qos.enabled);
   EXPECT_EQ(again.engine.qos.quantum, 32768u);
   EXPECT_EQ(again.engine.qos.aging, usec(750.0));
-  EXPECT_TRUE(again.engine.qos.deadline_downgrade);
   ASSERT_EQ(again.engine.qos.classes.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(again.engine.qos.classes[i].name, cfg.engine.qos.classes[i].name);
@@ -146,10 +142,6 @@ rail preset qsnet2
               cfg.engine.qos.classes[i].strict_priority);
     EXPECT_EQ(again.engine.qos.classes[i].queue_capacity,
               cfg.engine.qos.classes[i].queue_capacity);
-    EXPECT_EQ(again.engine.qos.classes[i].high_watermark,
-              cfg.engine.qos.classes[i].high_watermark);
-    EXPECT_EQ(again.engine.qos.classes[i].low_watermark,
-              cfg.engine.qos.classes[i].low_watermark);
     EXPECT_EQ(again.engine.qos.classes[i].default_deadline,
               cfg.engine.qos.classes[i].default_deadline);
   }
@@ -363,6 +355,10 @@ TEST(ClusterConfigDeath, UnknownDirective) {
   EXPECT_DEATH(parse_world_config(is), "malformed");
   std::istringstream late("rail preset myri10g\nbogus 7\n");
   EXPECT_DEATH(parse_world_config(late), "line 2: unknown directive 'bogus'");
+  // A retired directive is unknown too, not silently ignored.
+  std::istringstream retired("rail preset myri10g\nqos_deadline_downgrade 1\n");
+  EXPECT_DEATH(parse_world_config(retired),
+               "line 2: unknown directive 'qos_deadline_downgrade'");
 }
 
 TEST(ClusterConfigDeath, UnknownPreset) {
@@ -405,6 +401,12 @@ TEST(ClusterConfigDeath, QosClassUnknownParameter) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   std::istringstream is("qos_class name=x color=red\nrail preset myri10g\n");
   EXPECT_DEATH(parse_world_config(is), "malformed");
+  // high= and low= (watermarks) are not qos_class parameters.
+  for (const char* key : {"high=48", "low=16"}) {
+    std::istringstream retired(std::string("qos_class name=x ") + key +
+                               "\nrail preset myri10g\n");
+    EXPECT_DEATH(parse_world_config(retired), "unknown qos_class parameter");
+  }
 }
 
 TEST(ClusterConfigDeath, FaultRateOutOfRange) {

@@ -1,5 +1,7 @@
 // Edge cases of the engine's protocol machinery: segment caps, threshold
 // boundaries, capacity guards, multi-destination scheduling, overrides.
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/world.hpp"
@@ -127,6 +129,35 @@ TEST(EngineEdge, RecvPostedLongAfterTraffic) {
   auto recv = world.engine(1).irecv(0, 1, rx.data(), rx.size());
   EXPECT_TRUE(recv->done());
   EXPECT_EQ(rx, tx);
+}
+
+TEST(EngineEdge, UnexpectedRendezvousAndEagerMatchInSendOrder) {
+  // MPI non-overtaking: a rendezvous send followed by an eager send with
+  // the same (source, tag) must match late-posted receives in send order,
+  // although the eager bytes and the RTS wait in the unexpected store.
+  for (const char* strategy : {"hetero-split", "aggregate-fastest",
+                               "multicore-hetero-split", "greedy-balance",
+                               "single-rail:0"}) {
+    core::World world(paper_testbed(strategy));
+    const auto big = test::make_pattern(128_KiB, 1);
+    const auto small = test::make_pattern(64, 2);
+    auto big_send = world.engine(0).isend(1, 5, big.data(), big.size());
+    auto small_send = world.engine(0).isend(1, 5, small.data(), small.size());
+    ASSERT_TRUE(big_send->rendezvous) << strategy;
+    ASSERT_FALSE(small_send->rendezvous) << strategy;
+    world.fabric().events().run_all();  // both wait in the unexpected store
+
+    std::vector<std::uint8_t> first(128_KiB), second(128_KiB);
+    auto r1 = world.engine(1).irecv(0, 5, first.data(), first.size());
+    auto r2 = world.engine(1).irecv(0, 5, second.data(), second.size());
+    world.wait(r1);
+    world.wait(r2);
+    world.wait(big_send);
+    EXPECT_EQ(r1->expected, big.size()) << strategy;
+    EXPECT_EQ(r2->expected, small.size()) << strategy;
+    EXPECT_TRUE(std::equal(big.begin(), big.end(), first.begin())) << strategy;
+    EXPECT_TRUE(std::equal(small.begin(), small.end(), second.begin())) << strategy;
+  }
 }
 
 TEST(EngineEdge, StatsResetClearsCounters) {

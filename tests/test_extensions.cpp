@@ -1,5 +1,5 @@
-// Tests for the post-reproduction extensions: the patient (delay-tolerant)
-// strategy of §II-B, runtime rail degradation, and profile overrides.
+// Tests for the post-reproduction extensions: the batch-spread strategy,
+// runtime rail degradation, and profile overrides.
 #include <gtest/gtest.h>
 
 #include "core/world.hpp"
@@ -8,52 +8,6 @@
 
 namespace rails::core {
 namespace {
-
-TEST(PatientStrategy, FactoryKnowsIt) {
-  auto s = make_strategy("patient-aggregate");
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->name(), "patient-aggregate");
-}
-
-TEST(PatientStrategy, WaitsForTheBetterBusyRail) {
-  // Make QsNetII busy briefly, then submit a tiny message. QsNetII's 1.7 µs
-  // latency beats Myri-10G's 3 µs even after a ~0.5 µs wait, so the patient
-  // strategy defers while aggregate-fastest settles for the idle Myri rail.
-  auto run = [](const char* strategy) {
-    core::World world(paper_testbed(strategy));
-    static std::vector<std::uint8_t> warm(256, 1), tiny(16, 2), rx(256);
-    // Warm-up message occupies QsNetII (rail 1, the fast-latency rail).
-    auto warm_recv = world.engine(1).irecv(0, 1, rx.data(), warm.size());
-    world.engine(0).isend(1, 1, warm.data(), warm.size());
-    // Submit the measured message 0.6 µs before rail 1 frees up: the wait
-    // is shorter than the ~1.3 µs latency gap to Myri-10G, so waiting wins.
-    world.fabric().events().run_until(
-        [&] { return !world.fabric().nic(0, 1).idle(world.fabric().now()); });
-    world.fabric().events().run_to(world.fabric().nic(0, 1).busy_until() - usec(0.6));
-    const SimTime start = world.fabric().now();
-    auto recv = world.engine(1).irecv(0, 2, rx.data(), tiny.size());
-    world.engine(0).isend(1, 2, tiny.data(), tiny.size());
-    world.wait(recv);
-    world.wait(warm_recv);
-    return std::pair<SimDuration, std::uint64_t>(
-        recv->complete_time - start, world.engine(0).stats().payload_bytes_per_rail[0]);
-  };
-  const auto [patient_time, patient_rail0] = run("patient-aggregate");
-  const auto [eager_time, eager_rail0] = run("aggregate-fastest");
-  // aggregate-fastest pushed the tiny message onto idle Myri (rail 0);
-  // patient waited for QsNetII.
-  EXPECT_GT(eager_rail0, patient_rail0);
-  EXPECT_LE(patient_time, eager_time);
-}
-
-TEST(PatientStrategy, BehavesLikeAggregateWhenAllIdle) {
-  core::World patient(paper_testbed("patient-aggregate"));
-  core::World eager(paper_testbed("aggregate-fastest"));
-  for (std::size_t size : {64ul, 4096ul, 16384ul}) {
-    EXPECT_EQ(patient.measure_one_way(size), eager.measure_one_way(size))
-        << "size " << size;
-  }
-}
 
 TEST(BatchSpread, FactoryKnowsIt) {
   auto s = make_strategy("batch-spread");

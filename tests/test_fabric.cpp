@@ -222,15 +222,6 @@ TEST(SimCores, OccupyQueuesBehindBusy) {
   EXPECT_EQ(free_at, 110);
 }
 
-TEST(SimCores, PickOffloadPrefersSameSocketIdle) {
-  SimCores cores(MachineTopology::opteron_2x2());
-  // All idle: core 1 (same socket as 0) wins.
-  EXPECT_EQ(cores.pick_offload_core(0, 0, std::nullopt), 1u);
-  // Core 1 busy: earliest-idle remote core wins.
-  cores.occupy(1, 0, 1000);
-  EXPECT_EQ(cores.pick_offload_core(500, 0, std::nullopt), 2u);
-}
-
 TEST(SimCores, Reset) {
   SimCores cores;
   cores.occupy(0, 0, 100);

@@ -40,40 +40,47 @@ namespace {
 
 TEST(HotPathAlloc, SteadyEagerPathIsAllocationFree) {
   perf::Profiler::set_enabled(false);
-  World world(paper_testbed("aggregate-fastest"));
+  // With QoS on, every send also passes through its class's arbiter FIFO.
+  for (const bool with_qos : {false, true}) {
+    WorldConfig cfg = paper_testbed("aggregate-fastest");
+    cfg.engine.qos.enabled = with_qos;
+    World world(std::move(cfg));
 
-  constexpr unsigned kFlows = 8;
-  constexpr std::size_t kSize = 2048;
-  std::vector<std::uint8_t> tx(kSize, 0x5a);
-  std::vector<std::vector<std::uint8_t>> rx(kFlows,
-                                            std::vector<std::uint8_t>(kSize));
-  std::vector<RecvHandle> recvs;
-  recvs.reserve(kFlows);
+    constexpr unsigned kFlows = 8;
+    constexpr std::size_t kSize = 2048;
+    std::vector<std::uint8_t> tx(kSize, 0x5a);
+    std::vector<std::vector<std::uint8_t>> rx(kFlows,
+                                              std::vector<std::uint8_t>(kSize));
+    std::vector<RecvHandle> recvs;
+    recvs.reserve(kFlows);
 
-  const auto burst = [&] {
-    recvs.clear();
-    for (unsigned f = 0; f < kFlows; ++f) {
-      recvs.push_back(world.engine(1).irecv(0, static_cast<Tag>(f),
-                                            rx[f].data(), kSize));
-    }
-    for (unsigned f = 0; f < kFlows; ++f) {
-      (void)world.engine(0).isend(1, static_cast<Tag>(f), tx.data(), kSize);
-    }
-    for (const auto& r : recvs) world.wait(r);
-  };
+    const auto burst = [&] {
+      recvs.clear();
+      for (unsigned f = 0; f < kFlows; ++f) {
+        recvs.push_back(world.engine(1).irecv(0, static_cast<Tag>(f),
+                                              rx[f].data(), kSize));
+      }
+      for (unsigned f = 0; f < kFlows; ++f) {
+        (void)world.engine(0).isend(1, static_cast<Tag>(f), tx.data(), kSize);
+      }
+      for (const auto& r : recvs) world.wait(r);
+    };
 
-  // Warm every recycling structure: request pool slabs, event-queue slot
-  // arena, payload buffer pool, engine and plan scratch vectors.
-  for (int i = 0; i < 4; ++i) burst();
+    // Warm every recycling structure: request pool slabs, event-queue slot
+    // arena, payload buffer pool, engine and plan scratch vectors, and the
+    // arbiter's class FIFOs.
+    for (int i = 0; i < 4; ++i) burst();
 
-  const std::uint64_t before = perf::t_alloc_count;
-  constexpr int kMeasured = 16;
-  for (int i = 0; i < kMeasured; ++i) burst();
-  const std::uint64_t delta = perf::t_alloc_count - before;
+    const std::uint64_t before = perf::t_alloc_count;
+    constexpr int kMeasured = 16;
+    for (int i = 0; i < kMeasured; ++i) burst();
+    const std::uint64_t delta = perf::t_alloc_count - before;
 
-  EXPECT_EQ(delta, 0u) << delta << " allocations across " << kMeasured
-                       << " bursts of " << kFlows
-                       << " messages on the steady eager path";
+    EXPECT_EQ(delta, 0u) << delta << " allocations across " << kMeasured
+                         << " bursts of " << kFlows
+                         << " messages on the steady eager path, QoS "
+                         << (with_qos ? "on" : "off");
+  }
 }
 
 TEST(HotPathAlloc, ReliableEagerPathIsAllocationFreeAtZeroFaultRate) {
@@ -309,39 +316,6 @@ TEST(EventQueueInline, OversizeHandlerSpillsToHeapAndStillRuns) {
   EXPECT_EQ(q.handler_spills(), 1u);
 }
 
-// --- submit-path accounting (the try_isend ordering fix) ---------------------
-
-TEST(QosAccounting, DowngradeThatWouldBeShedLeavesNoResidue) {
-  WorldConfig cfg = paper_testbed("hetero-split");
-  cfg.engine.qos.enabled = true;
-  cfg.engine.qos.deadline_downgrade = true;
-  auto classes = qos::builtin_classes();
-  classes[qos::kBackground].queue_capacity = 2;
-  cfg.engine.qos.classes = std::move(classes);
-  World world(cfg);
-  auto& sender = world.engine(0);
-
-  std::vector<std::uint8_t> tx(512, 0x77);
-  Engine::SendOptions opts;
-  opts.deadline = world.now() + 1;  // infeasible: every submission downgrades
-
-  // Fill the BACKGROUND queue to capacity with downgraded sends (same
-  // virtual instant, so no grant round drains it in between).
-  for (unsigned i = 0; i < 2; ++i) {
-    auto s = sender.try_isend(1, static_cast<Tag>(i), tx.data(), tx.size(), opts);
-    ASSERT_NE(s, nullptr);
-    EXPECT_EQ(s->qos_class, qos::kBackground);
-  }
-  EXPECT_EQ(sender.qos()->counters(qos::kLatency).admission_downgrades, 2u);
-
-  // The third would downgrade into a full queue, so try_isend sheds it. The
-  // shed must leave no admission accounting behind — this pins the ordering
-  // bug where the downgrade counters were mutated before the capacity check.
-  EXPECT_EQ(sender.try_isend(1, 9, tx.data(), tx.size(), opts), nullptr);
-  EXPECT_EQ(sender.qos()->counters(qos::kLatency).admission_downgrades, 2u);
-  EXPECT_EQ(sender.qos()->counters(qos::kBackground).rejected_full, 1u);
-}
-
 // --- destination grouping ----------------------------------------------------
 
 TEST(EagerGrouping, BurstPreservesPackListOrderAcrossDestinations) {
@@ -574,7 +548,6 @@ TEST(EagerGrouping, SeededBurstEmitsExactlyAsPinnedForEveryStrategy) {
       {"single-rail:0", 0x5388b0d3c925c1d7ull},
       {"greedy-balance", 0xdfa3d80d3cd2bc04ull},
       {"aggregate-fastest", 0x1d964d4d3cef4274ull},
-      {"patient-aggregate", 0x7623c39450e2ddbfull},
       {"iso-split", 0x1d964d4d3cef4274ull},
       {"fixed-ratio-split", 0x1d964d4d3cef4274ull},
       {"hetero-split", 0x1d964d4d3cef4274ull},

@@ -12,7 +12,7 @@ class OffloadFixture : public ::testing::Test {
  protected:
   static const std::vector<sampling::RailProfile>& profiles() {
     static const auto p = sampling::sample_rails(
-        {fabric::myri10g(), fabric::qsnet2()}, {1, 64u * 1024u, 1, 1});
+        {fabric::myri10g(), fabric::qsnet2()}, {1, 64u * 1024u, 1});
     return p;
   }
 
@@ -126,7 +126,7 @@ class CoreCapSweep : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(CoreCapSweep, ChunkCountNeverExceedsMinNicsCores) {
   static const auto profiles = sampling::sample_rails(
-      {fabric::myri10g(), fabric::qsnet2(), fabric::ib_ddr()}, {1, 32u * 1024u, 1, 1});
+      {fabric::myri10g(), fabric::qsnet2(), fabric::ib_ddr()}, {1, 32u * 1024u, 1});
   std::vector<ProfileCost> costs;
   costs.emplace_back(&profiles[0].eager);
   costs.emplace_back(&profiles[1].eager);

@@ -87,32 +87,19 @@ TEST(QosArbiter, StrictPriorityGrantsBeforeDrr) {
   EXPECT_EQ(order[2], 202u);
 }
 
-TEST(QosArbiter, WatermarkCallbacksPauseAndResume) {
+TEST(QosArbiter, CapacityBoundRefusesThenDrains) {
   qos::QosConfig cfg;
   cfg.quantum = 1_MiB;
   qos::ClassSpec only;
   only.name = "only";
   only.queue_capacity = 8;
-  only.high_watermark = 6;
-  only.low_watermark = 2;
   cfg.classes = {only};
   qos::QosArbiter arb(cfg, 32_KiB);
 
-  std::vector<std::pair<qos::ClassId, bool>> events;
-  arb.set_backpressure([&](qos::ClassId cls, bool paused) {
-    events.emplace_back(cls, paused);
-  });
-
-  for (std::uint64_t i = 0; i < 6; ++i) {
+  for (std::uint64_t i = 0; i < 8; ++i) {
     EXPECT_TRUE(arb.has_capacity(0));
     arb.enqueue(0, make_send(1_KiB, i), 0);
   }
-  ASSERT_EQ(events.size(), 1u);  // one pause on the high crossing, not six
-  EXPECT_TRUE(events[0].second);
-  EXPECT_TRUE(arb.paused(0));
-
-  arb.enqueue(0, make_send(1_KiB, 6), 0);
-  arb.enqueue(0, make_send(1_KiB, 7), 0);
   EXPECT_FALSE(arb.has_capacity(0));  // at the 8-message bound
   arb.note_rejected_full(0);
   EXPECT_EQ(arb.counters(0).rejected_full, 1u);
@@ -122,10 +109,35 @@ TEST(QosArbiter, WatermarkCallbacksPauseAndResume) {
     arb.grant(usec(1), [&](core::SendHandle) { ++drained; });
   }
   EXPECT_EQ(drained, 8u);
-  ASSERT_EQ(events.size(), 2u);  // one resume on the low crossing
-  EXPECT_FALSE(events[1].second);
-  EXPECT_FALSE(arb.paused(0));
+  EXPECT_TRUE(arb.has_capacity(0));
   EXPECT_EQ(arb.counters(0).depth_hwm, 8u);
+}
+
+TEST(QosArbiter, FifoOrderSurvivesRingWrapAndGrowth) {
+  // Two 1 KiB grants per DRR round: partial drains walk the ring's head
+  // forward, later enqueues wrap past the end of its storage, and one more
+  // grows it. Grants must still come out in enqueue order.
+  qos::QosConfig cfg;
+  cfg.quantum = 2_KiB;
+  qos::ClassSpec only;
+  only.name = "only";
+  cfg.classes = {only};
+  qos::QosArbiter arb(cfg, 32_KiB);
+
+  std::vector<std::uint64_t> order;
+  const auto round = [&] {
+    arb.grant(0, [&](core::SendHandle s) { order.push_back(s->id); });
+  };
+  std::uint64_t next = 0;
+  for (int i = 0; i < 6; ++i) arb.enqueue(0, make_send(1_KiB, next++), 0);
+  round();
+  EXPECT_EQ(order.size(), 2u);
+  for (int i = 0; i < 4; ++i) arb.enqueue(0, make_send(1_KiB, next++), 0);  // wraps
+  for (int i = 0; i < 3; ++i) arb.enqueue(0, make_send(1_KiB, next++), 0);  // grows
+  EXPECT_EQ(arb.depth(0), 11u);
+  while (arb.backlog()) round();
+  ASSERT_EQ(order.size(), next);
+  for (std::uint64_t i = 0; i < next; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(QosArbiter, AgingPromotesStarvedHead) {
@@ -243,28 +255,6 @@ TEST(QosEngine, InfeasibleDeadlineRejectedAtSubmit) {
   EXPECT_TRUE(send->rejected());
   EXPECT_TRUE(send->failed());
   EXPECT_EQ(world.engine(0).qos()->counters(qos::kBulk).admission_rejects, 1u);
-}
-
-TEST(QosEngine, InfeasibleDeadlineDowngradedWhenConfigured) {
-  core::WorldConfig cfg = core::paper_testbed("hetero-split");
-  cfg.engine.qos.enabled = true;
-  cfg.engine.qos.deadline_downgrade = true;
-  core::World world(cfg);
-
-  std::vector<std::uint8_t> tx(1_MiB, 0x55);
-  std::vector<std::uint8_t> rx(1_MiB);
-  auto recv = world.engine(1).irecv(0, 9, rx.data(), rx.size());
-  core::Engine::SendOptions opts;
-  opts.deadline = world.now() + 1;
-  auto send = world.engine(0).isend(1, 9, tx.data(), tx.size(), opts);
-  ASSERT_NE(send, nullptr);
-  EXPECT_FALSE(send->rejected());
-  EXPECT_EQ(send->qos_class, qos::kBackground);  // demoted, deadline waived
-  EXPECT_EQ(send->deadline, 0);
-  world.wait(recv);
-  world.wait(send);
-  EXPECT_EQ(rx, tx);
-  EXPECT_EQ(world.engine(0).qos()->counters(qos::kBulk).admission_downgrades, 1u);
 }
 
 TEST(QosEngine, StrictPreemptionProtectsPingUnderBulkFlood) {

@@ -250,7 +250,7 @@ class SampledSplitProperty : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SampledSplitProperty, SampledCurvesProduceValidSplits) {
   static const auto profiles = sampling::sample_rails(
-      {fabric::myri10g(), fabric::qsnet2()}, {1, 8u * 1024u * 1024u, 1, 1});
+      {fabric::myri10g(), fabric::qsnet2()}, {1, 8u * 1024u * 1024u, 1});
   const ProfileCost myri(&profiles[0].rdv_chunk);
   const ProfileCost qs(&profiles[1].rdv_chunk);
   const std::vector<SolverRail> rails = {{0, &myri, 0}, {1, &qs, 0}};

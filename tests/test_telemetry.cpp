@@ -315,72 +315,40 @@ TEST(PredictionTracker, TwoRailSyntheticResiduals) {
   EXPECT_GT(r1.mean_bias, 0.0);  // actual > predicted: prediction optimistic
 }
 
-TEST(PredictionTracker, MergeAndBounds) {
-  PredictionTracker a(2), b(2);
-  a.record(0, 900, 1000);
-  b.record(0, 1100, 1000);
-  b.record(1, 500, 500);
-  b.record(5, 1, 1);  // out of range: ignored
-  a.merge(b);
-  EXPECT_EQ(a.samples(0), 2u);
-  EXPECT_EQ(a.samples(1), 1u);
-  EXPECT_EQ(a.total_samples(), 3u);
-  EXPECT_NEAR(a.accuracy(0).mean_rel_error, 0.1, 1e-9);
+TEST(PredictionTracker, AccumulatesPerRailAndIgnoresUnknownRails) {
+  PredictionTracker tracker(2);
+  tracker.record(0, 900, 1000);
+  tracker.record(0, 1100, 1000);
+  tracker.record(1, 500, 500);
+  tracker.record(5, 1, 1);  // out of range: ignored
+  EXPECT_EQ(tracker.samples(0), 2u);
+  EXPECT_EQ(tracker.samples(1), 1u);
+  EXPECT_EQ(tracker.total_samples(), 3u);
+  EXPECT_NEAR(tracker.accuracy(0).mean_rel_error, 0.1, 1e-9);
   // Symmetric +/-10% misses cancel in the signed bias.
-  EXPECT_NEAR(a.accuracy(0).mean_bias, 0.0, 1e-9);
+  EXPECT_NEAR(tracker.accuracy(0).mean_bias, 0.0, 1e-9);
 
   std::ostringstream os;
-  a.dump(os);
+  tracker.dump(os);
   EXPECT_NE(os.str().find("rail"), std::string::npos);
 }
 
 TEST(PredictionTracker, ReservoirBoundsMemoryWithExactPercentilesBelowCap) {
-  PredictionTracker tracker(1, /*reservoir_cap=*/64, /*recent_window=*/16);
-  EXPECT_EQ(tracker.reservoir_capacity(), 64u);
-  EXPECT_EQ(tracker.recent_window(), 16u);
+  BoundedReservoir reservoir(/*cap=*/64, /*seed=*/7);
 
   // Below the cap every sample is stored, so the percentile is exact.
-  for (int i = 1; i <= 50; ++i) {
-    tracker.record(0, 1000 - 10 * i, 1000);  // rel error i%
-  }
-  EXPECT_EQ(tracker.reservoir_size(0), 50u);
-  EXPECT_NEAR(tracker.accuracy(0).p95_rel_error, 0.48, 0.015);
+  for (int i = 1; i <= 50; ++i) reservoir.add(i / 100.0);
+  EXPECT_EQ(reservoir.size(), 50u);
+  EXPECT_TRUE(reservoir.exact());
+  EXPECT_NEAR(reservoir.percentile(95.0), 0.48, 0.015);
 
-  // Past the cap the store stays bounded while the lifetime count grows.
-  for (int i = 0; i < 10'000; ++i) tracker.record(0, 900, 1000);
-  EXPECT_EQ(tracker.reservoir_size(0), 64u);
-  EXPECT_EQ(tracker.samples(0), 10'050u);
+  // Past the cap the store stays bounded while the offered count grows.
+  for (int i = 0; i < 10'000; ++i) reservoir.add(0.1);
+  EXPECT_EQ(reservoir.size(), 64u);
+  EXPECT_EQ(reservoir.seen(), 10'050u);
+  EXPECT_FALSE(reservoir.exact());
   // The reservoir is dominated by the 10% regime by now.
-  EXPECT_NEAR(tracker.accuracy(0).p95_rel_error, 0.1, 0.4);
-}
-
-TEST(PredictionTracker, RecentAccuracySeesARegimeChange) {
-  PredictionTracker tracker(1, 4096, /*recent_window=*/32);
-  // A long perfect history...
-  for (int i = 0; i < 500; ++i) tracker.record(0, 1000, 1000);
-  // ...then the rail degrades: the last window is 50% optimistic.
-  for (int i = 0; i < 32; ++i) tracker.record(0, 500, 1000);
-
-  const auto lifetime = tracker.accuracy(0);
-  const auto recent = tracker.recent_accuracy(0);
-  EXPECT_EQ(recent.samples, 32u);
-  EXPECT_NEAR(recent.mean_rel_error, 0.5, 1e-9);
-  EXPECT_NEAR(recent.mean_bias, 0.5, 1e-9);
-  EXPECT_NEAR(recent.p95_rel_error, 0.5, 1e-9);
-  // The lifetime mean barely moved: this is why the drift detector reads
-  // the recent view, not the lifetime stats.
-  EXPECT_LT(lifetime.mean_rel_error, 0.05);
-  EXPECT_GT(recent.mean_rel_error, 10 * lifetime.mean_rel_error);
-}
-
-TEST(PredictionTracker, MergeReplaysRecentWindowChronologically) {
-  PredictionTracker a(1, 64, /*recent_window=*/8);
-  PredictionTracker b(1, 64, /*recent_window=*/8);
-  for (int i = 0; i < 20; ++i) b.record(0, 1000, 1000);  // wraps b's ring
-  for (int i = 0; i < 8; ++i) b.record(0, 750, 1000);    // newest regime: 25%
-  a.merge(b);
-  // The merged window must end with b's newest residuals.
-  EXPECT_NEAR(a.recent_accuracy(0).mean_rel_error, 0.25, 1e-9);
+  EXPECT_NEAR(reservoir.percentile(95.0), 0.1, 0.4);
 }
 
 // -- engine counter table and metric sink ------------------------------------

@@ -223,14 +223,14 @@ void run_mixed_workload(core::World& world, std::size_t size) {
 
 /// Per-class arbiter state table shared by `qos` and `metrics`.
 void print_qos_table(const qos::QosArbiter& arb) {
-  std::printf("%-12s %7s %6s %6s %6s %8s %8s %12s %7s %6s %6s %7s %7s %6s\n",
+  std::printf("%-12s %7s %6s %6s %6s %8s %8s %12s %7s %6s %6s %7s\n",
               "class", "weight", "strict", "depth", "hwm", "deficit", "granted",
-              "bytes", "aged", "dhit", "dmiss", "admrej", "admdwn", "pause");
+              "bytes", "aged", "dhit", "dmiss", "admrej");
   for (qos::ClassId c = 0; c < arb.class_count(); ++c) {
     const qos::ClassSpec& spec = arb.spec(c);
     const qos::ClassCounters n = arb.counters(c);
     std::printf("%-12s %7.2f %6s %6zu %6llu %8zu %8llu %12llu %7llu %6llu %6llu "
-                "%7llu %7llu %6s\n",
+                "%7llu\n",
                 spec.name.c_str(), spec.weight, spec.strict_priority ? "yes" : "no",
                 arb.depth(c), static_cast<unsigned long long>(n.depth_hwm),
                 arb.deficit(c), static_cast<unsigned long long>(n.granted),
@@ -238,9 +238,7 @@ void print_qos_table(const qos::QosArbiter& arb) {
                 static_cast<unsigned long long>(n.aged_grants),
                 static_cast<unsigned long long>(n.deadline_hits),
                 static_cast<unsigned long long>(n.deadline_misses),
-                static_cast<unsigned long long>(n.admission_rejects),
-                static_cast<unsigned long long>(n.admission_downgrades),
-                arb.paused(c) ? "yes" : "no");
+                static_cast<unsigned long long>(n.admission_rejects));
   }
 }
 
@@ -541,13 +539,12 @@ int cmd_qos(core::WorldConfig cfg, std::size_t size, bool json) {
     for (const qos::QosCounterRow& row : qos::kQosCounters) sum.*row.field += cc.*row.field;
   }
   std::printf("engine: %llu grants, %llu windowed chunks, %llu deadline hits, "
-              "%llu misses, %llu admission rejects, %llu downgrades\n",
+              "%llu misses, %llu admission rejects\n",
               static_cast<unsigned long long>(stats.qos_grants),
               static_cast<unsigned long long>(stats.qos_stream_chunks),
               static_cast<unsigned long long>(sum.deadline_hits),
               static_cast<unsigned long long>(sum.deadline_misses),
-              static_cast<unsigned long long>(sum.admission_rejects),
-              static_cast<unsigned long long>(sum.admission_downgrades));
+              static_cast<unsigned long long>(sum.admission_rejects));
   return 0;
 }
 
