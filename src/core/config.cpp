@@ -1,9 +1,11 @@
 #include "core/config.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <sstream>
+#include <type_traits>
 
 #include "common/check.hpp"
 #include "fabric/presets.hpp"
@@ -16,6 +18,49 @@ namespace {
   std::fprintf(stderr, "cluster config error at line %d: %s\n", line, what.c_str());
   RAILS_CHECK_MSG(false, "malformed cluster config");
   std::abort();
+}
+
+/// Parses all of `text` into `out`, or fails the line. Every number in a
+/// config goes through here, so a malformed value names its line instead
+/// of reading as 0 or escaping as an exception. A flag is an integer,
+/// non-zero meaning on.
+template <class T>
+void parse(const std::string& text, int line, const std::string& key, T& out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    int on = 0;
+    parse(text, line, key, on);
+    out = on != 0;
+  } else {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    if (text.empty() || ec != std::errc{} || ptr != end) {
+      fail(line, key + " needs a number, got '" + text + "'");
+    }
+  }
+}
+
+/// Parses the one value of a scalar directive; fails the line when it is
+/// missing or followed by another token.
+template <class T>
+void parse(std::istringstream& ls, int line, const std::string& directive, T& out) {
+  std::string value, extra;
+  if (!(ls >> value)) fail(line, directive + " needs a value");
+  if (ls >> extra) fail(line, directive + " takes one value, got '" + extra + "'");
+  parse(value, line, directive, out);
+}
+
+/// A time in microseconds, which must not be negative, into a SimDuration
+/// or a double (microseconds).
+template <class Source, class T>
+void parse_us(Source& from, int line, const std::string& key, T& out) {
+  double us = 0;
+  parse(from, line, key, us);
+  if (us < 0) fail(line, key + " must not be negative");
+  if constexpr (std::is_floating_point_v<T>) {
+    out = us;
+  } else {
+    out = usec(us);
+  }
 }
 
 fabric::NetworkModelParams preset_by_name(const std::string& name, int line) {
@@ -44,17 +89,17 @@ fabric::NetworkModelParams custom_rail(std::istringstream& ls, int line) {
   fabric::NetworkModelParams p;
   for (const auto& [key, value] : parse_kv(ls, line)) {
     if (key == "name") p.name = value;
-    else if (key == "post_us") p.post_us = std::stod(value);
-    else if (key == "wire_latency_us") p.wire_latency_us = std::stod(value);
-    else if (key == "pio_bw") p.pio_bw_mbps = std::stod(value);
-    else if (key == "pio_bw_large") p.pio_bw_large_mbps = std::stod(value);
-    else if (key == "pio_cache_limit") p.pio_cache_limit = std::stoul(value);
-    else if (key == "mtu") p.mtu = std::stoul(value);
-    else if (key == "per_packet_us") p.per_packet_us = std::stod(value);
-    else if (key == "max_eager") p.max_eager = std::stoul(value);
-    else if (key == "rdv_handshake_us") p.rdv_handshake_us = std::stod(value);
-    else if (key == "dma_setup_us") p.dma_setup_us = std::stod(value);
-    else if (key == "dma_bw") p.dma_bw_mbps = std::stod(value);
+    else if (key == "post_us") parse_us(value, line, key, p.post_us);
+    else if (key == "wire_latency_us") parse_us(value, line, key, p.wire_latency_us);
+    else if (key == "pio_bw") parse(value, line, key, p.pio_bw_mbps);
+    else if (key == "pio_bw_large") parse(value, line, key, p.pio_bw_large_mbps);
+    else if (key == "pio_cache_limit") parse(value, line, key, p.pio_cache_limit);
+    else if (key == "mtu") parse(value, line, key, p.mtu);
+    else if (key == "per_packet_us") parse_us(value, line, key, p.per_packet_us);
+    else if (key == "max_eager") parse(value, line, key, p.max_eager);
+    else if (key == "rdv_handshake_us") parse_us(value, line, key, p.rdv_handshake_us);
+    else if (key == "dma_setup_us") parse_us(value, line, key, p.dma_setup_us);
+    else if (key == "dma_bw") parse(value, line, key, p.dma_bw_mbps);
     else if (key == "gather_scatter") p.gather_scatter = value != "0";
     else if (key == "rdma") p.rdma = value != "0";
     else fail(line, "unknown rail parameter '" + key + "'");
@@ -80,9 +125,8 @@ WorldConfig parse_world_config(std::istream& is) {
     if (!(ls >> directive)) continue;  // blank/comment line
 
     if (directive == "nodes") {
-      if (!(ls >> cfg.fabric.node_count) || cfg.fabric.node_count < 1) {
-        fail(lineno, "nodes needs a positive integer");
-      }
+      parse(ls, lineno, directive, cfg.fabric.node_count);
+      if (cfg.fabric.node_count < 1) fail(lineno, "nodes needs a positive integer");
     } else if (directive == "topology") {
       // Polymorphic: a kind keyword selects the inter-node network shape
       // (docs/TOPOLOGY.md); the legacy SOCKETSxCORES form keeps describing
@@ -96,8 +140,9 @@ WorldConfig parse_world_config(std::istream& is) {
         ls >> dims;
         const auto x = dims.find('x');
         if (x == std::string::npos) fail(lineno, "topology mesh|torus needs WxH");
-        const std::uint64_t w = std::stoull(dims.substr(0, x));
-        const std::uint64_t h = std::stoull(dims.substr(x + 1));
+        std::uint64_t w = 0, h = 0;
+        parse(dims.substr(0, x), lineno, "topology width", w);
+        parse(dims.substr(x + 1), lineno, "topology height", h);
         if (w == 0 || h == 0) fail(lineno, "empty network topology");
         // Node ids are 32-bit: a grid with more nodes than that is refused
         // here rather than wrapped into a smaller world.
@@ -117,8 +162,9 @@ WorldConfig parse_world_config(std::istream& is) {
         ls >> dims;
         const auto x = dims.find('x');
         if (x == std::string::npos) fail(lineno, "topology fattree needs DOWNxUP");
-        const std::uint32_t down = std::stoul(dims.substr(0, x));
-        const std::uint32_t up = std::stoul(dims.substr(x + 1));
+        std::uint32_t down = 0, up = 0;
+        parse(dims.substr(0, x), lineno, "fattree down ports", down);
+        parse(dims.substr(x + 1), lineno, "fattree up ports", up);
         if (down == 0 || up == 0) fail(lineno, "empty network topology");
         cfg.fabric.net = topo::TopologySpec::fat_tree(down, up);
       } else {
@@ -126,40 +172,29 @@ WorldConfig parse_world_config(std::istream& is) {
         if (x == std::string::npos) {
           fail(lineno, "topology needs mesh|torus|fattree|flat or SOCKETSxCORES");
         }
-        cfg.fabric.topology.sockets = std::stoul(spec.substr(0, x));
-        cfg.fabric.topology.cores_per_socket = std::stoul(spec.substr(x + 1));
+        parse(spec.substr(0, x), lineno, "topology sockets", cfg.fabric.topology.sockets);
+        parse(spec.substr(x + 1), lineno, "topology cores",
+              cfg.fabric.topology.cores_per_socket);
         if (cfg.fabric.topology.core_count() == 0) fail(lineno, "empty topology");
       }
     } else if (directive == "event_sharding") {
-      int v = 0;
-      ls >> v;
-      cfg.fabric.event_sharding = v != 0;
+      parse(ls, lineno, directive, cfg.fabric.event_sharding);
     } else if (directive == "strategy") {
       if (!(ls >> cfg.strategy)) fail(lineno, "strategy needs a name");
     } else if (directive == "rdv_threshold") {
-      ls >> cfg.engine.rdv_threshold_override;
+      parse(ls, lineno, directive, cfg.engine.rdv_threshold_override);
     } else if (directive == "offload_signal_us") {
-      double us = 0;
-      ls >> us;
-      cfg.engine.offload.signal_cost = usec(us);
+      parse_us(ls, lineno, directive, cfg.engine.offload.signal_cost);
     } else if (directive == "offload_preempt_us") {
-      double us = 0;
-      ls >> us;
-      cfg.engine.offload.preempt_cost = usec(us);
+      parse_us(ls, lineno, directive, cfg.engine.offload.preempt_cost);
     } else if (directive == "offload_min_split") {
-      ls >> cfg.engine.offload.min_split_size;
+      parse(ls, lineno, directive, cfg.engine.offload.min_split_size);
     } else if (directive == "sampler_max_size") {
-      ls >> cfg.sampler.max_size;
-    } else if (directive == "failover") {
-      int on = 1;
-      ls >> on;
-      cfg.engine.failover.enabled = on != 0;
+      parse(ls, lineno, directive, cfg.sampler.max_size);
     } else if (directive == "reliability") {
-      int on = 0;
-      ls >> on;
-      cfg.engine.reliability.enabled = on != 0;
+      parse(ls, lineno, directive, cfg.engine.reliability.enabled);
     } else if (directive == "fault_seed") {
-      ls >> cfg.fabric.fault_seed;
+      parse(ls, lineno, directive, cfg.fabric.fault_seed);
     } else if (directive == "fault") {
       // One line arms up to four data-plane faults (one per kind named) on
       // the rail's NICs: fault rail=1 drop=0.02 corrupt=0.001 dup=0.01
@@ -169,15 +204,15 @@ WorldConfig parse_world_config(std::istream& is) {
       double drop = 0, corrupt = 0, dup = 0, reorder_rate = 1.0;
       unsigned reorder = 0;
       for (const auto& [key, value] : parse_kv(ls, lineno)) {
-        if (key == "rail") { base.rail = std::stoul(value); have_rail = true; }
-        else if (key == "node") base.node = std::stoi(value);
-        else if (key == "at_us") base.spec.at = usec(std::stod(value));
-        else if (key == "duration_us") base.spec.duration = usec(std::stod(value));
-        else if (key == "drop") drop = std::stod(value);
-        else if (key == "corrupt") corrupt = std::stod(value);
-        else if (key == "dup") dup = std::stod(value);
-        else if (key == "reorder") reorder = std::stoul(value);
-        else if (key == "reorder_rate") reorder_rate = std::stod(value);
+        if (key == "rail") { parse(value, lineno, key, base.rail); have_rail = true; }
+        else if (key == "node") parse(value, lineno, key, base.node);
+        else if (key == "at_us") parse_us(value, lineno, key, base.spec.at);
+        else if (key == "duration_us") parse_us(value, lineno, key, base.spec.duration);
+        else if (key == "drop") parse(value, lineno, key, drop);
+        else if (key == "corrupt") parse(value, lineno, key, corrupt);
+        else if (key == "dup") parse(value, lineno, key, dup);
+        else if (key == "reorder") parse(value, lineno, key, reorder);
+        else if (key == "reorder_rate") parse(value, lineno, key, reorder_rate);
         else fail(lineno, "unknown fault parameter '" + key + "'");
       }
       if (!have_rail) fail(lineno, "fault needs rail=");
@@ -201,20 +236,17 @@ WorldConfig parse_world_config(std::istream& is) {
       if (dup > 0) push(fabric::FaultKind::kDup, dup, 0);
       if (reorder > 0) push(fabric::FaultKind::kReorder, reorder_rate, reorder);
     } else if (directive == "recalibration") {
-      int on = 0;
-      ls >> on;
-      cfg.engine.recalibration.enabled = on != 0;
+      parse(ls, lineno, directive, cfg.engine.recalibration.enabled);
     } else if (directive == "qos") {
-      int on = 0;
-      ls >> on;
-      cfg.engine.qos.enabled = on != 0;
+      parse(ls, lineno, directive, cfg.engine.qos.enabled);
     } else if (directive == "qos_quantum") {
-      if (!(ls >> cfg.engine.qos.quantum) || cfg.engine.qos.quantum == 0) {
+      parse(ls, lineno, directive, cfg.engine.qos.quantum);
+      if (cfg.engine.qos.quantum == 0) {
         fail(lineno, "qos_quantum needs a positive byte count");
       }
     } else if (directive == "qos_aging_us") {
       double us = 0;
-      ls >> us;
+      parse_us(ls, lineno, directive, us);
       if (us <= 0) fail(lineno, "qos_aging_us must be positive");
       cfg.engine.qos.aging = usec(us);
     } else if (directive == "qos_class") {
@@ -227,10 +259,10 @@ WorldConfig parse_world_config(std::istream& is) {
       qos::ClassSpec spec;
       for (const auto& [key, value] : parse_kv(ls, lineno)) {
         if (key == "name") spec.name = value;
-        else if (key == "weight") spec.weight = std::stod(value);
+        else if (key == "weight") parse(value, lineno, key, spec.weight);
         else if (key == "strict") spec.strict_priority = value != "0";
-        else if (key == "capacity") spec.queue_capacity = std::stoul(value);
-        else if (key == "deadline_us") spec.default_deadline = usec(std::stod(value));
+        else if (key == "capacity") parse(value, lineno, key, spec.queue_capacity);
+        else if (key == "deadline_us") parse_us(value, lineno, key, spec.default_deadline);
         else fail(lineno, "unknown qos_class parameter '" + key + "'");
       }
       if (spec.name.empty()) fail(lineno, "qos_class needs name=");
@@ -238,9 +270,7 @@ WorldConfig parse_world_config(std::istream& is) {
       if (spec.queue_capacity < 1) fail(lineno, "qos_class capacity must be >= 1");
       cfg.engine.qos.classes.push_back(std::move(spec));
     } else if (directive == "timeseries") {
-      int on = 0;
-      ls >> on;
-      cfg.engine.timeseries.enabled = on != 0;
+      parse(ls, lineno, directive, cfg.engine.timeseries.enabled);
     } else if (directive == "slo") {
       // slo <class> p99_us=200 hit_rate=0.99 window_us=10000
       //     [fast_window_us=..] [fast_burn=..] [slow_burn=..]
@@ -248,14 +278,14 @@ WorldConfig parse_world_config(std::istream& is) {
       telemetry::SloSpec spec;
       if (!(ls >> spec.cls)) fail(lineno, "slo needs a traffic-class name");
       for (const auto& [key, value] : parse_kv(ls, lineno)) {
-        if (key == "p99_us") spec.p99_us = std::stod(value);
-        else if (key == "hit_rate") spec.hit_rate = std::stod(value);
-        else if (key == "window_us") spec.window = usec(std::stod(value));
-        else if (key == "fast_window_us") spec.fast_window = usec(std::stod(value));
-        else if (key == "fast_burn") spec.fast_burn = std::stod(value);
-        else if (key == "slow_burn") spec.slow_burn = std::stod(value);
-        else if (key == "patience") spec.clear_patience = std::stoul(value);
-        else if (key == "min_events") spec.min_events = std::stoull(value);
+        if (key == "p99_us") parse_us(value, lineno, key, spec.p99_us);
+        else if (key == "hit_rate") parse(value, lineno, key, spec.hit_rate);
+        else if (key == "window_us") parse_us(value, lineno, key, spec.window);
+        else if (key == "fast_window_us") parse_us(value, lineno, key, spec.fast_window);
+        else if (key == "fast_burn") parse(value, lineno, key, spec.fast_burn);
+        else if (key == "slow_burn") parse(value, lineno, key, spec.slow_burn);
+        else if (key == "patience") parse(value, lineno, key, spec.clear_patience);
+        else if (key == "min_events") parse(value, lineno, key, spec.min_events);
         else fail(lineno, "unknown slo parameter '" + key + "'");
       }
       if (spec.p99_us <= 0 && spec.hit_rate <= 0) {
@@ -322,7 +352,6 @@ void save_world_config(const WorldConfig& cfg, std::ostream& os) {
   os << "offload_preempt_us " << to_usec(cfg.engine.offload.preempt_cost) << "\n";
   os << "offload_min_split " << cfg.engine.offload.min_split_size << "\n";
   os << "sampler_max_size " << cfg.sampler.max_size << "\n";
-  os << "failover " << (cfg.engine.failover.enabled ? 1 : 0) << "\n";
   os << "reliability " << (cfg.engine.reliability.enabled ? 1 : 0) << "\n";
   if (cfg.fabric.fault_seed != 0) os << "fault_seed " << cfg.fabric.fault_seed << "\n";
   for (const auto& f : cfg.fabric.faults) {

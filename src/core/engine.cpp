@@ -1,6 +1,7 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -8,7 +9,6 @@
 #include <ostream>
 
 #include "common/check.hpp"
-#include "common/crc32c.hpp"
 #include "common/log.hpp"
 #include "fabric/buffer_pool.hpp"
 #include "perf/profiler.hpp"
@@ -16,55 +16,6 @@
 namespace rails::core {
 
 using trace::EventKind;
-
-namespace {
-
-/// CRC32C over the protocol-stable segment fields plus the payload. `rail`
-/// and `attempt` are deliberately excluded: both legitimately change when a
-/// segment is retransmitted on another rail, and a retransmission must
-/// checksum identically to the original so the receiver's verify works on
-/// whichever copy arrives first.
-std::uint32_t reliable_crc(const fabric::Segment& seg) {
-  std::uint8_t hdr[49];
-  std::size_t n = 0;
-  hdr[n++] = static_cast<std::uint8_t>(seg.kind);
-  const auto put32 = [&](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) hdr[n++] = static_cast<std::uint8_t>(v >> (8 * i));
-  };
-  const auto put64 = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) hdr[n++] = static_cast<std::uint8_t>(v >> (8 * i));
-  };
-  put32(seg.src);
-  put32(seg.dst);
-  put64(seg.msg_id);
-  put64(seg.tag);
-  put64(seg.offset);
-  put64(seg.total_len);
-  put64(seg.seq);
-  const std::uint32_t head = crc32c(hdr, n);
-  if (seg.payload.empty()) return head;
-  return crc32c_extend(head, seg.payload.data(), seg.payload.size());
-}
-
-}  // namespace
-
-RailId Strategy::control_rail(const StrategyContext& ctx) const {
-  // Default policy: the usable rail whose zero-byte eager message completes
-  // first, busy offsets included — typically the lowest-latency idle rail.
-  RailId best = 0;
-  SimTime best_done = kSimTimeNever;
-  for (RailId r = 0; r < ctx.rail_count(); ++r) {
-    if (!ctx.rail_usable(r)) continue;
-    const sampling::RailState state{r, ctx.rail_busy_until(r)};
-    const SimTime done =
-        ctx.estimator->completion(state, ctx.now, 0, fabric::Protocol::kEager);
-    if (done < best_done) {
-      best_done = done;
-      best = r;
-    }
-  }
-  return best;
-}
 
 Engine::Engine(fabric::Fabric* fabric, NodeId self, const sampling::Estimator* estimator,
                EngineConfig config)
@@ -81,9 +32,10 @@ Engine::Engine(fabric::Fabric* fabric, NodeId self, const sampling::Estimator* e
   }
   reset_stats();
   if (config_.reliability.enabled) {
-    rel_links_.resize(fabric_->node_count());
+    rel_links_ = ReliableLinks(fabric_->node_count());
     rel_loss_streak_.assign(fabric_->rail_count(), 0);
   }
+  pack_list_ = PackList(fabric_->node_count());
   rail_health_.assign(fabric_->rail_count(), RailHealth{});
   rail_usable_.assign(fabric_->rail_count(), 1);
   trust_penalty_.assign(fabric_->rail_count(), 1.0);
@@ -194,20 +146,13 @@ void Engine::write_state_json(std::ostream& os) const {
     }
     os << '}';
   }
-  os << "],\"config\":{\"failover_enabled\":"
-     << (config_.failover.enabled ? "true" : "false")
-     << ",\"reliability_enabled\":" << (config_.reliability.enabled ? "true" : "false")
-     << ",\"reliable_in_flight\":" << rel_live_entries_
+  os << "],\"config\":{\"reliability_enabled\":"
+     << (config_.reliability.enabled ? "true" : "false")
+     << ",\"reliable_in_flight\":" << rel_links_.live()
      << ",\"recal_attached\":" << (recal_ != nullptr ? "true" : "false") << "}}";
 }
 
 // -- health plane (docs/OBSERVABILITY.md) ------------------------------------
-
-bool Engine::health_work_pending() const {
-  return pending_count_ > 0 || !rdv_sends_.empty() || !qos_streams_.empty() ||
-         !inbound_rdv_.empty() || !unexpected_.empty() || rel_live_entries_ > 0 ||
-         (qos_ != nullptr && qos_->backlog());
-}
 
 void Engine::arm_health() {
   if (health_ == nullptr || health_armed_) return;
@@ -224,17 +169,26 @@ void Engine::health_tick() {
     for (const telemetry::AlertEvent& ev : slo_->observe(now, ticks)) {
       emit({.time = now, .kind = EventKind::kSloAlert, .a = ev.firing ? 1 : 0,
             .b = static_cast<std::int64_t>(ev.fast_value * 1000)});
-      if (ev.firing) flight_trigger("slo-burn", ev.detail);
+      if (ev.firing) flight_trigger("slo-burn", "%s", ev.detail.c_str());
     }
   }
   // Re-arm only while work is in flight: one trailing tick captures the
   // final deltas after the engine drains, then the event chain ends so
   // run_all()/run_until() can terminate.
-  if (health_work_pending()) arm_health();
+  if (!pack_list_.empty() || !rdv_sends_.empty() || !qos_streams_.empty() ||
+      !inbound_rdv_.empty() || !unexpected_.empty() || rel_links_.live() > 0 ||
+      (qos_ != nullptr && qos_->backlog())) {
+    arm_health();
+  }
 }
 
-void Engine::flight_trigger(const char* reason, const std::string& detail) {
+void Engine::flight_trigger(const char* reason, const char* fmt, ...) {
   if (flight_ == nullptr) return;
+  char detail[256];
+  va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(detail, sizeof(detail), fmt, args);
+  va_end(args);
   flight_->trigger(reason, detail, fabric_->now());
 }
 
@@ -259,10 +213,8 @@ void Engine::observe_completion(RailId rail, SimDuration plan, SimDuration model
   if (out.demoted) {
     emit({.time = now, .kind = EventKind::kTrustDemotion, .rail = rail,
           .a = static_cast<std::int64_t>(out.state)});
-    char detail[128];
-    std::snprintf(detail, sizeof(detail), "rail %u trust demoted to %s", rail,
-                  sampling::to_string(out.state));
-    flight_trigger("trust-demotion", detail);
+    flight_trigger("trust-demotion", "rail %u trust demoted to %s", rail,
+                   sampling::to_string(out.state));
   }
   if (out.promoted) {
     emit({.time = now, .kind = EventKind::kTrustPromotion, .rail = rail,
@@ -335,16 +287,7 @@ StrategyContext Engine::make_context() {
   ctx.nics = std::span<fabric::SimNic* const>(nics_.data(), nics_.size());
   ctx.cores = &fabric_->cores(self_);
   ctx.config = &config_;
-  // Health mask: quarantined rails are hidden from the strategy. When every
-  // rail is quarantined there is nothing left to prefer — expose all of
-  // them so traffic keeps flowing (and keeps probing).
-  bool any_usable = false;
-  for (RailId r = 0; r < nics_.size(); ++r) {
-    rail_usable_[r] = rail_usable(r) ? 1 : 0;
-    any_usable = any_usable || rail_usable_[r] != 0;
-  }
-  if (!any_usable) rail_usable_.assign(nics_.size(), 1);
-  ctx.usable = std::span<const std::uint8_t>(rail_usable_.data(), rail_usable_.size());
+  ctx.usable = strategy_rails();  // quarantined rails are hidden from the strategy
   // Trust layer: SUSPECT rails carry a cost penalty; an UNTRUSTED (or
   // mid-resample) rail that is still usable compromises the solver's inputs
   // and pushes knowledge-based strategies to their iso fallback.
@@ -360,24 +303,14 @@ StrategyContext Engine::make_context() {
   return ctx;
 }
 
-SendHandle Engine::isend(NodeId dst, Tag tag, const void* data, std::size_t len) {
-  return submit_send(make_send_request(), dst, tag, data, len, SendOptions{},
-                     /*bounded=*/false);
-}
-
-SendHandle Engine::isend(NodeId dst, Tag tag, const void* data, std::size_t len,
-                         const SendOptions& opts) {
-  return submit_send(make_send_request(), dst, tag, data, len, opts, /*bounded=*/false);
-}
-
-SendHandle Engine::try_isend(NodeId dst, Tag tag, const void* data, std::size_t len) {
-  return submit_send(make_send_request(), dst, tag, data, len, SendOptions{},
-                     /*bounded=*/true);
-}
-
-SendHandle Engine::try_isend(NodeId dst, Tag tag, const void* data, std::size_t len,
-                             const SendOptions& opts) {
-  return submit_send(make_send_request(), dst, tag, data, len, opts, /*bounded=*/true);
+std::span<const std::uint8_t> Engine::strategy_rails() const {
+  bool any_usable = false;
+  for (RailId r = 0; r < nics_.size(); ++r) {
+    rail_usable_[r] = rail_usable(r) ? 1 : 0;
+    any_usable = any_usable || rail_usable_[r] != 0;
+  }
+  if (!any_usable) rail_usable_.assign(nics_.size(), 1);
+  return rail_usable_;
 }
 
 SendHandle Engine::submit_send(SendHandle send, NodeId dst, Tag tag, const void* data,
@@ -431,7 +364,7 @@ SendHandle Engine::submit_send(SendHandle send, NodeId dst, Tag tag, const void*
     if (qos_ != nullptr) {
       qos_->enqueue(send->qos_class, send, send->submit_time);
     } else {
-      enqueue_eager(send);
+      pack_list_.push(send);
     }
     // The application returns immediately; the scheduler runs as a separate
     // activation at the same virtual instant. Deferring to an event lets a
@@ -529,111 +462,33 @@ void Engine::progress() {
   // aged messages first, then one weighted-DRR round. Rounds are paced by
   // the NIC-idle re-arms below, which is what enforces the weight shares
   // under saturation.
-  if (qos_ != nullptr) drain_qos();
-  if (pending_count_ == 0) {
-    if (qos_ != nullptr && qos_->backlog()) schedule_retry();
-    return;
+  if (qos_ != nullptr) {
+    RAILS_PERF_SCOPE(perf::Layer::kArbiter);
+    qos_->grant(fabric_->now(), [this](SendHandle send) {
+      count(EngineCounter::qos_grants);
+      pack_list_.push(std::move(send));
+    });
   }
-  RAILS_CHECK_MSG(strategy_ != nullptr, "traffic submitted before a strategy was installed");
-  count(EngineCounter::progress_calls);
-
-  // Interrogate the strategy once per destination group, oldest group
-  // first, with each group in submission order, until a plan reports that
-  // no later group could emit either. A wake-up therefore costs the groups
-  // it can emit plus one, not the whole pack list. Visited groups that
-  // keep sends go back into the ready order after the loop, so each group
-  // is planned at most once per activation.
-  revisit_.clear();
-  while (!ready_.empty()) {
-    std::pop_heap(ready_.begin(), ready_.end(), std::greater<>{});
-    const NodeId dst = ready_.back().second;
-    ready_.pop_back();
-    group_scratch_.clear();
-    for (std::uint32_t e = dst_fifos_[dst].head; e != kNoEntry; e = pack_entries_[e].next) {
-      group_scratch_.push_back(pack_entries_[e].send.get());
-    }
-    const bool blocked = plan_group(group_scratch_);
-    retire_posted(dst);
-    if (dst_fifos_[dst].head != kNoEntry) revisit_.push_back(dst);
-    if (blocked) break;
+  if (!pack_list_.empty()) {
+    RAILS_CHECK_MSG(strategy_ != nullptr, "traffic submitted before a strategy was installed");
+    count(EngineCounter::progress_calls);
+    // Interrogate the strategy once per destination group, oldest group
+    // first, until a plan reports that no later group could emit either. A
+    // wake-up therefore costs the groups it can emit plus one, not the whole
+    // pack list.
+    pack_list_.plan_groups([this](std::span<const SendRequest* const> group) {
+      const StrategyContext ctx = make_context();
+      count(EngineCounter::plan_eager);
+      const EagerSchedule schedule = strategy_->plan_eager(ctx, group);
+      for (const EagerEmission& emission : schedule.emissions) post_emission(emission);
+      return schedule.blocked;
+    });
   }
-  for (const NodeId dst : revisit_) {
-    ready_.emplace_back(pack_entries_[dst_fifos_[dst].head].seq, dst);
-    std::push_heap(ready_.begin(), ready_.end(), std::greater<>{});
+  // Re-interrogate when the earliest NIC frees up ("the packet scheduler is
+  // only activated when a NIC becomes idle in order to feed it").
+  if (!pack_list_.empty() || (qos_ != nullptr && qos_->backlog())) {
+    arm_progress(next_rail_idle());
   }
-
-  if (pending_count_ > 0 || (qos_ != nullptr && qos_->backlog())) schedule_retry();
-}
-
-void Engine::enqueue_eager(SendHandle send) {
-  const NodeId dst = send->dst;
-  if (dst_fifos_.size() <= dst) {
-    dst_fifos_.resize(fabric_->node_count());
-    ready_.reserve(fabric_->node_count());
-  }
-  std::uint32_t e = free_entry_;
-  if (e != kNoEntry) {
-    free_entry_ = pack_entries_[e].next;
-  } else {
-    e = static_cast<std::uint32_t>(pack_entries_.size());
-    pack_entries_.emplace_back();
-  }
-  PackEntry& entry = pack_entries_[e];
-  entry.send = std::move(send);
-  entry.seq = next_pack_seq_++;
-  entry.next = kNoEntry;
-  DstFifo& fifo = dst_fifos_[dst];
-  if (fifo.head == kNoEntry) {
-    // A destination's oldest send is the newest in the pack list when its
-    // FIFO was empty, so it joins the ready order last.
-    fifo.head = e;
-    ready_.emplace_back(entry.seq, dst);
-    std::push_heap(ready_.begin(), ready_.end(), std::greater<>{});
-  } else {
-    pack_entries_[fifo.tail].next = e;
-  }
-  fifo.tail = e;
-  ++pending_count_;
-}
-
-void Engine::retire_posted(NodeId dst) {
-  DstFifo& fifo = dst_fifos_[dst];
-  std::uint32_t prev = kNoEntry;
-  std::uint32_t e = fifo.head;
-  while (e != kNoEntry) {
-    PackEntry& entry = pack_entries_[e];
-    const std::uint32_t next = entry.next;
-    const SendRequest& send = *entry.send;
-    RAILS_CHECK_MSG(send.bytes_posted == 0 || send.bytes_posted == send.len,
-                    "strategy left a send partially posted");
-    if (send.bytes_posted == send.len) {
-      (prev == kNoEntry ? fifo.head : pack_entries_[prev].next) = next;
-      if (fifo.tail == e) fifo.tail = prev;
-      entry.send.reset();
-      entry.next = free_entry_;
-      free_entry_ = e;
-      --pending_count_;
-    } else {
-      prev = e;
-    }
-    e = next;
-  }
-}
-
-bool Engine::plan_group(std::span<const SendRequest* const> group) {
-  const StrategyContext ctx = make_context();
-  count(EngineCounter::plan_eager);
-  const EagerSchedule schedule = strategy_->plan_eager(ctx, group);
-  for (const EagerEmission& emission : schedule.emissions) post_emission(emission);
-  return schedule.blocked;
-}
-
-void Engine::drain_qos() {
-  RAILS_PERF_SCOPE(perf::Layer::kArbiter);
-  qos_->grant(fabric_->now(), [this](SendHandle send) {
-    count(EngineCounter::qos_grants);
-    enqueue_eager(std::move(send));
-  });
 }
 
 SimTime Engine::earliest_feasible_completion(std::size_t len) const {
@@ -657,22 +512,11 @@ SimTime Engine::earliest_feasible_completion(std::size_t len) const {
   // (the same solver the failover path uses).
   std::vector<RailId>& usable = rail_scratch_;  // persistent submit-path scratch
   usable.clear();
+  const std::span<const std::uint8_t> visible = strategy_rails();
   for (RailId r = 0; r < nics_.size(); ++r) {
-    if (rail_usable(r)) usable.push_back(r);
+    if (visible[r] != 0) usable.push_back(r);
   }
-  if (usable.empty()) {
-    for (RailId r = 0; r < nics_.size(); ++r) usable.push_back(r);
-  }
-  const strategy::SplitResult split = equal_finish_split(usable, len);
-  SimDuration makespan = 0;
-  for (const SimDuration f : split.finish_times) makespan = std::max(makespan, f);
-  if (makespan == 0) {
-    for (const strategy::Chunk& c : split.chunks) {
-      const sampling::RailState state{c.rail, nics_[c.rail]->busy_until()};
-      makespan =
-          std::max(makespan, estimator_->chunk_completion(state, now, c.bytes) - now);
-    }
-  }
+  const SimDuration makespan = equal_finish_split(usable, len).makespan;
   SimDuration handshake = kSimTimeNever;
   for (RailId r : usable) {
     const sampling::RailState state{r, nics_[r]->busy_until()};
@@ -683,31 +527,14 @@ SimTime Engine::earliest_feasible_completion(std::size_t len) const {
   return now + 2 * handshake + makespan;
 }
 
-void Engine::note_qos_completion(const SendRequest& send) {
-  if (qos_ == nullptr) return;
-  const bool had_deadline = send.deadline != 0;
-  const bool hit = had_deadline && send.complete_time <= send.deadline;
-  qos_->note_completion(send.qos_class, had_deadline, hit,
-                        send.complete_time - send.submit_time);
-}
-
-void Engine::schedule_retry() {
-  // Re-interrogate when the earliest NIC frees up ("the packet scheduler is
-  // only activated when a NIC becomes idle in order to feed it").
-  arm_progress(next_rail_idle());
-}
-
 SimTime Engine::next_rail_idle() const {
-  // Quarantined rails are hidden from the strategy while any rail is usable,
-  // so their idle time wakes nobody: an idle quarantined rail would re-arm
-  // the scheduler every nanosecond until its re-probe, which re-arms the
-  // scheduler itself when the quarantine lifts.
+  // Only rails the strategy sees wake it: an idle quarantined rail would
+  // re-arm the scheduler every nanosecond until its re-probe, which re-arms
+  // the scheduler itself when the quarantine lifts.
   SimTime when = kSimTimeNever;
+  const std::span<const std::uint8_t> visible = strategy_rails();
   for (RailId r = 0; r < nics_.size(); ++r) {
-    if (rail_usable(r)) when = std::min(when, nics_[r]->busy_until());
-  }
-  if (when == kSimTimeNever) {  // all quarantined: the strategy sees every rail
-    for (const auto* nic : nics_) when = std::min(when, nic->busy_until());
+    if (visible[r] != 0) when = std::min(when, nics_[r]->busy_until());
   }
   return std::max(when, fabric_->now() + 1);
 }
@@ -739,13 +566,12 @@ fabric::SimNic::PostTimes Engine::post_segment(RailId rail, fabric::Segment seg,
   // except the ACK/NACK control plane gets sequenced, checksummed, and its
   // bytes parked (shared, not copied) before it touches the NIC.
   // Retransmissions carry their original seq and skip straight through.
-  const bool sequenced = config_.reliability.enabled && seg.seq == 0 &&
-                         seg.kind != fabric::SegKind::kAck &&
-                         seg.kind != fabric::SegKind::kNack;
+  const bool sequenced = config_.reliability.enabled && seg.seq == 0 && !control_lane;
   NodeId rel_dst = 0;
   std::uint64_t rel_seq = 0;
   if (sequenced) {
-    rel_stash(seg, rail);
+    rel_links_.stash(seg, rail);
+    count(EngineCounter::rel_segments);
     rel_dst = seg.dst;
     rel_seq = seg.seq;
   }
@@ -817,8 +643,8 @@ void Engine::post_emission(const EagerEmission& emission) {
   const auto times = post_segment(emission.rail, std::move(seg), core, delay);
   metrics_.on_eager_emit(framed_bytes);
   if (observing()) {
-    observe_completion(emission.rail, predicted_end - decision_now,
-                       times.nic_end - decision_now);
+    const SimDuration predicted = predicted_end - decision_now;
+    observe_completion(emission.rail, predicted, predicted, times.nic_end - decision_now);
   }
   if (emission.offload_core) {
     emit({.time = fabric_->now(), .kind = EventKind::kOffloadSignal,
@@ -848,16 +674,22 @@ void Engine::post_emission(const EagerEmission& emission) {
     ++send->chunk_count;
     if (emission.offload_core) ++send->offloaded_chunks;
     if (send->bytes_posted == send->len) {
-      send->state = SendState::kDone;
-      send->complete_time = times.host_end;
       if (send->chunk_count > 1) count(EngineCounter::split_eager_msgs);
-      emit({.time = send->complete_time, .kind = EventKind::kSendComplete,
-            .msg_id = send->id, .tag = send->tag, .rail = emission.rail,
-            .a = static_cast<std::int64_t>(send->len), .cls = send->qos_class});
-      metrics_.on_send_complete(send->complete_time - send->submit_time);
-      note_qos_completion(*send);
+      complete_send(*send, times.host_end, emission.rail);
     }
   }
+}
+
+void Engine::complete_send(SendRequest& send, SimTime when, RailId rail) {
+  send.state = SendState::kDone;
+  send.complete_time = when;
+  emit({.time = when, .kind = EventKind::kSendComplete, .msg_id = send.id, .tag = send.tag,
+        .rail = rail, .a = static_cast<std::int64_t>(send.len), .cls = send.qos_class});
+  metrics_.on_send_complete(when - send.submit_time);
+  if (qos_ == nullptr) return;
+  const bool had_deadline = send.deadline != 0;
+  qos_->note_completion(send.qos_class, had_deadline, had_deadline && when <= send.deadline,
+                        when - send.submit_time);
 }
 
 void Engine::start_rendezvous(const SendHandle& send) {
@@ -881,31 +713,46 @@ constexpr std::size_t kQosBulkChunk = 256_KiB;
 
 }  // namespace
 
+SendHandle* Engine::rdv_send_in(std::uint64_t msg_id, SendState state) {
+  const auto it = rdv_sends_.find(msg_id);
+  if (it != rdv_sends_.end() && it->second->state == state) return &it->second;
+  // A duplicated or straggling CTS or FIN: a wire dup with reliability off,
+  // a failover re-accept, a second CTS after streaming began. Receives are
+  // idempotent; the control plane must be too.
+  count(EngineCounter::stale_control);
+  return nullptr;
+}
+
 void Engine::handle_cts(const fabric::Segment& seg) {
-  auto it = rdv_sends_.find(seg.msg_id);
-  if (it == rdv_sends_.end()) {
-    // A duplicated or straggling CTS for a send that already completed or
-    // failed (wire dup with reliability off, failover re-accept). Receives
-    // are idempotent; the control plane must be too.
-    count(EngineCounter::stale_control);
-    return;
-  }
-  SendRequest& send = *it->second;
-  if (send.state != SendState::kRtsSent) {
-    count(EngineCounter::stale_control);  // second CTS after streaming already began
-    return;
-  }
+  SendHandle* handle = rdv_send_in(seg.msg_id, SendState::kRtsSent);
+  if (handle == nullptr) return;
+  SendRequest& send = **handle;
   send.state = SendState::kStreaming;
   if (qos_ != nullptr && send.len > kQosBulkChunk) {
     // Windowed streaming (docs/QOS.md): instead of laying out the whole
     // message at once, hand the NICs one kQosBulkChunk per idle rail and come
     // back when one frees up. Between chunks the scheduler runs first, so
     // LATENCY-class sends preempt bulk transfers at chunk granularity.
-    qos_streams_[send.id] = QosStream{it->second, 0};
+    qos_streams_[send.id] = QosStream{*handle, 0};
     pump_qos_streams();
   } else {
     stream_chunks(send);
   }
+}
+
+template <class Admit, class Done>
+std::optional<RailId> Engine::best_usable_rail(Admit admit, Done done) const {
+  std::optional<RailId> best;
+  SimTime best_done = kSimTimeNever;
+  for (RailId r = 0; r < nics_.size(); ++r) {
+    if (!rail_usable(r) || !admit(r)) continue;
+    const SimTime t = done(sampling::RailState{r, nics_[r]->busy_until()});
+    if (!best || t < best_done) {
+      best = r;
+      best_done = t;
+    }
+  }
+  return best;
 }
 
 void Engine::pump_qos_streams() {
@@ -918,33 +765,20 @@ void Engine::pump_qos_streams() {
     progressed = false;
     for (auto it = qos_streams_.begin(); it != qos_streams_.end();) {
       SendRequest& send = *it->second.send;
-      if (send.failed() || it->second.next_offset >= send.len) {
-        it = qos_streams_.erase(it);
-        continue;
-      }
       // Best idle usable rail for the next chunk; busy rails wait for the
       // pump re-arm rather than queueing more bulk behind themselves.
-      RailId best = 0;
-      SimTime best_done = kSimTimeNever;
-      bool found = false;
-      for (RailId r = 0; r < nics_.size(); ++r) {
-        if (!rail_usable(r)) continue;
-        if (nics_[r]->busy_until() > now) continue;
-        const sampling::RailState state{r, nics_[r]->busy_until()};
-        const SimTime done = estimator_->chunk_completion(state, now, kQosBulkChunk);
-        if (!found || done < best_done) {
-          best = r;
-          best_done = done;
-          found = true;
-        }
-      }
-      if (!found) {
+      const std::optional<RailId> rail = best_usable_rail(
+          [&](RailId r) { return nics_[r]->busy_until() <= now; },
+          [&](const sampling::RailState& s) {
+            return estimator_->chunk_completion(s, now, kQosBulkChunk);
+          });
+      if (!rail) {
         ++it;
         continue;
       }
       const std::size_t bytes =
           std::min<std::size_t>(kQosBulkChunk, send.len - it->second.next_offset);
-      post_chunk(send, best, it->second.next_offset, bytes, /*attempt=*/0);
+      post_chunk(send, *rail, it->second.next_offset, bytes, /*attempt=*/0);
       count(EngineCounter::qos_stream_chunks);
       it->second.next_offset += bytes;
       progressed = true;
@@ -1043,32 +877,17 @@ void Engine::post_chunk(SendRequest& send, RailId rail, std::uint64_t offset,
 
 void Engine::handle_fin(const fabric::Segment& seg) {
   RAILS_PERF_SCOPE(perf::Layer::kCompletion);
-  auto it = rdv_sends_.find(seg.msg_id);
-  if (it == rdv_sends_.end()) {
-    // A duplicated FIN: the first copy completed the send and erased it.
-    // Before the reliability PR this crashed the node (PR 2's dedup audit
-    // only covered DATA); now it is counted and ignored.
-    count(EngineCounter::stale_control);
-    return;
-  }
-  SendRequest& send = *it->second;
-  if (send.state != SendState::kStreaming) {
-    count(EngineCounter::stale_control);
-    return;
-  }
+  SendHandle* handle = rdv_send_in(seg.msg_id, SendState::kStreaming);
+  if (handle == nullptr) return;
+  SendRequest& send = **handle;
   live_chunks_.erase(seg.msg_id);  // any armed timeouts are stale now
   qos_streams_.erase(seg.msg_id);  // a failover retransmit may finish early
   // The receiver has every byte; chunks still in flight are duplicates it
   // drops unread, so the buffer goes back to the application now.
   if (send.pin != nullptr) fabric::revoke_pin(send.pin);
-  send.state = SendState::kDone;
-  send.complete_time = fabric_->now();
-  emit({.time = send.complete_time, .kind = EventKind::kSendComplete, .msg_id = send.id,
-        .tag = send.tag, .a = static_cast<std::int64_t>(send.len), .cls = send.qos_class});
   count(EngineCounter::rdv_roundtrips);
-  metrics_.on_send_complete(send.complete_time - send.submit_time);
-  note_qos_completion(send);
-  rdv_sends_.erase(it);
+  complete_send(send, fabric_->now());
+  rdv_sends_.erase(seg.msg_id);
 }
 
 // ---------------------------------------------------------------------------
@@ -1342,24 +1161,20 @@ void Engine::on_tx_error(fabric::Segment&& seg) {
   emit({.time = fabric_->now(), .kind = EventKind::kTxError, .msg_id = seg.msg_id,
         .rail = seg.rail, .a = static_cast<std::int64_t>(seg.payload.size()),
         .b = seg.attempt});
+  quarantine_rail(seg.rail);  // a hard CQ error is a sick rail
   if (config_.reliability.enabled && seg.seq != 0) {
     // The reliability layer owns recovery for sequenced segments: the parked
     // bytes are retransmitted immediately (budget-checked) instead of routing
-    // through PR 2's failover re-split, which would race the retransmit to
-    // the same bytes. A hard CQ error is still a sick rail — quarantine it.
-    quarantine_rail(seg.rail);
-    if (RelTxEntry* entry = rel_find(seg.dst, seg.seq)) {
+    // through the failover re-split, which would race the retransmit to the
+    // same bytes.
+    if (RelTxEntry* entry = rel_links_.find(seg.dst, seg.seq)) {
       rel_presume_lost(*entry, /*count_streak=*/false);
     }
     return;
   }
-  if (!config_.failover.enabled) return;
-  quarantine_rail(seg.rail);
-
   if (seg.kind == fabric::SegKind::kData) {
-    auto it = rdv_sends_.find(seg.msg_id);
-    if (it == rdv_sends_.end()) return;  // send already completed; stale error
-    failover_chunk(*it->second, seg.offset, seg.payload.size(), seg.rail, seg.attempt);
+    failover_chunk(seg.msg_id, seg.offset, seg.payload.size(), seg.rail, seg.attempt,
+                   /*timed_out=*/false);
     return;
   }
 
@@ -1367,13 +1182,8 @@ void Engine::on_tx_error(fabric::Segment&& seg) {
   // segment on the best usable rail.
   if (seg.attempt + 1u >= kMaxPostAttempts) {
     count(EngineCounter::failover_exhausted);
-    if (seg.kind == fabric::SegKind::kRts) {
-      // The handshake can never finish; fail the send instead of hanging.
-      if (auto it = rdv_sends_.find(seg.msg_id); it != rdv_sends_.end()) {
-        fail_send(*it->second);
-        rdv_sends_.erase(it);
-      }
-    }
+    // The handshake can never finish; fail the send instead of hanging.
+    if (seg.kind == fabric::SegKind::kRts) fail_rendezvous(seg.msg_id);
     return;
   }
   const RailId rail = repost_rail(seg);
@@ -1385,25 +1195,16 @@ void Engine::on_tx_error(fabric::Segment&& seg) {
 RailId Engine::repost_rail(const fabric::Segment& seg) const {
   // Best usable rail that can carry the payload, by predicted completion;
   // fall back to any other rail, then to the original.
-  RailId best = seg.rail;
-  SimTime best_done = kSimTimeNever;
-  bool found = false;
-  for (RailId r = 0; r < nics_.size(); ++r) {
-    if (!rail_usable(r)) continue;
-    if (seg.kind == fabric::SegKind::kEager &&
-        seg.payload.size() > nics_[r]->model().params().max_eager) {
-      continue;
-    }
-    const sampling::RailState state{r, nics_[r]->busy_until()};
-    const SimTime done = estimator_->completion(state, fabric_->now(), seg.payload.size(),
-                                                fabric::Protocol::kEager);
-    if (!found || done < best_done) {
-      best_done = done;
-      best = r;
-      found = true;
-    }
-  }
-  if (found) return best;
+  const std::size_t size = seg.payload.size();
+  const std::optional<RailId> best = best_usable_rail(
+      [&](RailId r) {
+        return seg.kind != fabric::SegKind::kEager ||
+               size <= nics_[r]->model().params().max_eager;
+      },
+      [&](const sampling::RailState& s) {
+        return estimator_->completion(s, fabric_->now(), size, fabric::Protocol::kEager);
+      });
+  if (best) return *best;
   for (RailId r = 0; r < nics_.size(); ++r) {
     if (r != seg.rail) return r;
   }
@@ -1417,7 +1218,7 @@ void Engine::track_chunk(std::uint64_t msg_id, NodeId dst, std::uint64_t offset,
   // every sequenced segment — arming the chunk timer too would race two
   // recovery paths to the same byte range. The timer is the only reader of
   // live_chunks_, so no other mode records the chunk.
-  if (!config_.failover.enabled || config_.reliability.enabled) return;
+  if (config_.reliability.enabled) return;
   live_chunks_[msg_id][offset] = attempt;
   // Timeout = predicted completion times the slack factor, floored so tiny
   // chunks are not declared lost by rounding. On a healthy fabric the chunk
@@ -1431,59 +1232,52 @@ void Engine::track_chunk(std::uint64_t msg_id, NodeId dst, std::uint64_t offset,
       static_cast<SimDuration>(kChunkTimeoutSlack * static_cast<double>(flight));
   const SimTime deadline = decision_now + std::max(kMinChunkTimeout, slack);
   fabric_->events().at(deadline, [this, msg_id, offset, bytes, rail, attempt] {
-    on_chunk_timeout(msg_id, offset, bytes, rail, attempt);
+    failover_chunk(msg_id, offset, bytes, rail, attempt, /*timed_out=*/true);
   });
 }
 
-void Engine::on_chunk_timeout(std::uint64_t msg_id, std::uint64_t offset, std::size_t bytes,
-                              RailId rail, unsigned attempt) {
-  auto it = rdv_sends_.find(msg_id);
-  if (it == rdv_sends_.end()) return;  // send completed or already failed
-  auto lc = live_chunks_.find(msg_id);
-  if (lc == live_chunks_.end()) return;
-  auto entry = lc->second.find(offset);
-  if (entry == lc->second.end() || entry->second != attempt) return;  // retired/superseded
-  emit({.time = fabric_->now(), .kind = EventKind::kChunkTimeout, .msg_id = msg_id,
-        .rail = rail, .a = static_cast<std::int64_t>(bytes), .b = attempt});
-  quarantine_rail(rail);
-  failover_chunk(*it->second, offset, bytes, rail, attempt);
-}
-
-void Engine::fail_send(SendRequest& send) {
+void Engine::fail_rendezvous(std::uint64_t msg_id) {
+  const auto it = rdv_sends_.find(msg_id);
+  if (it == rdv_sends_.end()) return;
+  SendRequest& send = *it->second;
   // The application may reuse its buffer once the send is terminal, but
   // chunks still in flight may yet be the receiver's only copy of their
   // bytes: rescue-copy them into the pin first.
   if (send.pin != nullptr) fabric::rescue_pin(send.pin, send.len);
   send.state = SendState::kFailed;
+  live_chunks_.erase(msg_id);
+  qos_streams_.erase(msg_id);
+  rdv_sends_.erase(it);
 }
 
-void Engine::failover_chunk(SendRequest& send, std::uint64_t offset, std::size_t bytes,
-                            RailId failed_rail, unsigned attempt) {
-  auto lc = live_chunks_.find(send.id);
+void Engine::failover_chunk(std::uint64_t msg_id, std::uint64_t offset, std::size_t bytes,
+                            RailId failed_rail, unsigned attempt, bool timed_out) {
+  const auto it = rdv_sends_.find(msg_id);
+  if (it == rdv_sends_.end()) return;  // send completed or already failed
+  const auto lc = live_chunks_.find(msg_id);
   if (lc == live_chunks_.end()) return;
-  auto entry = lc->second.find(offset);
-  if (entry == lc->second.end() || entry->second != attempt) return;  // superseded
+  const auto entry = lc->second.find(offset);
+  if (entry == lc->second.end() || entry->second != attempt) return;  // retired/superseded
+  if (timed_out) {
+    emit({.time = fabric_->now(), .kind = EventKind::kChunkTimeout, .msg_id = msg_id,
+          .rail = failed_rail, .a = static_cast<std::int64_t>(bytes), .b = attempt});
+    quarantine_rail(failed_rail);
+  }
   lc->second.erase(entry);
+  SendRequest& send = *it->second;
   if (bytes == 0) return;
 
   emit({.time = fabric_->now(), .kind = EventKind::kFailover, .msg_id = send.id,
         .tag = send.tag, .rail = failed_rail, .core = config_.scheduler_core,
         .a = static_cast<std::int64_t>(bytes)});
-  {
-    char detail[160];
-    std::snprintf(detail, sizeof(detail),
-                  "msg %llu: %zu B at offset %llu re-split off rail %u "
-                  "(attempt %u)",
-                  static_cast<unsigned long long>(send.id), bytes,
-                  static_cast<unsigned long long>(offset), failed_rail, attempt);
-    flight_trigger("failover", detail);
-  }
+  flight_trigger("failover",
+                 "msg %llu: %zu B at offset %llu re-split off rail %u (attempt %u)",
+                 static_cast<unsigned long long>(send.id), bytes,
+                 static_cast<unsigned long long>(offset), failed_rail, attempt);
 
   if (attempt + 1u >= kMaxPostAttempts) {
     count(EngineCounter::failover_exhausted);
-    fail_send(send);
-    live_chunks_.erase(send.id);
-    rdv_sends_.erase(send.id);
+    fail_rendezvous(send.id);
     return;
   }
 
@@ -1538,13 +1332,8 @@ void Engine::quarantine_rail(RailId rail) {
   metrics_.on_rail_health(rail, false);
   emit({.time = now, .kind = EventKind::kQuarantine, .rail = rail,
         .a = static_cast<std::int64_t>(to_usec(h.window))});
-  {
-    char detail[128];
-    std::snprintf(detail, sizeof(detail),
-                  "rail %u quarantined for %.1f us (backoff window)", rail,
-                  to_usec(h.window));
-    flight_trigger("quarantine", detail);
-  }
+  flight_trigger("quarantine", "rail %u quarantined for %.1f us (backoff window)", rail,
+                 to_usec(h.window));
   schedule_reprobe(rail);
 }
 
@@ -1568,7 +1357,7 @@ void Engine::reprobe_rail(RailId rail) {
     metrics_.on_rail_health(rail, true);
     h.quarantined = false;
     h.window = 0;  // healthy again: reset the backoff
-    if (pending_count_ > 0 || (qos_ != nullptr && qos_->backlog())) {
+    if (!pack_list_.empty() || (qos_ != nullptr && qos_->backlog())) {
       arm_progress(now);
     }
     if (!qos_streams_.empty()) arm_qos_pump();
@@ -1615,63 +1404,8 @@ constexpr unsigned kLossStreakQuarantine = 3;
 
 }  // namespace
 
-Engine::RelTxEntry& Engine::rel_slot(RelLink& link, std::uint64_t seq) {
-  if (link.ring.empty()) link.ring.resize(64);
-  // Sequence numbers are consecutive, so a collision means ring.size()
-  // segments are simultaneously unacked — double until the window fits.
-  // This only happens during warmup or a loss storm; the ring never shrinks.
-  while (link.ring[seq & (link.ring.size() - 1)].in_use) rel_grow_ring(link);
-  return link.ring[seq & (link.ring.size() - 1)];
-}
-
-void Engine::rel_grow_ring(RelLink& link) {
-  std::vector<RelTxEntry> bigger(link.ring.size() * 2);
-  for (RelTxEntry& e : link.ring) {
-    if (!e.in_use) continue;
-    bigger[e.seq & (bigger.size() - 1)] = std::move(e);
-  }
-  link.ring = std::move(bigger);
-}
-
-Engine::RelTxEntry* Engine::rel_find(NodeId dst, std::uint64_t seq) {
-  RelLink& link = rel_links_[dst];
-  if (link.ring.empty()) return nullptr;
-  RelTxEntry& e = link.ring[seq & (link.ring.size() - 1)];
-  return (e.in_use && e.seq == seq) ? &e : nullptr;
-}
-
-void Engine::rel_release(RelTxEntry& entry) {
-  entry.in_use = false;
-  entry.payload.clear();  // the last reference returns the bytes to the pool
-  --rel_live_entries_;
-}
-
-void Engine::rel_stash(fabric::Segment& seg, RailId rail) {
-  RelLink& link = rel_links_[seg.dst];
-  seg.seq = link.next_seq++;
-  seg.crc = reliable_crc(seg);
-  RelTxEntry& e = rel_slot(link, seg.seq);
-  e.in_use = true;
-  e.kind = seg.kind;
-  e.attempt = seg.attempt;
-  e.retransmits = 0;
-  e.rail = rail;
-  e.dst = seg.dst;
-  e.seq = seg.seq;
-  e.msg_id = seg.msg_id;
-  e.tag = seg.tag;
-  e.offset = seg.offset;
-  e.total_len = seg.total_len;
-  e.crc = seg.crc;
-  e.base_timeout = 0;
-  seg.payload.share();
-  e.payload = seg.payload;  // a reference, not a copy
-  ++rel_live_entries_;
-  count(EngineCounter::rel_segments);
-}
-
 void Engine::rel_arm(NodeId dst, std::uint64_t seq, SimDuration predicted_flight) {
-  RelTxEntry* e = rel_find(dst, seq);
+  RelTxEntry* e = rel_links_.find(dst, seq);
   if (e == nullptr) return;
   if (e->base_timeout == 0) {
     // The PR 2 idiom applied end-to-end: the wait scales with the predicted
@@ -1690,14 +1424,11 @@ void Engine::rel_arm(NodeId dst, std::uint64_t seq, SimDuration predicted_flight
   // particular arming — no generation counter needed).
   const unsigned expected = e->retransmits;
   fabric_->events().at(fabric_->now() + wait, [this, dst, seq, expected] {
-    rel_on_timeout(dst, seq, expected);
+    RelTxEntry* entry = rel_links_.find(dst, seq);
+    if (entry != nullptr && entry->retransmits == expected) {
+      rel_presume_lost(*entry, /*count_streak=*/true);
+    }
   });
-}
-
-void Engine::rel_on_timeout(NodeId dst, std::uint64_t seq, unsigned expected_retransmits) {
-  RelTxEntry* e = rel_find(dst, seq);
-  if (e == nullptr || e->retransmits != expected_retransmits) return;  // stale
-  rel_presume_lost(*e, /*count_streak=*/true);
 }
 
 void Engine::rel_presume_lost(RelTxEntry& entry, bool count_streak) {
@@ -1715,67 +1446,32 @@ void Engine::rel_presume_lost(RelTxEntry& entry, bool count_streak) {
     return;
   }
   ++entry.retransmits;
-  rel_retransmit(entry);
-}
-
-void Engine::rel_retransmit(RelTxEntry& entry) {
   emit({.time = fabric_->now(), .kind = EventKind::kRetransmit, .msg_id = entry.msg_id,
         .rail = entry.rail, .a = static_cast<std::int64_t>(entry.seq),
         .b = entry.retransmits});
-  // Rebuild the segment around the parked bytes — byte-identical to the
-  // original (same seq, same CRC), so whichever copy lands first passes
-  // verification and the other dies in the receiver's dedup window.
-  fabric::Segment seg;
-  seg.kind = entry.kind;
-  seg.dst = entry.dst;
-  seg.msg_id = entry.msg_id;
-  seg.tag = entry.tag;
-  seg.offset = entry.offset;
-  seg.total_len = entry.total_len;
-  seg.attempt = entry.attempt;
-  seg.crc = entry.crc;
-  seg.seq = entry.seq;
-  seg.payload = entry.payload;
-  const RailId rail = repost_rail(seg);
-  entry.rail = rail;
-  const NodeId dst = entry.dst;
-  const std::uint64_t seq = entry.seq;
-  post_segment(rail, std::move(seg), config_.scheduler_core);
-  rel_arm(dst, seq, /*predicted_flight=*/0);  // base_timeout is already set
+  // The copy keeps its seq, so the post parks nothing and `entry` stays put.
+  fabric::Segment seg = entry.segment();
+  entry.rail = repost_rail(seg);
+  post_segment(entry.rail, std::move(seg), config_.scheduler_core);
+  rel_arm(entry.dst, entry.seq, /*predicted_flight=*/0);  // base_timeout is already set
 }
 
 void Engine::rel_exhaust(RelTxEntry& entry) {
   emit({.time = fabric_->now(), .kind = EventKind::kRetryExhausted,
         .msg_id = entry.msg_id, .rail = entry.rail,
         .a = static_cast<std::int64_t>(entry.seq), .b = entry.retransmits});
-  {
-    char detail[160];
-    std::snprintf(detail, sizeof(detail),
-                  "msg %llu seq %llu (%s) lost %u times: retry budget exhausted "
-                  "on rail %u",
-                  static_cast<unsigned long long>(entry.msg_id),
-                  static_cast<unsigned long long>(entry.seq),
-                  fabric::to_string(entry.kind), entry.retransmits + 1, entry.rail);
-    flight_trigger("retry-exhausted", detail);
-  }
+  flight_trigger("retry-exhausted",
+                 "msg %llu seq %llu (%s) lost %u times: retry budget exhausted on rail %u",
+                 static_cast<unsigned long long>(entry.msg_id),
+                 static_cast<unsigned long long>(entry.seq), fabric::to_string(entry.kind),
+                 entry.retransmits + 1, entry.rail);
   quarantine_rail(entry.rail);
   // A rendezvous send that can no longer deliver its handshake or data fails
   // outright rather than hanging its waiter forever.
   if (entry.kind == fabric::SegKind::kData || entry.kind == fabric::SegKind::kRts) {
-    if (auto it = rdv_sends_.find(entry.msg_id); it != rdv_sends_.end()) {
-      fail_send(*it->second);
-      qos_streams_.erase(entry.msg_id);
-      rdv_sends_.erase(it);
-    }
+    fail_rendezvous(entry.msg_id);
   }
-  rel_release(entry);
-}
-
-void Engine::rel_retire(NodeId dst, std::uint64_t seq) {
-  RelTxEntry* e = rel_find(dst, seq);
-  if (e == nullptr) return;  // already retired (stale/duplicate ACK)
-  rel_loss_streak_[e->rail] = 0;  // the rail is demonstrably delivering
-  rel_release(*e);
+  rel_links_.release(entry);
 }
 
 bool Engine::rel_rx_accept(const fabric::Segment& seg) {
@@ -1785,93 +1481,35 @@ bool Engine::rel_rx_accept(const fabric::Segment& seg) {
           .msg_id = seg.msg_id, .rail = seg.rail, .a = static_cast<std::int64_t>(seg.seq)});
     // Corruption is detectable loss: tell the sender now instead of letting
     // it burn the full ACK timeout.
-    rel_send_nack(seg.src, seg.seq);
+    post_control({.kind = fabric::SegKind::kNack, .dst = seg.src, .seq = seg.seq});
+    count(EngineCounter::rel_nacks);
     return false;
   }
-  RelLink& link = rel_links_[seg.src];
-  const std::uint64_t seq = seg.seq;
-  // (2) Window overflow: a seq too far ahead cannot be recorded, so it
-  // cannot be safely accepted (its retransmit would be an undetectable
-  // duplicate). Dropping is safe — the sender retries after the window
-  // advances. Unreachable in practice: the rx window (1024) is far wider
-  // than any TX ring the ACK clock lets build up.
-  if (seq > link.rx_cumulative + kRelRxWindow) return false;
-  // (3) Exactly-once: cumulative counter + bitmap ring suppress wire
-  // duplicates and retransmits whose original landed. Re-arm the ACK — a
-  // duplicate means the sender has not retired this seq yet.
-  const auto seen = [&link](std::uint64_t s) {
-    const std::uint64_t b = s - 1;
-    return ((link.rx_bits[(b >> 6) & (link.rx_bits.size() - 1)] >> (b & 63)) & 1) != 0;
-  };
-  if (seq <= link.rx_cumulative || seen(seq)) {
-    emit({.time = fabric_->now(), .kind = EventKind::kDupSuppressed,
-          .msg_id = seg.msg_id, .rail = seg.rail, .a = static_cast<std::int64_t>(seq)});
-    rel_arm_ack(seg.src);
-    return false;
+  // (2) The window: a seq beyond it is dropped, which is safe (the sender
+  // retries after the window advances) and unreachable in practice (the
+  // window, 1024, is far wider than any TX ring the ACK clock lets build).
+  const ReliableLinks::Rx rx = rel_links_.receive(seg.src, seg.seq);
+  if (rx == ReliableLinks::Rx::kBeyondWindow) return false;
+  if (rx == ReliableLinks::Rx::kDuplicate) {
+    emit({.time = fabric_->now(), .kind = EventKind::kDupSuppressed, .msg_id = seg.msg_id,
+          .rail = seg.rail, .a = static_cast<std::int64_t>(seg.seq)});
   }
-  // (4) Accept: record the seq, advance the cumulative edge over any run of
-  // now-contiguous bits, and schedule the coalesced ACK.
-  {
-    const std::uint64_t b = seq - 1;
-    link.rx_bits[(b >> 6) & (link.rx_bits.size() - 1)] |= 1ull << (b & 63);
+  // (3) The coalesced ACK, re-armed for a duplicate too: a wire duplicate or
+  // a retransmit whose original landed means the sender still holds the seq.
+  if (rel_links_.arm_ack(seg.src)) {
+    fabric_->events().at(fabric_->now() + kAckDelay, [this, src = seg.src] {
+      post_control(rel_links_.take_ack(src));
+      count(EngineCounter::rel_acks);
+    });
   }
-  while (true) {
-    const std::uint64_t nb = link.rx_cumulative;  // bit index of cumulative+1
-    auto& word = link.rx_bits[(nb >> 6) & (link.rx_bits.size() - 1)];
-    if (((word >> (nb & 63)) & 1) == 0) break;
-    word &= ~(1ull << (nb & 63));
-    ++link.rx_cumulative;
-  }
-  rel_arm_ack(seg.src);
-  return true;
-}
-
-void Engine::rel_arm_ack(NodeId src) {
-  RelLink& link = rel_links_[src];
-  if (link.ack_armed) return;
-  link.ack_armed = true;
-  fabric_->events().at(fabric_->now() + kAckDelay, [this, src] { rel_flush_ack(src); });
-}
-
-void Engine::rel_flush_ack(NodeId src) {
-  RelLink& link = rel_links_[src];
-  link.ack_armed = false;
-  // The whole acknowledgement travels in header fields — no payload, no
-  // allocation: `seq` carries the cumulative edge, `offset` a selective
-  // bitmap for the 64 seqs above it (out-of-order arrivals under reorder).
-  std::uint64_t bits = 0;
-  for (unsigned i = 0; i < 64; ++i) {
-    const std::uint64_t b = link.rx_cumulative + i;  // bit of cumulative+1+i
-    if ((link.rx_bits[(b >> 6) & (link.rx_bits.size() - 1)] >> (b & 63)) & 1) {
-      bits |= 1ull << i;
-    }
-  }
-  post_control({.kind = fabric::SegKind::kAck, .dst = src, .offset = bits,
-                .seq = link.rx_cumulative});
-  count(EngineCounter::rel_acks);
-}
-
-void Engine::rel_send_nack(NodeId src, std::uint64_t seq) {
-  post_control({.kind = fabric::SegKind::kNack, .dst = src, .seq = seq});
-  count(EngineCounter::rel_nacks);
+  return rx == ReliableLinks::Rx::kAccept;
 }
 
 void Engine::rel_handle_ack(const fabric::Segment& seg) {
   if (!config_.reliability.enabled) return;
-  RelLink& link = rel_links_[seg.src];
-  // ACKs state monotone facts ("everything <= cumulative arrived; these 64
-  // above it arrived too"), so a reordered stale ACK is harmless: its
-  // cumulative edge is behind ours (loop runs zero times) and its selective
-  // bits name seqs that genuinely landed.
-  const std::uint64_t cumulative = seg.seq;
-  while (link.oldest_unacked <= cumulative) {
-    rel_retire(seg.src, link.oldest_unacked);
-    ++link.oldest_unacked;
-  }
-  const std::uint64_t bits = seg.offset;
-  for (unsigned i = 0; i < 64; ++i) {
-    if ((bits >> i) & 1) rel_retire(seg.src, cumulative + 1 + i);
-  }
+  rel_links_.acknowledge(seg.src, seg, [this](const RelTxEntry& e) {
+    rel_loss_streak_[e.rail] = 0;  // the rail is demonstrably delivering
+  });
 }
 
 void Engine::rel_handle_nack(const fabric::Segment& seg) {
@@ -1879,7 +1517,7 @@ void Engine::rel_handle_nack(const fabric::Segment& seg) {
   // The receiver saw this seq arrive corrupted — skip the timeout and
   // retransmit now (still budget-checked; a rail that keeps corrupting
   // exhausts the budget and gets quarantined like one that keeps dropping).
-  if (RelTxEntry* entry = rel_find(seg.src, seg.seq)) {
+  if (RelTxEntry* entry = rel_links_.find(seg.src, seg.seq)) {
     rel_presume_lost(*entry, /*count_streak=*/false);
   }
 }

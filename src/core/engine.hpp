@@ -1,21 +1,25 @@
 // The communication engine (NewMadeleine analogue).
 //
-// Three-layer architecture per Fig. 5:
+// Three-layer architecture per Fig. 5, one module per layer's bookkeeping:
 //  * application layer — isend()/irecv() enqueue requests into the pack list
-//    and return immediately ("the application enqueues packets into a list
-//    and immediately returns to computing");
-//  * optimizer layer — a pluggable Strategy interrogated when eager packets
-//    await emission, when a NIC becomes idle, and when a rendezvous
-//    acknowledgement arrives;
+//    (core/pack_list.hpp) and return immediately ("the application enqueues
+//    packets into a list and immediately returns to computing");
+//  * optimizer layer — a pluggable Strategy (core/strategy_iface.hpp,
+//    core/strategies.hpp) interrogated when eager packets await emission,
+//    when a NIC becomes idle, and when a rendezvous acknowledgement arrives;
 //  * transfer layer — posts segments on the node's SimNics, charging the
-//    submitting core for the PIO/setup host time.
+//    submitting core for the PIO/setup host time; with reliability on, the
+//    per-link sequence and window format is core/reliable_links.hpp and the
+//    wire framing and checksum are core/wire_format.hpp.
+// The Engine itself holds the protocol between them: eager emission, the
+// rendezvous handshake, receive matching, failover and the reliability
+// policy (timeouts, retransmits, giving up).
 //
 // One Engine instance runs per node of the virtual cluster; all instances
 // share the fabric's event queue, so "waiting" for a request means running
 // fabric events until the request completes (see World).
 #pragma once
 
-#include <array>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -25,6 +29,8 @@
 #include <vector>
 
 #include "core/message.hpp"
+#include "core/pack_list.hpp"
+#include "core/reliable_links.hpp"
 #include "core/strategy_iface.hpp"
 #include "core/wire_format.hpp"
 #include "fabric/fabric.hpp"
@@ -159,9 +165,6 @@ class Engine {
   /// Message size at which sends switch to the rendezvous protocol.
   std::size_t rdv_threshold() const { return rdv_threshold_; }
 
-  /// Non-blocking send. The data buffer must stay alive until completion.
-  SendHandle isend(NodeId dst, Tag tag, const void* data, std::size_t len);
-
   /// Per-send QoS attributes (docs/QOS.md). Inert without the subsystem.
   struct SendOptions {
     /// Traffic class; kAutoClass = classify by size.
@@ -172,15 +175,25 @@ class Engine {
     SimTime deadline = 0;
   };
 
-  /// isend with explicit QoS attributes.
+  /// Non-blocking send, with optional QoS attributes. The data buffer must
+  /// stay alive until completion.
   SendHandle isend(NodeId dst, Tag tag, const void* data, std::size_t len,
-                   const SendOptions& opts);
+                   const SendOptions& opts) {
+    return submit_send(make_send_request(), dst, tag, data, len, opts, /*bounded=*/false);
+  }
+  SendHandle isend(NodeId dst, Tag tag, const void* data, std::size_t len) {
+    return isend(dst, tag, data, len, SendOptions{});
+  }
 
   /// Backpressured submit: returns nullptr (sheds load) when the resolved
   /// class's bounded queue is full. Identical to isend otherwise.
-  SendHandle try_isend(NodeId dst, Tag tag, const void* data, std::size_t len);
   SendHandle try_isend(NodeId dst, Tag tag, const void* data, std::size_t len,
-                       const SendOptions& opts);
+                       const SendOptions& opts) {
+    return submit_send(make_send_request(), dst, tag, data, len, opts, /*bounded=*/true);
+  }
+  SendHandle try_isend(NodeId dst, Tag tag, const void* data, std::size_t len) {
+    return try_isend(dst, tag, data, len, SendOptions{});
+  }
 
   /// The QoS arbiter; nullptr unless config().qos.enabled.
   qos::QosArbiter* qos() { return qos_.get(); }
@@ -218,7 +231,7 @@ class Engine {
   /// row names the flight recorder lands in its lock-free ring, and
   /// failover / quarantine / trust-demotion events trigger postmortem
   /// bundles. Also installs this engine as the recorder's state writer, so
-  /// bundles carry the per-rail health/trust/scale view and the failover
+  /// bundles carry the per-rail health/trust/scale view and the reliability
   /// config.
   void set_flight_recorder(trace::FlightRecorder* recorder);
 
@@ -251,7 +264,7 @@ class Engine {
   void force_recalibrate(RailId rail);
 
   /// Number of sends still sitting in the pack list (tests/diagnostics).
-  std::size_t pending_sends() const { return pending_count_; }
+  std::size_t pending_sends() const { return pack_list_.size(); }
 
   /// True when `rail` is currently quarantined (excluded from strategy
   /// decisions until a re-probe finds the link up again).
@@ -260,7 +273,7 @@ class Engine {
   /// Sequenced segments posted but not yet acknowledged end-to-end (0 when
   /// the reliability layer is off or fully drained). Tests use this to
   /// assert that a soak leaves no retransmit state behind.
-  std::uint64_t reliable_in_flight() const { return rel_live_entries_; }
+  std::uint64_t reliable_in_flight() const { return rel_links_.live(); }
 
   /// Health-plane sampler / SLO monitor (docs/OBSERVABILITY.md); nullptr
   /// unless config().timeseries.enabled (monitor also needs config().slos).
@@ -301,6 +314,10 @@ class Engine {
   };
 
   StrategyContext make_context();
+  /// The rails the strategy may use, as a per-rail mask: the usable ones,
+  /// or every rail when all are quarantined, so traffic keeps flowing (and
+  /// keeps probing).
+  std::span<const std::uint8_t> strategy_rails() const;
   /// Shared isend/try_isend implementation on a fresh pooled `send`.
   /// `bounded` = refuse (nullptr) instead of enqueueing past the class queue
   /// capacity.
@@ -312,24 +329,22 @@ class Engine {
   void handle_cts(const fabric::Segment& seg);
   void handle_data(const fabric::Segment& seg);
   void handle_fin(const fabric::Segment& seg);
+  /// The rendezvous send `msg_id` when it is in `state`; otherwise counts a
+  /// stale control segment and returns nullptr.
+  SendHandle* rdv_send_in(std::uint64_t msg_id, SendState state);
 
   /// Interrogates the strategy for the queued eager sends, one destination
   /// group at a time in pack-list order, and posts the returned emissions.
   /// Stops at the first blocked plan. Re-armed at the next NIC-idle time
   /// while sends remain.
   void progress();
-  /// Interrogates the strategy for one destination group, posts the
-  /// resulting emissions and returns the plan's `blocked` flag.
-  bool plan_group(std::span<const SendRequest* const> group);
-  /// Appends `send` to the pack list: the tail of its destination's FIFO.
-  void enqueue_eager(SendHandle send);
-  /// Unlinks the fully posted sends from `dst`'s FIFO.
-  void retire_posted(NodeId dst);
-  void schedule_retry();
   /// Earliest time a rail the strategy can use goes idle (at least now + 1).
   SimTime next_rail_idle() const;
   void arm_progress(SimTime when);
   void post_emission(const EagerEmission& emission);
+  /// Marks `send` done at `when`: the completion event, latency metric and
+  /// QoS deadline bookkeeping. `rail` is the event's rail (eager only).
+  void complete_send(SendRequest& send, SimTime when, RailId rail = 0);
   void start_rendezvous(const SendHandle& send);
   /// Registers the matched rendezvous `recv` as inbound and answers with CTS.
   void accept_rendezvous(const RecvHandle& recv);
@@ -350,16 +365,11 @@ class Engine {
                                            std::size_t bytes) const;
 
   // -- traffic-class QoS (docs/QOS.md) -----------------------------------
-  /// Asks the arbiter for one grant round and moves the grants into the
-  /// pack list (called at the head of every scheduler activation).
-  void drain_qos();
   /// Earliest predicted completion of a `len`-byte send submitted now
   /// (eager: best usable rail; rendezvous: handshake + equal-finish
   /// makespan across usable rails, busy offsets included). Feeds deadline
   /// admission.
   SimTime earliest_feasible_completion(std::size_t len) const;
-  /// Deadline hit/miss bookkeeping on send completion.
-  void note_qos_completion(const SendRequest& send);
   /// Windowed rendezvous streaming: posts at most one kQosBulkChunk-sized
   /// chunk per idle usable rail per sweep, so strict classes grab rail
   /// slots between chunks, then re-arms at the next NIC-idle time.
@@ -387,17 +397,19 @@ class Engine {
   bool rail_usable(RailId rail) const { return !rail_health_[rail].quarantined; }
   void on_tx_error(fabric::Segment&& seg);
   void on_tx_complete(const fabric::Segment& seg);
-  void on_chunk_timeout(std::uint64_t msg_id, std::uint64_t offset, std::size_t bytes,
-                        RailId rail, unsigned attempt);
-  /// Marks a rendezvous send kFailed, first rescue-copying its buffer into
-  /// the pin if DMA chunks still borrow it.
-  void fail_send(SendRequest& send);
-  /// Re-splits a lost byte range of `send` across the surviving rails.
-  void failover_chunk(SendRequest& send, std::uint64_t offset, std::size_t bytes,
-                      RailId failed_rail, unsigned attempt);
+  /// Marks rendezvous send `msg_id` kFailed, first rescue-copying its buffer
+  /// into the pin if DMA chunks still borrow it, and forgets it: its handshake,
+  /// live chunks and QoS stream. No-op once the send completed or failed.
+  void fail_rendezvous(std::uint64_t msg_id);
+  /// Re-splits a lost byte range of rendezvous send `msg_id` across the
+  /// surviving rails, unless the chunk already retired or was superseded.
+  /// `timed_out` = its watchdog fired (reported, and the rail quarantined);
+  /// otherwise the NIC reported the error.
+  void failover_chunk(std::uint64_t msg_id, std::uint64_t offset, std::size_t bytes,
+                      RailId failed_rail, unsigned attempt, bool timed_out);
   /// Registers a live chunk and arms its timeout event, in the one mode that
-  /// reads them (failover on, reliability off). `dst` feeds the multi-hop
-  /// flight allowance (Fabric::extra_path_latency).
+  /// reads them (reliability off). `dst` feeds the multi-hop flight
+  /// allowance (Fabric::extra_path_latency).
   void track_chunk(std::uint64_t msg_id, NodeId dst, std::uint64_t offset,
                    std::size_t bytes, RailId rail, unsigned attempt,
                    SimTime decision_now, SimDuration predicted);
@@ -406,71 +418,22 @@ class Engine {
   void reprobe_rail(RailId rail);
 
   // -- end-to-end reliability (docs/FAULTS.md) ---------------------------
-  // Sender side: every non-ACK segment gets a per-(src,dst)-link sequence
-  // number and a CRC32C, and its payload bytes, shared with the segment
-  // rather than copied, park in a power-of-two ring slab until a
-  // cumulative/selective ACK retires them. Loss is inferred by
-  // prediction-scaled ACK timeout (silent drops), NACK (checksum failures),
-  // or NIC tx-error; recovery retransmits the parked bytes — never touching
-  // the failover re-split, which would race it.
+  // The sequence and window format is ReliableLinks; this is the policy.
+  // Loss is inferred by prediction-scaled ACK timeout (silent drops), NACK
+  // (checksum failures), or NIC tx-error; recovery retransmits the parked
+  // bytes — never touching the failover re-split, which would race it.
 
-  /// One unacknowledged sequenced segment (slot in a RelLink ring).
-  struct RelTxEntry {
-    bool in_use = false;
-    fabric::SegKind kind = fabric::SegKind::kEager;
-    unsigned attempt = 0;
-    unsigned retransmits = 0;       ///< end-to-end retransmissions so far
-    RailId rail = 0;                ///< rail of the latest transmission
-    NodeId dst = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t msg_id = 0;
-    Tag tag = 0;
-    std::uint64_t offset = 0;
-    std::uint64_t total_len = 0;
-    std::uint32_t crc = 0;
-    SimDuration base_timeout = 0;   ///< first-transmission ACK wait (pre-backoff)
-    /// The segment's bytes, shared with every transmission of it
-    /// (fabric::Payload::share): a retransmit takes one more reference, and
-    /// a corrupt fault copies before it writes, so these stay the original.
-    fabric::Payload payload;
-  };
-
-  /// Per-peer link state, indexed by node id. TX: seq allocation + the
-  /// unacked ring. RX: cumulative counter + a kRelRxWindow-seq bitmap ring
-  /// making receives exactly-once, plus the coalesced-ACK arm flag.
-  struct RelLink {
-    std::uint64_t next_seq = 1;        ///< 0 is "unsequenced" on the wire
-    std::uint64_t oldest_unacked = 1;
-    std::vector<RelTxEntry> ring;      ///< power-of-two, slot = seq & (size-1)
-    std::uint64_t rx_cumulative = 0;   ///< every seq <= this was accepted
-    std::array<std::uint64_t, 16> rx_bits{};  ///< seqs (cumulative, +window]
-    bool ack_armed = false;
-  };
-  static constexpr std::uint64_t kRelRxWindow = 16 * 64;  ///< rx_bits span
-
-  /// Assigns seq + CRC to an outbound segment and parks its shared bytes.
-  void rel_stash(fabric::Segment& seg, RailId rail);
   /// Arms (or re-arms, with backoff) the ACK timeout for (dst, seq).
   void rel_arm(NodeId dst, std::uint64_t seq, SimDuration predicted_flight);
-  void rel_on_timeout(NodeId dst, std::uint64_t seq, unsigned expected_retransmits);
-  /// Shared loss reaction: budget check, then retransmit or give up.
-  /// `count_streak` = an inferred silent loss (timeout), which feeds the
-  /// per-rail loss streak; NACK/tx-error losses already name their cause.
+  /// Shared loss reaction: budget check, then retransmit the parked copy
+  /// or give up. `count_streak` = an inferred silent loss (timeout), which
+  /// feeds the per-rail loss streak; NACK/tx-error losses name their cause.
   void rel_presume_lost(RelTxEntry& entry, bool count_streak);
-  void rel_retransmit(RelTxEntry& entry);
   void rel_exhaust(RelTxEntry& entry);
-  void rel_retire(NodeId dst, std::uint64_t seq);
-  void rel_release(RelTxEntry& entry);
-  RelTxEntry* rel_find(NodeId dst, std::uint64_t seq);
-  RelTxEntry& rel_slot(RelLink& link, std::uint64_t seq);
-  void rel_grow_ring(RelLink& link);
 
   /// Receiver gate: verify CRC, suppress duplicates, record the seq, arm
   /// the coalesced ACK. False = segment consumed (drop/dup/corrupt).
   bool rel_rx_accept(const fabric::Segment& seg);
-  void rel_arm_ack(NodeId src);
-  void rel_flush_ack(NodeId src);
-  void rel_send_nack(NodeId src, std::uint64_t seq);
   void rel_handle_ack(const fabric::Segment& seg);
   void rel_handle_nack(const fabric::Segment& seg);
 
@@ -484,15 +447,16 @@ class Engine {
   /// network.
   void observe_completion(RailId rail, SimDuration plan, SimDuration model,
                           SimDuration actual);
-  void observe_completion(RailId rail, SimDuration predicted, SimDuration actual) {
-    observe_completion(rail, predicted, predicted, actual);
-  }
   /// True when some attached observer wants (predicted, actual) pairs.
   bool observing() const { return predictions_ != nullptr || recal_ != nullptr; }
   void schedule_resample(RailId rail);
   void run_resample(RailId rail);
   /// Best usable rail for re-posting a self-contained segment.
   RailId repost_rail(const fabric::Segment& seg) const;
+  /// The usable rail `admit` accepts whose `done(state)` comes first (the
+  /// lowest id on ties); nullopt when `admit` accepts none.
+  template <class Admit, class Done>
+  std::optional<RailId> best_usable_rail(Admit admit, Done done) const;
 
   // -- health plane (docs/OBSERVABILITY.md) ------------------------------
   /// One sampling tick: snapshot the curated metrics, evaluate the SLOs,
@@ -503,7 +467,6 @@ class Engine {
   /// re-arms it instead.
   void health_tick();
   void arm_health();
-  bool health_work_pending() const;
 
   /// The one emission of an engine event (RAILS_ENGINE_EVENTS): bumps the
   /// row's counter, then, only while a sink is attached, records the event
@@ -516,8 +479,10 @@ class Engine {
   /// Stamps this node on `e`, records it in the attached sinks its row
   /// names, and refreshes the trace_dropped / flight_evictions gauges.
   void record_event(trace::Event e);
-  /// Requests a postmortem bundle dump (no-op when detached/rate-limited).
-  void flight_trigger(const char* reason, const std::string& detail);
+  /// Requests a postmortem bundle dump (no-op when detached/rate-limited)
+  /// whose detail line is `fmt` printf-formatted with the arguments.
+  void flight_trigger(const char* reason, const char* fmt, ...)
+      __attribute__((format(printf, 3, 4)));
 
   fabric::Fabric* fabric_;
   NodeId self_;
@@ -530,23 +495,23 @@ class Engine {
   bool retry_armed_ = false;
 
   std::vector<RailHealth> rail_health_;            ///< per-rail quarantine state
-  std::vector<std::uint8_t> rail_usable_;          ///< mask refreshed per context
+  mutable std::vector<std::uint8_t> rail_usable_;  ///< strategy_rails() scratch
   /// In-flight DMA chunks: msg id -> (offset -> retransmission attempt).
-  /// Filled only with failover on and reliability off (the chunk timer's
-  /// mode). Entries vanish on local tx-completion, error hand-off, or FIN —
-  /// a timeout event that finds no entry (or a newer attempt) is stale.
+  /// Filled only with reliability off (the chunk timer's mode). Entries
+  /// vanish on local tx-completion, error hand-off, or FIN — a timeout
+  /// event that finds no entry (or a newer attempt) is stale.
   std::map<std::uint64_t, std::map<std::uint64_t, unsigned>> live_chunks_;
 
   std::map<std::uint64_t, SendHandle> rdv_sends_;  ///< RTS sent, keyed by msg id
 
   // -- end-to-end reliability (docs/FAULTS.md) ---------------------------
-  std::vector<RelLink> rel_links_;        ///< per-peer, indexed by node id
+  ReliableLinks rel_links_;               ///< sized only with reliability on
   std::vector<unsigned> rel_loss_streak_; ///< consecutive inferred losses/rail
-  std::uint64_t rel_live_entries_ = 0;    ///< unacked sequenced segments
 
   // -- traffic-class QoS (docs/QOS.md) -----------------------------------
   std::unique_ptr<qos::QosArbiter> qos_;  ///< null when disabled
-  /// One windowed bulk stream: CTS arrived, chunks fed kQosBulkChunk at a time.
+  /// One windowed bulk stream: CTS arrived, chunks fed kQosBulkChunk at a
+  /// time. A stream with no bytes left, or whose send failed, is erased.
   struct QosStream {
     SendHandle send;
     std::uint64_t next_offset = 0;
@@ -598,31 +563,7 @@ class Engine {
   // Persistent buffers recycled across activations so the steady-state
   // submit -> schedule -> emit path touches no allocator.
 
-  /// The pack list (docs/PERF.md, "Submit-path scratch"): one FIFO of
-  /// queued eager sends per destination, linked through a slab of entries
-  /// (free entries chain through `next`). `seq` is an entry's pack-list
-  /// position: the order it was submitted, or granted by the QoS arbiter.
-  static constexpr std::uint32_t kNoEntry = ~std::uint32_t{0};
-  struct PackEntry {
-    SendHandle send;
-    std::uint64_t seq = 0;
-    std::uint32_t next = kNoEntry;
-  };
-  struct DstFifo {
-    std::uint32_t head = kNoEntry;
-    std::uint32_t tail = kNoEntry;
-  };
-  std::vector<PackEntry> pack_entries_;
-  std::uint32_t free_entry_ = kNoEntry;
-  std::vector<DstFifo> dst_fifos_;  ///< by node id; sized on first enqueue
-  /// The ready order: destinations with queued sends, as a min-heap on the
-  /// seq of each one's oldest send. Popping it visits groups in exactly
-  /// the order a scan of one flat pack list would meet them.
-  std::vector<std::pair<std::uint64_t, NodeId>> ready_;
-  std::vector<NodeId> revisit_;                 ///< visited, sends left
-  std::vector<const SendRequest*> group_scratch_;  ///< the span planned
-  std::uint64_t next_pack_seq_ = 0;
-  std::size_t pending_count_ = 0;
+  PackList pack_list_;  ///< queued eager sends, in submission or grant order
 
   /// Rail sets of earliest_feasible_completion / failover_chunk and the
   /// solver inputs equal_finish_split builds from them (mutable: the

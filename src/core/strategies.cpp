@@ -101,6 +101,24 @@ SimTime eager_completion(const StrategyContext& ctx, RailId rail, std::size_t by
 
 }  // namespace
 
+RailId Strategy::control_rail(const StrategyContext& ctx) const {
+  // Default policy: the usable rail whose zero-byte eager message completes
+  // first, busy offsets included — typically the lowest-latency idle rail.
+  RailId best = 0;
+  SimTime best_done = kSimTimeNever;
+  for (RailId r = 0; r < ctx.rail_count(); ++r) {
+    if (!ctx.rail_usable(r)) continue;
+    const sampling::RailState state{r, ctx.rail_busy_until(r)};
+    const SimTime done =
+        ctx.estimator->completion(state, ctx.now, 0, fabric::Protocol::kEager);
+    if (done < best_done) {
+      best_done = done;
+      best = r;
+    }
+  }
+  return best;
+}
+
 // ---------------------------------------------------------------------------
 // SingleRail
 // ---------------------------------------------------------------------------
@@ -276,10 +294,8 @@ strategy::SplitResult HeteroSplit::plan_rendezvous(const StrategyContext& ctx,
     IsoSplit iso;
     return iso.plan_rendezvous(ctx, len);
   }
-  std::vector<strategy::ProfileCost> costs;
-  std::vector<strategy::SolverRail> rails;
-  solver_rails(ctx, costs, rails, rdv_chunk_table);
-  return strategy::solve_equal_finish(rails, len);
+  solver_rails(ctx, costs_, rails_, rdv_chunk_table);
+  return strategy::solve_equal_finish(rails_, len);
 }
 
 // ---------------------------------------------------------------------------

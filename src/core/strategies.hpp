@@ -83,6 +83,11 @@ class HeteroSplit : public AggregateFastest {
   std::string name() const override { return "hetero-split"; }
   strategy::SplitResult plan_rendezvous(const StrategyContext& ctx,
                                         std::size_t len) override;
+
+ protected:
+  // Solver-input scratch, reused across calls.
+  std::vector<strategy::ProfileCost> costs_;
+  std::vector<strategy::SolverRail> rails_;  ///< points into costs_
 };
 
 class MulticoreHeteroSplit : public HeteroSplit {
@@ -98,8 +103,6 @@ class MulticoreHeteroSplit : public HeteroSplit {
 
  private:
   // Split-plan scratch, reused across calls.
-  std::vector<strategy::ProfileCost> costs_;
-  std::vector<strategy::SolverRail> rails_;  ///< points into costs_
   strategy::EagerPlanScratch split_scratch_;
   strategy::EagerPlan split_;
   std::vector<CoreId> idle_cores_;

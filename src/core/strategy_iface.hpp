@@ -35,15 +35,6 @@ namespace rails::core {
 
 struct SendRequest;
 
-/// Fault tolerance (docs/FAULTS.md): chunk timeouts, retry/failover and
-/// rail quarantine. Its timings are constants scaled by the estimator's
-/// prediction (docs/FAULTS.md, "Constants"); they are inert on a healthy
-/// fabric, where a timer simply expires unnoticed after its chunk
-/// completed, so failover does not perturb fault-free timing.
-struct FailoverConfig {
-  bool enabled = true;
-};
-
 /// End-to-end reliable delivery (docs/FAULTS.md, "Data-plane faults &
 /// reliable delivery"). Default-off: a disabled engine takes no reliability
 /// branch at all, keeping headline metrics bit-identical to pre-reliability
@@ -63,8 +54,6 @@ struct EngineConfig {
   strategy::OffloadConfig offload;
   /// Overrides the sampled eager/rendezvous threshold when non-zero.
   std::size_t rdv_threshold_override = 0;
-  /// Timeout/retry/quarantine behaviour on rail faults.
-  FailoverConfig failover;
   /// End-to-end ACK/retransmit + wire-checksum layer (docs/FAULTS.md).
   ReliabilityConfig reliability;
   /// Online drift detection / adaptive recalibration (docs/CALIBRATION.md).

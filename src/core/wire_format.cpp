@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/check.hpp"
+#include "common/crc32c.hpp"
 
 namespace rails::core {
 
@@ -113,6 +114,28 @@ bool try_parse_subpackets(std::span<const std::uint8_t> payload,
     out.push_back(sp);
   }
   return true;
+}
+
+std::uint32_t reliable_crc(const fabric::Segment& seg) {
+  std::uint8_t hdr[49];
+  std::size_t n = 0;
+  hdr[n++] = static_cast<std::uint8_t>(seg.kind);
+  const auto put32 = [&](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) hdr[n++] = static_cast<std::uint8_t>(v >> (8 * i));
+  };
+  const auto put64 = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) hdr[n++] = static_cast<std::uint8_t>(v >> (8 * i));
+  };
+  put32(seg.src);
+  put32(seg.dst);
+  put64(seg.msg_id);
+  put64(seg.tag);
+  put64(seg.offset);
+  put64(seg.total_len);
+  put64(seg.seq);
+  const std::uint32_t head = crc32c(hdr, n);
+  if (seg.payload.empty()) return head;
+  return crc32c_extend(head, seg.payload.data(), seg.payload.size());
 }
 
 }  // namespace rails::core

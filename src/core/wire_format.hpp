@@ -7,7 +7,8 @@
 //   [msg_id u64][tag u64][msg_total u64][offset u64][frag_len u32][bytes...]*
 //
 // Rendezvous control and DATA segments use the Segment header fields
-// directly and need no framing.
+// directly and need no framing. With reliability on, every sequenced
+// segment also carries reliable_crc() over its wire fields.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 
 #include "common/types.hpp"
 #include "fabric/payload.hpp"
+#include "fabric/segment.hpp"
 
 namespace rails::core {
 
@@ -51,6 +53,13 @@ void parse_subpackets(std::span<const std::uint8_t> payload, std::vector<SubPack
 /// sub-packet header is otherwise indistinguishable from a malformed frame.
 bool try_parse_subpackets(std::span<const std::uint8_t> payload,
                           std::vector<SubPacket>& out);
+
+/// CRC32C over the protocol-stable segment fields plus the payload. `rail`
+/// and `attempt` are deliberately excluded: both legitimately change when a
+/// segment is retransmitted on another rail, and a retransmission must
+/// checksum identically to the original so the receiver's verify works on
+/// whichever copy arrives first.
+std::uint32_t reliable_crc(const fabric::Segment& seg);
 
 /// Wire size one fragment of `len` bytes will occupy inside a segment.
 constexpr std::size_t framed_size(std::size_t len) {

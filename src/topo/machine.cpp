@@ -4,13 +4,6 @@
 
 namespace rails {
 
-std::vector<CoreId> MachineTopology::neighbours_by_distance(CoreId from) const {
-  std::vector<CoreId> out;
-  out.reserve(core_count() - 1);
-  neighbours_by_distance(from, out);
-  return out;
-}
-
 void MachineTopology::neighbours_by_distance(CoreId from, std::vector<CoreId>& out) const {
   out.clear();
   const std::uint32_t home = socket_of(from);

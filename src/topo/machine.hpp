@@ -29,10 +29,9 @@ struct MachineTopology {
 
   bool same_socket(CoreId a, CoreId b) const { return socket_of(a) == socket_of(b); }
 
-  /// Cores ordered by signalling cost from `from`: same socket first (skipping
-  /// `from` itself), then remote sockets.
-  std::vector<CoreId> neighbours_by_distance(CoreId from) const;
-  /// The same order, written into `out` so a caller can reuse its storage.
+  /// Writes into `out` the cores ordered by signalling cost from `from`: same
+  /// socket first (skipping `from` itself), then remote sockets. `out` is
+  /// cleared first, so a caller can reuse its storage.
   void neighbours_by_distance(CoreId from, std::vector<CoreId>& out) const;
 
   /// The paper's evaluation machine: dual-socket, dual-core Opteron.

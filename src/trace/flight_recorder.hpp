@@ -89,7 +89,7 @@ class FlightRecorder {
   /// Metrics snapshot embedded in each bundle (may be nullptr).
   void set_metrics(const telemetry::MetricsRegistry* registry);
   /// Engine-supplied state — the writer must emit ONE valid JSON object
-  /// (per-rail trust/scale, failover config, ...).
+  /// (per-rail trust/scale, reliability config, ...).
   using StateWriter = std::function<void(std::ostream&)>;
   void set_state_writer(StateWriter writer);
   /// Health-plane time series embedded under the bundle's "timeseries" key

@@ -27,7 +27,8 @@ TEST(Topology, SameSocket) {
 
 TEST(Topology, NeighboursSameSocketFirst) {
   const auto topo = MachineTopology::opteron_2x2();
-  const auto n = topo.neighbours_by_distance(0);
+  std::vector<CoreId> n{99};  // stale contents are cleared
+  topo.neighbours_by_distance(0, n);
   ASSERT_EQ(n.size(), 3u);
   EXPECT_EQ(n[0], 1u);  // same socket first
   // Remote socket cores follow in id order.
@@ -37,8 +38,9 @@ TEST(Topology, NeighboursSameSocketFirst) {
 
 TEST(Topology, NeighboursExcludeSelf) {
   const auto topo = MachineTopology::t2k_4x4();
+  std::vector<CoreId> n;
   for (CoreId c = 0; c < topo.core_count(); ++c) {
-    const auto n = topo.neighbours_by_distance(c);
+    topo.neighbours_by_distance(c, n);
     EXPECT_EQ(n.size(), topo.core_count() - 1);
     EXPECT_EQ(std::find(n.begin(), n.end(), c), n.end());
   }
@@ -46,14 +48,16 @@ TEST(Topology, NeighboursExcludeSelf) {
 
 TEST(Topology, NeighboursCoverAllCoresOnce) {
   const auto topo = MachineTopology::t2k_4x4();
-  auto n = topo.neighbours_by_distance(5);
+  std::vector<CoreId> n;
+  topo.neighbours_by_distance(5, n);
   std::sort(n.begin(), n.end());
   for (std::size_t i = 1; i < n.size(); ++i) EXPECT_NE(n[i - 1], n[i]);
 }
 
 TEST(Topology, T2kSameSocketPrefix) {
   const auto topo = MachineTopology::t2k_4x4();
-  const auto n = topo.neighbours_by_distance(5);  // socket 1 (cores 4..7)
+  std::vector<CoreId> n;
+  topo.neighbours_by_distance(5, n);  // socket 1 (cores 4..7)
   // First three neighbours are the same-socket peers.
   for (int i = 0; i < 3; ++i) EXPECT_EQ(topo.socket_of(n[i]), 1u);
   // Next sockets follow in ring order: 2, 3, 0.

@@ -151,19 +151,16 @@ TEST(ClusterConfig, ReliabilityDirectivesRoundTrip) {
   std::istringstream is(R"(
 nodes 2
 reliability 1
-failover 0
 rail preset myri10g
 rail preset qsnet2
 )");
   const WorldConfig cfg = parse_world_config(is);
   EXPECT_TRUE(cfg.engine.reliability.enabled);
-  EXPECT_FALSE(cfg.engine.failover.enabled);
 
   std::stringstream ss;
   save_world_config(cfg, ss);
   const WorldConfig again = parse_world_config(ss);
   EXPECT_TRUE(again.engine.reliability.enabled);
-  EXPECT_FALSE(again.engine.failover.enabled);
 }
 
 TEST(ClusterConfig, FaultDirectivesRoundTrip) {
@@ -359,6 +356,42 @@ TEST(ClusterConfigDeath, UnknownDirective) {
   std::istringstream retired("rail preset myri10g\nqos_deadline_downgrade 1\n");
   EXPECT_DEATH(parse_world_config(retired),
                "line 2: unknown directive 'qos_deadline_downgrade'");
+  std::istringstream failover("rail preset myri10g\nfailover 1\n");
+  EXPECT_DEATH(parse_world_config(failover), "line 2: unknown directive 'failover'");
+}
+
+// Each malformed value fails with its line number: none is read as 0 or
+// escapes as an exception from the number conversion.
+TEST(ClusterConfigDeath, ScalarThatIsNotANumber) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::istringstream is("rail preset myri10g\nrdv_threshold abc\n");
+  EXPECT_DEATH(parse_world_config(is), "line 2: rdv_threshold needs a number, got 'abc'");
+}
+
+TEST(ClusterConfigDeath, ScalarWithTrailingGarbage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::istringstream is("rail preset myri10g\nnodes 2x\n");
+  EXPECT_DEATH(parse_world_config(is), "line 2: nodes needs a number, got '2x'");
+  std::istringstream two("rail preset myri10g\nnodes 2 3\n");
+  EXPECT_DEATH(parse_world_config(two), "line 2: nodes takes one value, got '3'");
+}
+
+TEST(ClusterConfigDeath, NegativeTime) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::istringstream is("rail preset myri10g\noffload_signal_us -5\n");
+  EXPECT_DEATH(parse_world_config(is), "line 2: offload_signal_us must not be negative");
+}
+
+TEST(ClusterConfigDeath, FaultKeyThatIsNotANumber) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::istringstream is("rail preset myri10g\nfault rail=x drop=0.1\n");
+  EXPECT_DEATH(parse_world_config(is), "line 2: rail needs a number, got 'x'");
+}
+
+TEST(ClusterConfigDeath, QosClassKeyThatIsNotANumber) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::istringstream is("rail preset myri10g\nqos_class name=a weight=abc\n");
+  EXPECT_DEATH(parse_world_config(is), "line 2: weight needs a number, got 'abc'");
 }
 
 TEST(ClusterConfigDeath, UnknownPreset) {

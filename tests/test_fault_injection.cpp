@@ -250,29 +250,6 @@ TEST(FaultInjection, ElevatedLatencyDeliversWithoutLoss) {
   EXPECT_EQ(world.fabric().nic(0, 0).segments_dropped(), 0u);
 }
 
-// -- failover disabled -------------------------------------------------------
-
-TEST(FaultInjection, DisabledFailoverStillCountsErrors) {
-  core::WorldConfig cfg = paper_testbed("hetero-split");
-  cfg.engine.failover.enabled = false;
-  core::World world(std::move(cfg));
-  const std::size_t size = 2_MiB;
-  const auto tx = test::make_pattern(size, 14);
-  std::vector<std::uint8_t> rx(size, 0);
-  world.fabric().nic(0, 0).inject_fault(fail_stop_at(usec(20)));
-
-  auto recv = world.engine(1).irecv(0, 10, rx.data(), size);
-  auto send = world.engine(0).isend(1, 10, tx.data(), size);
-  world.fabric().events().run_all();
-
-  // Without failover the dropped bytes never arrive — but the engine must
-  // not crash, and the error is still visible in the stats.
-  EXPECT_FALSE(recv->done());
-  EXPECT_GE(world.engine(0).stats().tx_errors, 1u);
-  EXPECT_EQ(world.engine(0).stats().failovers, 0u);
-  EXPECT_FALSE(world.engine(0).rail_quarantined(0));
-}
-
 // -- quarantine wake-ups -----------------------------------------------------
 
 TEST(FaultInjection, IdleQuarantinedRailDoesNotSpinTheScheduler) {

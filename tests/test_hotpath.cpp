@@ -213,12 +213,13 @@ TEST(HotPathAlloc, RendezvousSteadyStateStaysWithinBudget) {
   const std::uint64_t per_msg = (perf::t_alloc_count - before) / kMsgs;
 
   // Rendezvous still pays for its bookkeeping maps (rdv_sends_,
-  // inbound_rdv_ with its coverage intervals, live_chunks_) and the solver's
-  // plan — but the payload buffers, requests, and event closures all
-  // recycle. The budget is the measured count (16 per message with g++ 12,
-  // Release), with no headroom: a new per-chunk or per-message allocation
-  // fails here instead of landing unnoticed.
-  EXPECT_LE(per_msg, 16u) << per_msg << " allocations per rendezvous message";
+  // inbound_rdv_ with its coverage intervals, live_chunks_) and the split
+  // the solver returns — but the payload buffers, requests, event closures
+  // and the solver's inputs all recycle. The budget is the measured count
+  // (10 per message with g++ 12, Release), with no headroom: a new
+  // per-chunk or per-message allocation fails here instead of landing
+  // unnoticed.
+  EXPECT_LE(per_msg, 10u) << per_msg << " allocations per rendezvous message";
 }
 
 // --- request pool ------------------------------------------------------------
