@@ -3,9 +3,11 @@
 // virtual experimentation a second of host CPU buys.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <vector>
 
 #include "common/crc32c.hpp"
+#include "common/stream_copy.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/presets.hpp"
 #include "sampling/sampler.hpp"
@@ -121,6 +123,52 @@ void BM_Crc32cPortable(benchmark::State& state) {
   crc32c_throughput<detail::crc32c_extend_portable>(state);
 }
 BENCHMARK(BM_Crc32cPortable)->Apply(crc32c_sizes);
+
+// Receive-side placement (docs/PERF.md, "Payload placement"): one chunk
+// per iteration into a destination that is cold (each copy lands further
+// along a 256 MiB ring, far past the last-level cache) or warm (the same
+// destination every time), with memcpy, with stream_copy (AVX-512F where
+// the CPU has it) and with its SSE2 body.
+constexpr std::size_t kRing = std::size_t{256} << 20;
+
+/// One ring for both copies, touched once: no page faults inside the loop.
+std::vector<std::uint8_t>& cold_ring() {
+  static std::vector<std::uint8_t> ring(kRing, 1);
+  return ring;
+}
+
+template <void (*Copy)(void*, const void*, std::size_t)>
+void place_throughput(benchmark::State& state) {
+  std::vector<std::uint8_t>& ring = cold_ring();
+  const auto chunk = static_cast<std::size_t>(state.range(0));
+  const bool cold = state.range(1) != 0;
+  std::vector<std::uint8_t> src(chunk);
+  for (std::size_t i = 0; i < chunk; ++i) src[i] = static_cast<std::uint8_t>(i * 131u);
+  std::size_t at = 0;
+  for (auto _ : state) {
+    Copy(ring.data() + at, src.data(), chunk);
+    benchmark::ClobberMemory();
+    if (cold) at = at + 2 * chunk <= kRing ? at + chunk : 0;
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+
+void place_args(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"bytes", "cold"});
+  for (const int64_t cold : {1, 0}) {
+    for (const int64_t n : {64 << 10, 256 << 10, 1 << 20, 2 << 20, 4 << 20, 16 << 20}) {
+      b->Args({n, cold});
+    }
+  }
+}
+
+void plain_memcpy(void* dst, const void* src, std::size_t n) { std::memcpy(dst, src, n); }
+
+BENCHMARK(place_throughput<plain_memcpy>)->Name("BM_PlaceMemcpy")->Apply(place_args);
+BENCHMARK(place_throughput<stream_copy>)->Name("BM_PlaceStream")->Apply(place_args);
+#if defined(__x86_64__)
+BENCHMARK(place_throughput<detail::stream_copy_sse2>)->Name("BM_PlaceSse2")->Apply(place_args);
+#endif
 
 }  // namespace
 

@@ -10,6 +10,7 @@
 
 #include "common/check.hpp"
 #include "common/log.hpp"
+#include "common/stream_copy.hpp"
 #include "fabric/buffer_pool.hpp"
 #include "perf/profiler.hpp"
 
@@ -493,26 +494,26 @@ void Engine::progress() {
 
 SimTime Engine::earliest_feasible_completion(std::size_t len) const {
   const SimTime now = fabric_->now();
+  // The rails the strategy will be shown: every rail when all are
+  // quarantined, so admission predicts what the planner may place.
+  const std::span<const std::uint8_t> visible = strategy_rails();
   if (len <= rdv_threshold_) {
-    // Eager: best busy-aware completion over the usable rails (eq. 1).
+    // Eager: best busy-aware completion over the visible rails (eq. 1).
     SimTime best = kSimTimeNever;
     for (RailId r = 0; r < nics_.size(); ++r) {
-      if (!rail_usable(r)) continue;
+      if (visible[r] == 0) continue;
       const sampling::RailState state{r, nics_[r]->busy_until()};
       best = std::min(best, estimator_->completion(state, now, len,
                                                    fabric::Protocol::kEager));
     }
-    if (best != kSimTimeNever) return best;
-    const sampling::RailState state{0, nics_[0]->busy_until()};
-    return estimator_->completion(state, now, len, fabric::Protocol::kEager);
+    return best;
   }
 
   // Rendezvous: RTS/CTS round trip on the best rail plus the equal-finish
-  // makespan of the payload across the usable rails, busy offsets included
+  // makespan of the payload across the visible rails, busy offsets included
   // (the same solver the failover path uses).
   std::vector<RailId>& usable = rail_scratch_;  // persistent submit-path scratch
   usable.clear();
-  const std::span<const std::uint8_t> visible = strategy_rails();
   for (RailId r = 0; r < nics_.size(); ++r) {
     if (visible[r] != 0) usable.push_back(r);
   }
@@ -846,17 +847,11 @@ void Engine::post_chunk(SendRequest& send, RailId rail, std::uint64_t offset,
   fabric::Segment data{.kind = fabric::SegKind::kData, .dst = send.dst, .msg_id = send.id,
                        .tag = send.tag, .offset = offset, .total_len = send.len,
                        .attempt = static_cast<std::uint8_t>(attempt)};
-  if (config_.reliability.enabled) {
-    // The parked retransmit bytes, the CRC and post-FIN duplicates all read
-    // the bytes after the send completes: the chunk carries its own copy.
-    data.payload = fabric::acquire_payload();
-    data.payload.assign(send.data + offset, send.data + offset + bytes);
-  } else {
-    // DMA reads the application buffer in place (docs/PROTOCOL.md
-    // "Send-buffer contract"): the chunk borrows it through the send's pin.
-    if (send.pin == nullptr) send.pin = fabric::PinPool::instance().lend(send.data);
-    data.payload = fabric::Payload::borrow(send.pin, offset, bytes);
-  }
+  // DMA reads the application buffer in place (docs/PROTOCOL.md "Send-buffer
+  // contract"): the chunk, and with reliability on its parked retransmit
+  // entry, borrow it through the send's pin until handle_fin ends the loan.
+  if (send.pin == nullptr) send.pin = fabric::PinPool::instance().lend(send.data);
+  data.payload = fabric::Payload::borrow(send.pin, offset, bytes);
   const auto times = post_segment(rail, std::move(data), config_.scheduler_core);
   emit({.time = times.host_start, .kind = EventKind::kChunkPosted, .msg_id = send.id,
         .tag = send.tag, .rail = rail, .core = config_.scheduler_core,
@@ -882,9 +877,20 @@ void Engine::handle_fin(const fabric::Segment& seg) {
   SendRequest& send = **handle;
   live_chunks_.erase(seg.msg_id);  // any armed timeouts are stale now
   qos_streams_.erase(seg.msg_id);  // a failover retransmit may finish early
-  // The receiver has every byte; chunks still in flight are duplicates it
-  // drops unread, so the buffer goes back to the application now.
-  if (send.pin != nullptr) fabric::revoke_pin(send.pin);
+  // The receiver has every byte, so the buffer goes back to the application
+  // now. Without reliability, chunks still in flight are duplicates the
+  // receiver drops unread. With it, a DATA entry whose ACK is still out may
+  // be retransmitted, and a post-FIN duplicate is checksummed before the
+  // window drops it: the parked entries take their own bytes, and
+  // rescue_pin copies the message only for a view still on the wire.
+  if (send.pin != nullptr) {
+    if (config_.reliability.enabled) {
+      rel_links_.own_parked_data(send.dst, send.id);
+      fabric::rescue_pin(send.pin, send.len);
+    } else {
+      fabric::revoke_pin(send.pin);
+    }
+  }
   count(EngineCounter::rdv_roundtrips);
   complete_send(send, fabric_->now());
   rdv_sends_.erase(seg.msg_id);
@@ -1103,7 +1109,15 @@ void Engine::handle_data(const fabric::Segment& seg) {
   RecvHandle recv = it->second.recv;
   RAILS_CHECK(seg.offset + seg.payload.size() <= recv->expected);
   if (!seg.payload.empty()) {
-    std::memcpy(recv->data + seg.offset, seg.payload.data(), seg.payload.size());
+    // The modelled DMA write: a receive buffer too large to stay in L2 is
+    // written past the cache instead of paying a read-for-ownership per
+    // line; a smaller one may be warm, and memcpy wins there.
+    RAILS_PERF_SCOPE(perf::Layer::kPlace);
+    if (recv->expected >= kStreamCopyThreshold) {
+      stream_copy(recv->data + seg.offset, seg.payload.data(), seg.payload.size());
+    } else {
+      std::memcpy(recv->data + seg.offset, seg.payload.data(), seg.payload.size());
+    }
   }
   const std::size_t fresh =
       add_interval(it->second.covered, seg.offset, seg.offset + seg.payload.size());

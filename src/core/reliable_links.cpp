@@ -35,6 +35,14 @@ RelTxEntry& ReliableLinks::stash(fabric::Segment& seg, RailId rail) {
   return e;
 }
 
+void ReliableLinks::own_parked_data(NodeId dst, std::uint64_t msg_id) {
+  for (RelTxEntry& e : links_[dst].ring) {
+    if (!e.in_use || e.kind != fabric::SegKind::kData || e.msg_id != msg_id) continue;
+    e.payload.mutable_data();  // copy-on-write into pooled storage...
+    e.payload.share();         // ...shared, so a retransmit takes a reference
+  }
+}
+
 bool ReliableLinks::arm_ack(NodeId src) {
   if (links_[src].ack_armed) return false;
   links_[src].ack_armed = true;

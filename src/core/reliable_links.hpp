@@ -2,8 +2,8 @@
 // "Data-plane faults & reliable delivery").
 //
 // Per peer link, the sender numbers every sequenced segment (0 stays
-// "unsequenced" on the wire) and parks its bytes, shared rather than
-// copied, in a power-of-two ring slab (slot = seq & (size - 1)) until an
+// "unsequenced" on the wire) and parks its bytes, shared or borrowed rather
+// than copied, in a power-of-two ring slab (slot = seq & (size - 1)) until an
 // ACK retires it. The receiver keeps a cumulative edge (every seq at or
 // below it arrived) and a kRxWindow-seq bitmap ring above it, which makes
 // receives exactly-once. An ACK travels in header fields only: `seq`
@@ -36,9 +36,12 @@ struct RelTxEntry {
   std::uint64_t total_len = 0;
   std::uint32_t crc = 0;
   SimDuration base_timeout = 0;   ///< first-transmission ACK wait (pre-backoff)
-  /// The segment's bytes, shared with every transmission of it
-  /// (fabric::Payload::share): a retransmit takes one more reference, and
-  /// a corrupt fault copies before it writes, so these stay the original.
+  /// The segment's bytes, shared with every transmission of it: a
+  /// retransmit takes one more reference, and a corrupt fault copies before
+  /// it writes, so these stay the original. Eager and control bytes are
+  /// pooled storage (fabric::Payload::share). A DATA chunk borrows the send
+  /// buffer through the send's pin until FIN, when own_parked_data gives it
+  /// a shared copy of its own.
   fabric::Payload payload;
 
   /// The segment rebuilt around the parked bytes: byte-identical to the
@@ -68,6 +71,10 @@ class ReliableLinks {
     RelTxEntry& e = ring[seq & (ring.size() - 1)];
     return (e.in_use && e.seq == seq) ? &e : nullptr;
   }
+  /// Gives every parked DATA entry of `msg_id` to `dst` its own pooled copy
+  /// of the bytes it borrowed from the send buffer, so the sender can end
+  /// the loan while ACKs are still out.
+  void own_parked_data(NodeId dst, std::uint64_t msg_id);
   /// Frees the entry; its payload reference is dropped with it (the last
   /// reference returns the bytes to the pool).
   void release(RelTxEntry& entry) {

@@ -1,13 +1,13 @@
 // Recycling pool for owned segment payload storage.
 //
-// Eager segments (and, with reliability on, DMA chunks) carry their bytes
-// in owned Payload storage; without pooling that is one heap allocation per
-// segment on the hot path. Storage comes back either when the receiver
-// recycles its segment or, once shared (Payload::share: a reliable segment
-// and its parked retransmit bytes), when the last reference drops, usually
-// at the ACK. A copy-on-write of a view draws its private copy from here
-// too. Rendezvous DMA chunks with reliability off borrow the sender's
-// buffer instead (fabric/payload.hpp) and never touch the pool. The pool is
+// Eager segments carry their bytes in owned Payload storage; without
+// pooling that is one heap allocation per segment on the hot path. Storage
+// comes back either when the receiver recycles its segment or, once shared
+// (Payload::share: a reliable segment and its parked retransmit bytes),
+// when the last reference drops, usually at the ACK. A copy-on-write of a
+// view draws its private copy from here too, and so does a reliable DMA
+// chunk's parked entry that outlives its send. Rendezvous DMA chunks
+// borrow the sender's buffer instead (fabric/payload.hpp). The pool is
 // process-wide (segments migrate between sender and receiver engines inside
 // one process) and bounded both in buffers and in bytes, and it is an
 // immortal leaked singleton for the same reason as RequestPool: segments

@@ -72,6 +72,7 @@ void rescue_pin(Pin*& pin, std::size_t len) {
   if (pin->refs.load(std::memory_order_acquire) > 1) {
     pin->rescue.assign(pin->bytes, pin->bytes + len);
     pin->bytes = pin->rescue.data();
+    PinPool::instance().rescues_.fetch_add(1, std::memory_order_relaxed);
   }
   PinPool::instance().unref(pin);
   pin = nullptr;

@@ -3,21 +3,26 @@
 //
 // Eager segments frame their sub-packets into owned storage — the CPU copy
 // PIO pays on real hardware. A rendezvous DMA chunk instead borrows the
-// bytes it carries: the NIC reads the application's buffer in place, and
-// the receiver's memcpy into its posted buffer is the only copy, which is
-// the DMA the paper models (docs/PROTOCOL.md "Send-buffer contract").
+// bytes it carries, with reliability on or off: the NIC reads the
+// application's buffer in place, and the receiver's copy into its posted
+// buffer is the only copy, which is the DMA the paper models
+// (docs/PROTOCOL.md "Send-buffer contract").
 //
 // A view never points at its bytes directly. It points at a refcounted Pin
 // taken from an immortal slab, and a pin holds one of two things:
 //
 //  * A lender's buffer (Payload::borrow). The lender can end the loan while
-//    views are still in flight: on completion it revokes the pin (any later
-//    read traps instead of touching freed memory), on failure it first
-//    rescue-copies its bytes into the pin.
+//    views are still in flight. If no view can be read again, it revokes
+//    the pin (any later read traps instead of touching freed memory);
+//    otherwise it ends the loan with rescue_pin, which copies the lent
+//    bytes into the pin only while some other view still holds it. A view
+//    that must outlive the loan on its own (a chunk's parked retransmit
+//    entry) takes a private copy first: mutable_data(), then share().
 //  * Storage a payload gave up (Payload::share). Copies of a shared payload
 //    are more references, not more bytes; the last reference to drop hands
-//    the storage back to BufferPool. With reliability on, a segment and its
-//    parked retransmit copy share their bytes this way.
+//    the storage back to BufferPool. With reliability on, an eager or
+//    control segment and its parked retransmit entry share their bytes
+//    this way.
 //
 // Every write to a view copies it into owned storage first (copy-on-write),
 // so a corrupt fault never writes the sender's memory or the parked bytes.
@@ -69,8 +74,13 @@ class PinPool {
 
   /// Pins with at least one reference outstanding.
   std::size_t live() const;
+  /// Loans rescue_pin ended by copying the lent bytes (views were still in
+  /// flight), since process start.
+  std::uint64_t rescues() const { return rescues_.load(std::memory_order_relaxed); }
 
  private:
+  friend void rescue_pin(Pin*& pin, std::size_t len);
+
   static constexpr std::size_t kSlabPins = 64;
 
   PinPool() = default;
@@ -79,15 +89,17 @@ class PinPool {
   Pin* free_ = nullptr;
   std::vector<Pin*> slabs_;
   std::size_t live_ = 0;
+  std::atomic<std::uint64_t> rescues_{0};
 };
 
 /// Ends a loan whose buffer the lender is done with (the send completed):
 /// views still in flight trap if read. Drops the lender's reference and
 /// nulls `pin`.
 void revoke_pin(Pin*& pin);
-/// Ends a loan whose buffer may be reused while views are still in flight
-/// (the send failed): copies the first `len` lent bytes into the pin when
-/// any view remains, then drops the lender's reference and nulls `pin`.
+/// Ends a loan whose buffer may be reused while views that will still be
+/// read are in flight (the send failed, or completed with reliability on):
+/// copies the first `len` lent bytes into the pin when any view remains,
+/// then drops the lender's reference and nulls `pin`.
 void rescue_pin(Pin*& pin, std::size_t len);
 
 class Payload {

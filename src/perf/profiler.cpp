@@ -20,6 +20,7 @@ const char* layer_name(Layer layer) {
     case Layer::kArbiter: return "arbiter";
     case Layer::kStrategy: return "strategy";
     case Layer::kEmit: return "emit";
+    case Layer::kPlace: return "place";
     case Layer::kCompletion: return "completion";
     case Layer::kCount: break;
   }

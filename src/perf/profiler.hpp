@@ -6,7 +6,7 @@
 // profiler does that attribution for the engine's own hot path:
 //
 //   submit -> classify/admit -> arbiter -> strategy/split -> emit/pack
-//          -> completion
+//          -> place -> completion
 //
 // Design constraints, in order:
 //
@@ -73,6 +73,7 @@ enum class Layer : unsigned {
   kArbiter,      ///< QosArbiter grant pass + queue drain
   kStrategy,     ///< strategy interrogation + split solving
   kEmit,         ///< emission/packing: segments, chunks, wire framing
+  kPlace,        ///< rendezvous DATA placed into the posted receive buffer
   kCompletion,   ///< FIN handling and receive completion
   kCount
 };

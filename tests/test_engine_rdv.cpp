@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/world.hpp"
@@ -180,34 +182,121 @@ TEST(RdvChunks, SingleRailKeepsEverythingOnOneRail) {
 // -- send-buffer contract (docs/PROTOCOL.md) ---------------------------------
 
 TEST(RdvSendBuffer, ChunksBorrowThroughAPinUntilCompletion) {
-  // Reliability off: DMA chunks read the send buffer in place, so the send
-  // holds a pin while streaming and revokes it at FIN. With reliability on
-  // every chunk carries its own copy and the send never lends its buffer;
-  // the pins then live are the chunks' shared retransmit bytes, and they
-  // are all gone at quiescence.
+  // DMA chunks read the send buffer in place in both modes: the send holds
+  // one pin while streaming and ends the loan at FIN. With reliability on
+  // the chunks' parked retransmit entries borrow it too; their ACKs are
+  // still out at FIN, so there they take bytes of their own instead of
+  // making the loan end in a whole-message rescue copy.
   for (const bool reliable : {false, true}) {
     SCOPED_TRACE(reliable ? "reliability on" : "reliability off");
     WorldConfig cfg = paper_testbed("hetero-split");
     cfg.engine.reliability.enabled = reliable;
     core::World world(cfg);
     const std::size_t size = 4_MiB;
-    const auto tx = test::make_pattern(size, 41);
+    const auto original = test::make_pattern(size, 41);
+    std::vector<std::uint8_t> tx = original;
     std::vector<std::uint8_t> rx(size, 0);
+    const std::uint64_t rescues = fabric::PinPool::instance().rescues();
     auto recv = world.engine(1).irecv(0, 1, rx.data(), size);
     auto send = world.engine(0).isend(1, 1, tx.data(), size);
     ASSERT_TRUE(world.fabric().events().run_until(
         [&] { return send->state == SendState::kStreaming; }));
-    EXPECT_EQ(send->pin != nullptr, !reliable);
-    if (!reliable) {
-      EXPECT_EQ(fabric::PinPool::instance().live(), 1u);
-    }
+    EXPECT_NE(send->pin, nullptr);
+    EXPECT_EQ(fabric::PinPool::instance().live(), 1u);
     world.wait(recv);
     world.wait(send);
-    world.fabric().events().run_all();
-    EXPECT_EQ(rx, tx);
     EXPECT_EQ(send->pin, nullptr);
+    EXPECT_EQ(fabric::PinPool::instance().rescues(), rescues);
+    if (reliable) {
+      // The chunks' entries outlived the loan: they own their bytes now.
+      EXPECT_GE(world.engine(0).reliable_in_flight(), 1u);
+      EXPECT_GE(fabric::PinPool::instance().live(), 1u);
+    }
+    std::fill(tx.begin(), tx.end(), 0);  // the application reuses its buffer
+    world.fabric().events().run_all();
+    EXPECT_EQ(rx, original);
+    EXPECT_EQ(world.engine(0).reliable_in_flight(), 0u);
     EXPECT_EQ(fabric::PinPool::instance().live(), 0u);
   }
+}
+
+fabric::FaultSpec wire_fault(fabric::FaultKind kind, SimTime at, SimDuration duration) {
+  fabric::FaultSpec f;
+  f.kind = kind;
+  f.at = at;
+  f.duration = duration;
+  f.rate = 1.0;
+  return f;
+}
+
+TEST(RdvSendBuffer, DataRetransmittedAfterFinCarriesTheOriginalBytes) {
+  // Reliability on. The receiver's coalesced ACK for the chunks is lost, so
+  // their entries are still parked when FIN completes the send; the
+  // application then overwrites its buffer, and the ACK timeout retransmits
+  // every chunk. The retransmits must carry the bytes the CRC was computed
+  // over (no corruption detected) without a rescue copy of the message.
+  WorldConfig cfg = paper_testbed("hetero-split");
+  cfg.engine.reliability.enabled = true;
+  core::World world(cfg);
+  const std::size_t size = 4_MiB;
+  const auto original = test::make_pattern(size, 42);
+  std::vector<std::uint8_t> tx = original;
+  std::vector<std::uint8_t> rx(size, 0);
+  const std::uint64_t rescues = fabric::PinPool::instance().rescues();
+  auto recv = world.engine(1).irecv(0, 1, rx.data(), size);
+  auto send = world.engine(0).isend(1, 1, tx.data(), size);
+  world.wait(recv);
+  // FIN is on the wire; everything node 1 sends for the next 100 us is
+  // lost, the coalesced ACK included.
+  for (RailId r = 0; r < world.fabric().rail_count(); ++r) {
+    world.fabric().nic(1, r).inject_fault(
+        wire_fault(fabric::FaultKind::kDrop, world.now(), usec(100)));
+  }
+  world.wait(send);
+  const std::uint64_t parked = world.engine(0).reliable_in_flight();
+  EXPECT_GE(parked, 1u);
+  EXPECT_EQ(fabric::PinPool::instance().rescues(), rescues);
+  const std::uint64_t retransmits = world.engine(0).stats().rel_retransmits;
+  std::fill(tx.begin(), tx.end(), 0xEE);
+  world.fabric().events().run_all();
+
+  EXPECT_GE(world.engine(0).stats().rel_retransmits, retransmits + parked);
+  EXPECT_GE(world.engine(1).stats().rel_dup_suppressed, parked);
+  EXPECT_EQ(world.engine(1).stats().rel_corruptions, 0u);
+  EXPECT_EQ(world.engine(1).stats().rel_nacks, 0u);
+  EXPECT_EQ(rx, original);
+  EXPECT_EQ(world.engine(0).reliable_in_flight(), 0u);
+  EXPECT_EQ(fabric::PinPool::instance().live(), 0u);
+}
+
+TEST(RdvSendBuffer, DuplicateInFlightAtFinIsRescued) {
+  // Reliability on, every segment out of node 0 duplicated: a chunk's
+  // trailing copy is still on the wire when FIN completes the send, and it
+  // is checksummed on arrival. Ending the loan therefore copies the message
+  // into the pin, and the overwritten buffer never reaches the receiver.
+  WorldConfig cfg = paper_testbed("hetero-split");
+  cfg.engine.reliability.enabled = true;
+  core::World world(cfg);
+  for (RailId r = 0; r < world.fabric().rail_count(); ++r) {
+    world.fabric().nic(0, r).inject_fault(wire_fault(fabric::FaultKind::kDup, 0, 0));
+  }
+  const std::size_t size = 4_MiB;
+  const auto original = test::make_pattern(size, 43);
+  std::vector<std::uint8_t> tx = original;
+  std::vector<std::uint8_t> rx(size, 0);
+  const std::uint64_t rescues = fabric::PinPool::instance().rescues();
+  auto recv = world.engine(1).irecv(0, 1, rx.data(), size);
+  auto send = world.engine(0).isend(1, 1, tx.data(), size);
+  world.wait(send);
+  EXPECT_EQ(fabric::PinPool::instance().rescues(), rescues + 1);
+  std::fill(tx.begin(), tx.end(), 0xEE);
+  world.fabric().events().run_all();
+
+  EXPECT_TRUE(recv->done());
+  EXPECT_EQ(rx, original);
+  EXPECT_GE(world.engine(1).stats().rel_dup_suppressed, 1u);
+  EXPECT_EQ(world.engine(1).stats().rel_corruptions, 0u);
+  EXPECT_EQ(fabric::PinPool::instance().live(), 0u);
 }
 
 TEST(RdvSendBuffer, ConcurrentSendsEachReleaseTheirPin) {

@@ -41,7 +41,7 @@ struct ProfilerGuard {
 };
 
 /// A small mixed workload: an eager burst plus one rendezvous transfer,
-/// touching submit/strategy/emit/completion on the instrumented path.
+/// touching submit/strategy/emit/place/completion on the instrumented path.
 void run_workload(core::World& world) {
   std::vector<std::uint8_t> small(512, 0x11);
   std::vector<std::uint8_t> large(1_MiB, 0x33);
@@ -114,9 +114,11 @@ TEST(PerfProfiler, LayerSelfTimesSumToRootCycles) {
   // tolerance check.
   EXPECT_GT(snap.root_cycles, 0u);
   EXPECT_EQ(snap.total_self_cycles(), snap.root_cycles);
-  // The workload exercises at least submit, emit, and completion.
+  // The workload exercises at least submit, emit, place and completion:
+  // the 1 MiB receive's DATA chunks are placed in their own layer.
   EXPECT_GT(snap.layers[static_cast<unsigned>(perf::Layer::kSubmit)].calls, 0u);
   EXPECT_GT(snap.layers[static_cast<unsigned>(perf::Layer::kEmit)].calls, 0u);
+  EXPECT_GT(snap.layers[static_cast<unsigned>(perf::Layer::kPlace)].calls, 0u);
   EXPECT_GT(snap.layers[static_cast<unsigned>(perf::Layer::kCompletion)].calls, 0u);
 }
 

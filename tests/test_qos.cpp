@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/world.hpp"
+#include "fabric/presets.hpp"
 #include "qos/arbiter.hpp"
 
 namespace rails {
@@ -255,6 +256,42 @@ TEST(QosEngine, InfeasibleDeadlineRejectedAtSubmit) {
   EXPECT_TRUE(send->rejected());
   EXPECT_TRUE(send->failed());
   EXPECT_EQ(world.engine(0).qos()->counters(qos::kBulk).admission_rejects, 1u);
+}
+
+TEST(QosEngine, AllRailsQuarantinedAdmitsADeadlineOnlyRail1CanMeet) {
+  // With every rail quarantined the strategy is shown every rail, so
+  // admission must predict over every rail too, not rail 0 alone.
+  core::WorldConfig cfg = core::paper_testbed("hetero-split");
+  cfg.fabric.rails = {fabric::gige_tcp(), fabric::myri10g()};
+  cfg.engine.qos.enabled = true;
+  core::World world(cfg);
+  core::Engine& sender = world.engine(0);
+  fabric::FaultSpec dead;
+  dead.kind = fabric::FaultKind::kFailStop;
+  for (RailId r = 0; r < world.fabric().rail_count(); ++r) {
+    world.fabric().nic(0, r).inject_fault(dead);
+  }
+  std::vector<std::uint8_t> tx(256, 0x55);
+  auto probe = sender.isend(1, 9, tx.data(), tx.size());
+  ASSERT_TRUE(world.fabric().events().run_until(
+      [&] { return sender.rail_quarantined(0) && sender.rail_quarantined(1); }));
+
+  // Rail 1 (Myri-10G) lands a small eager message long before rail 0 (GigE).
+  const auto predict = [&](RailId r) {
+    const sampling::RailState state{r, world.fabric().nic(0, r).busy_until()};
+    return world.estimator().completion(state, world.now(), tx.size(),
+                                        fabric::Protocol::kEager);
+  };
+  const SimTime rail0 = predict(0);
+  const SimTime rail1 = predict(1);
+  ASSERT_LT(rail1, rail0);
+  core::Engine::SendOptions opts;
+  opts.deadline = rail1 + (rail0 - rail1) / 2;
+  auto send = sender.isend(1, 10, tx.data(), tx.size(), opts);
+  ASSERT_NE(send, nullptr);
+  EXPECT_FALSE(send->rejected());
+  EXPECT_EQ(sender.qos()->counters(qos::kLatency).admission_rejects, 0u);
+  world.fabric().events().run_all();  // the dead rails give up; the queue drains
 }
 
 TEST(QosEngine, StrictPreemptionProtectsPingUnderBulkFlood) {
