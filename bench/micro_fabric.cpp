@@ -137,20 +137,25 @@ std::vector<std::uint8_t>& cold_ring() {
   return ring;
 }
 
-template <void (*Copy)(void*, const void*, std::size_t)>
-void place_throughput(benchmark::State& state) {
+/// Copies one chunk of state.range(0) bytes per iteration with `copy`.
+template <typename CopyFn>
+void place_loop(benchmark::State& state, bool cold, CopyFn copy) {
   std::vector<std::uint8_t>& ring = cold_ring();
   const auto chunk = static_cast<std::size_t>(state.range(0));
-  const bool cold = state.range(1) != 0;
   std::vector<std::uint8_t> src(chunk);
   for (std::size_t i = 0; i < chunk; ++i) src[i] = static_cast<std::uint8_t>(i * 131u);
   std::size_t at = 0;
   for (auto _ : state) {
-    Copy(ring.data() + at, src.data(), chunk);
+    copy(ring.data() + at, src.data(), chunk);
     benchmark::ClobberMemory();
     if (cold) at = at + 2 * chunk <= kRing ? at + chunk : 0;
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+
+template <void (*Copy)(void*, const void*, std::size_t)>
+void place_throughput(benchmark::State& state) {
+  place_loop(state, state.range(1) != 0, Copy);
 }
 
 void place_args(benchmark::internal::Benchmark* b) {
@@ -169,6 +174,23 @@ BENCHMARK(place_throughput<stream_copy>)->Name("BM_PlaceStream")->Apply(place_ar
 #if defined(__x86_64__)
 BENCHMARK(place_throughput<detail::stream_copy_sse2>)->Name("BM_PlaceSse2")->Apply(place_args);
 #endif
+
+// Multicore placement (docs/PERF.md, "Multicore placement"): the split copy
+// cut into 1-4 slices, into the cold ring. Slices beyond the host's helper
+// threads (the "helpers" counter) fall to the caller. Wall-clock time, as
+// the caller waits for the helpers. The evidence for kSplitCopyMin and
+// kMaxPlaceParts.
+void BM_PlaceParallel(benchmark::State& state) {
+  const auto parts = static_cast<unsigned>(state.range(1));
+  place_loop(state, /*cold=*/true, [parts](void* dst, const void* src, std::size_t n) {
+    detail::stream_copy_parts(dst, src, n, parts);
+  });
+  state.counters["helpers"] = detail::stream_copy_helpers();
+}
+BENCHMARK(BM_PlaceParallel)
+    ->ArgNames({"bytes", "parts"})
+    ->ArgsProduct({{256 << 10, 1 << 20, 4 << 20, 16 << 20}, {1, 2, 3, 4}})
+    ->UseRealTime();
 
 }  // namespace
 

@@ -598,8 +598,10 @@ void Engine::post_emission(const EagerEmission& emission) {
   RAILS_CHECK(!emission.pieces.empty());
   RAILS_CHECK(emission.rail < nics_.size());
 
+  std::size_t framed = 0;
+  for (const EagerPiece& piece : emission.pieces) framed += framed_size(piece.len);
   fabric::Segment seg;
-  seg.payload = fabric::acquire_payload();  // recycled on the receive side
+  seg.payload = fabric::acquire_payload(framed);  // recycled on the receive side
   seg.kind = fabric::SegKind::kEager;
   seg.dst = emission.pieces.front().send->dst;
   seg.msg_id = emission.pieces.front().send->id;
@@ -1111,10 +1113,11 @@ void Engine::handle_data(const fabric::Segment& seg) {
   if (!seg.payload.empty()) {
     // The modelled DMA write: a receive buffer too large to stay in L2 is
     // written past the cache instead of paying a read-for-ownership per
-    // line; a smaller one may be warm, and memcpy wins there.
+    // line, by several host cores when the chunk is large; a smaller one
+    // may be warm, and memcpy wins there.
     RAILS_PERF_SCOPE(perf::Layer::kPlace);
     if (recv->expected >= kStreamCopyThreshold) {
-      stream_copy(recv->data + seg.offset, seg.payload.data(), seg.payload.size());
+      stream_copy_split(recv->data + seg.offset, seg.payload.data(), seg.payload.size());
     } else {
       std::memcpy(recv->data + seg.offset, seg.payload.data(), seg.payload.size());
     }

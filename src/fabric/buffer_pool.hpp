@@ -6,12 +6,16 @@
 // (Payload::share: a reliable segment and its parked retransmit bytes),
 // when the last reference drops, usually at the ACK. A copy-on-write of a
 // view draws its private copy from here too, and so does a reliable DMA
-// chunk's parked entry that outlives its send. Rendezvous DMA chunks
-// borrow the sender's buffer instead (fabric/payload.hpp). The pool is
-// process-wide (segments migrate between sender and receiver engines inside
-// one process) and bounded both in buffers and in bytes, and it is an
-// immortal leaked singleton for the same reason as RequestPool: segments
-// may outlive any engine. See docs/PERF.md.
+// chunk's parked entry that outlives its send. Each caller asks for the
+// capacity it needs and gets the best fit among the last few buffers, so
+// a small buffer pooled last does not hide a large one, and an eager
+// segment does not take the large buffer a copy-on-write will want next.
+// Rendezvous DMA chunks borrow the sender's buffer instead
+// (fabric/payload.hpp). The pool is process-wide (segments migrate between
+// sender and receiver engines inside one process) and bounded both in
+// buffers and in bytes, and it is an immortal leaked singleton for the
+// same reason as RequestPool: segments may outlive any engine. See
+// docs/PERF.md.
 #pragma once
 
 #include <cstdint>
@@ -36,12 +40,27 @@ class BufferPool {
     return *pool;
   }
 
-  /// An empty owned payload, with whatever capacity its previous life grew.
-  Payload acquire() {
+  /// How many of the most recently pooled buffers acquire() searches.
+  static constexpr std::size_t kFitScan = 8;
+
+  /// An empty owned payload for `wanted` bytes: the smallest buffer at
+  /// least that large among the kFitScan most recently pooled (the most
+  /// recent of equals), else the most recently pooled one, which then
+  /// grows.
+  Payload acquire(std::size_t wanted) {
     std::lock_guard<std::mutex> lock(mu_);
     if (pool_.empty()) return {};
-    Payload buf = std::move(pool_.back());
-    pool_.pop_back();
+    auto pick = pool_.end() - 1;
+    const auto stop = pool_.size() > kFitScan ? pool_.end() - kFitScan : pool_.begin();
+    for (auto it = pool_.end(); it != stop;) {
+      --it;
+      if (it->capacity() >= wanted &&
+          (pick->capacity() < wanted || it->capacity() < pick->capacity())) {
+        pick = it;
+      }
+    }
+    Payload buf = std::move(*pick);
+    pool_.erase(pick);
     pooled_bytes_ -= buf.capacity();
     return buf;
   }
@@ -79,7 +98,9 @@ class BufferPool {
   std::size_t pooled_bytes_ = 0;
 };
 
-inline Payload acquire_payload() { return BufferPool::instance().acquire(); }
+inline Payload acquire_payload(std::size_t wanted) {
+  return BufferPool::instance().acquire(wanted);
+}
 inline void recycle_payload(Payload&& buf) {
   BufferPool::instance().release(std::move(buf));
 }

@@ -151,7 +151,7 @@ void Payload::reallocate(std::size_t cap) {
 std::uint8_t* Payload::mutable_data() {
   if (borrowed()) {
     // The private copy comes from the pool, like every segment's storage.
-    Payload copy = acquire_payload();
+    Payload copy = acquire_payload(size_);
     copy.append(data(), size_);
     *this = std::move(copy);
   }

@@ -179,6 +179,40 @@ TEST(RdvChunks, SingleRailKeepsEverythingOnOneRail) {
   }
 }
 
+TEST(RdvPlacement, LargeChunksSplitAcrossCoresKeepBytesAndCompletionTime) {
+  // An 8 MiB message into an 8 MiB receive buffer: its chunks are streamed
+  // and, past 1 MiB, split across the host's cores (common/stream_copy.hpp).
+  // Placement moves host bytes only, so the bytes and the virtual
+  // completion times are those of the single-core copy, which these
+  // constants record. A second message reuses the helpers.
+  struct Expected {
+    bool reliable;
+    SimTime recv_done;
+    SimTime send_done;
+  };
+  for (const Expected& want :
+       {Expected{false, 4189249, 4190949}, Expected{true, 4189249, 4190949}}) {
+    SCOPED_TRACE(want.reliable ? "reliability on" : "reliability off");
+    WorldConfig cfg = paper_testbed("hetero-split");
+    cfg.engine.reliability.enabled = want.reliable;
+    core::World world(cfg);
+    const std::size_t size = 8_MiB;
+    for (Tag tag = 1; tag <= 2; ++tag) {
+      const auto tx = test::make_pattern(size, 80 + tag);
+      std::vector<std::uint8_t> rx(size, 0);
+      const SimTime start = world.now();
+      auto recv = world.engine(1).irecv(0, tag, rx.data(), size);
+      auto send = world.engine(0).isend(1, tag, tx.data(), size);
+      world.wait(recv);
+      world.wait(send);
+      EXPECT_TRUE(send->rendezvous);
+      EXPECT_EQ(rx, tx) << "message " << tag;
+      EXPECT_EQ(recv->complete_time - start, want.recv_done) << "message " << tag;
+      EXPECT_EQ(send->complete_time - start, want.send_done) << "message " << tag;
+    }
+  }
+}
+
 // -- send-buffer contract (docs/PROTOCOL.md) ---------------------------------
 
 TEST(RdvSendBuffer, ChunksBorrowThroughAPinUntilCompletion) {

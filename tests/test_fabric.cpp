@@ -334,7 +334,7 @@ TEST(Payload, SharedBytesAreReferencedNotCopiedAndReturnToThePool) {
     EXPECT_EQ(PinPool::instance().live(), live_before + 1) << "parked still holds it";
   }
   EXPECT_EQ(PinPool::instance().live(), live_before);
-  Payload reused = pool.acquire();
+  Payload reused = pool.acquire(64);
   EXPECT_EQ(reused.data(), bytes) << "the last reference returned the storage to the pool";
   EXPECT_GE(reused.capacity(), 64u);
 
@@ -351,6 +351,35 @@ TEST(PayloadDeathTest, ReadThroughARevokedPinTraps) {
   EXPECT_DEATH((void)view.data(), "revoked pin");
 }
 
+TEST(BufferPool, AcquireTakesTheBestFitAmongTheLastPooled) {
+  // A large copy-on-write must not take the small buffer pooled last, grow
+  // it (an allocation) and leave the large one unused; a small segment
+  // must not take the large one either.
+  BufferPool& pool = BufferPool::instance();
+  constexpr std::size_t kLarge = std::size_t{256} << 10;
+  Payload large;
+  large.assign(kLarge, 1);
+  const std::uint8_t* large_bytes = large.data();
+  Payload small;
+  small.assign(64, 2);
+  const std::uint8_t* small_bytes = small.data();
+  pool.release(std::move(small));
+  pool.release(std::move(large));
+
+  Payload got_small = pool.acquire(64);
+  EXPECT_EQ(got_small.data(), small_bytes) << "a small request took the large buffer";
+  pool.release(std::move(got_small));  // back on top, above the large one
+
+  Payload got = pool.acquire(kLarge);
+  EXPECT_EQ(got.size(), 0u);
+  ASSERT_GE(got.capacity(), kLarge);
+  EXPECT_EQ(got.data(), large_bytes);
+  const std::vector<std::uint8_t> bytes(kLarge, 3);
+  got.append(bytes.data(), bytes.size());
+  EXPECT_EQ(got.data(), large_bytes) << "filling it to the wanted size reallocated";
+  EXPECT_EQ(pool.acquire(64).data(), small_bytes) << "the small buffer stays pooled";
+}
+
 TEST(BufferPool, RetainedBytesStayUnderTheCap) {
   BufferPool& pool = BufferPool::instance();
   constexpr std::size_t kBuffers = 1024;
@@ -363,7 +392,7 @@ TEST(BufferPool, RetainedBytesStayUnderTheCap) {
   EXPECT_GT(pool.pooled(), 0u);
   EXPECT_LE(pool.pooled(), BufferPool::kMaxPooled);
   // Drain, so the retained memory does not outlive the test.
-  while (pool.pooled() > 0) (void)pool.acquire();
+  while (pool.pooled() > 0) (void)pool.acquire(0);
   EXPECT_EQ(pool.pooled_bytes(), 0u);
 }
 
